@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import base_decrypt, base_encrypt, random_bits
-from .protocol import CipherState, ProtocolParams, QecmKey, encrypt, key_gen, measure_codeword
+from .protocol import ProtocolParams, QecmKey, encrypt, key_gen, measure_codeword
 from .bounds import tau, win_prob_bound
 from .stats import wilson_interval
 
@@ -205,35 +205,6 @@ def run_cloning_game(
         ),
         per_player_successes=(ok_bob, ok_charlie),
     )
-
-
-def heterodyne_split(cipher: CipherState, rng=None) -> tuple[CipherState, CipherState]:
-    """Split every mode on a balanced beamsplitter against fresh vacuum.
-
-    Each returned half holds the per-port marginal descriptors (displacement
-    shrunk by sqrt 2, covariance averaged with the vacuum's). The pair does
-    not carry the cross-port correlations; the game harness samples the two
-    ports jointly instead. Deterministic on descriptors, ``rng`` unused.
-    """
-    disp = cipher.disp * _SQRT_HALF
-    cov = (cipher.cov_diag + 1.0) / 2.0
-    return CipherState(disp, cov), CipherState(disp.copy(), cov.copy())
-
-
-def decode_half(
-    half: CipherState,
-    key: QecmKey,
-    params: ProtocolParams,
-    codec,
-    rng: np.random.Generator,
-):
-    """Decode one beamsplitter port with full key knowledge: homodyne along the
-    keyed directions, threshold at offsets/sqrt2, decode, unpad."""
-    estimate = measure_codeword(key, half, rng, threshold_scale=_SQRT_HALF)
-    decoded = codec.decode(estimate)
-    if decoded is None:
-        return None
-    return base_decrypt(key.pad, decoded)
 
 
 @dataclass(frozen=True)

@@ -52,13 +52,16 @@ def dkl_binary(a: float, b: float) -> float:
 def eps_df(num_modes: int, max_errors: int, alpha: float, squeezing: float) -> float:
     """Chernoff bound on the decryption-failure probability,
     exp[-N * D_KL((t+1)/N || beta)]; reports 1 when the bound is inapplicable
-    (beta >= (t+1)/N)."""
+    (beta >= (t+1)/N), and its limit 0 when beta underflows to 0 (r >~ 10 at
+    alpha 0.4)."""
     if max_errors + 1 > num_modes:
         raise ValueError("need max_errors + 1 <= num_modes")
     beta = ber_analytic(alpha, squeezing)
     threshold = (max_errors + 1) / num_modes
     if beta >= threshold:
         return 1.0
+    if beta == 0.0:
+        return 0.0
     return math.exp(-num_modes * dkl_binary(threshold, beta))
 
 
@@ -135,24 +138,6 @@ def conjugate_coding_bound(msg_len: int):
         raise ValueError("message length must be at least 1")
     out = np.exp(msg_len * math.log(0.5 + 0.5 / math.sqrt(2.0)))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class MonogamyParams:
-    """Monogamy-game setup: even mode count and guess half-widths."""
-
-    num_modes: int
-    delta: float
-    eps: float
-
-    def __post_init__(self):
-        _check_monogamy_args(self.num_modes, self.delta, self.eps)
-
-    def exact_bound(self) -> float:
-        return monogamy_bound_exact(self.num_modes, self.delta, self.eps)
-
-    def relaxed_bound(self) -> float:
-        return monogamy_bound_relaxed(self.num_modes, self.delta, self.eps)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,9 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 < self.transmittance <= 1.0:
             raise ValueError("transmittance must lie in (0, 1]")
-        if self.excess_noise < 0:
-            raise ValueError("excess noise must be nonnegative")
+        # written so that NaN fails the comparison
+        if not 0 <= self.excess_noise < math.inf:
+            raise ValueError("excess noise must be nonnegative and finite")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
 
@@ -79,12 +80,12 @@ def noisy_ber(alpha: float, squeezing: float, channel: ChannelParams):
     return float(out) if np.isscalar(alpha) else out
 
 
-def apply_channel(cipher: CipherState, channel: ChannelParams, rng=None) -> CipherState:
+def apply_channel(cipher: CipherState, channel: ChannelParams) -> CipherState:
     """Transform a cipherstate's descriptors through the channel.
 
     The map is deterministic on Gaussian descriptors (the added noise lives
-    in the covariance); ``rng`` is accepted for interface uniformity and
-    unused. The identity channel returns the input unchanged, bit-exactly.
+    in the covariance). The identity channel returns the input unchanged,
+    bit-exactly.
     """
     t = channel.transmittance
     if t == 1.0 and channel.excess_noise == 0.0:

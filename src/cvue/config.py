@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .adversary import STRATEGY_IDS
@@ -47,26 +47,9 @@ class RunConfig:
             raise ValueError("rejection_samples must be positive")
 
     def to_dict(self) -> dict:
-        protocol = {
-            "msg_len": self.protocol.msg_len,
-            "num_modes": self.protocol.num_modes,
-            "max_errors": self.protocol.max_errors,
-            "alpha": self.protocol.alpha,
-            "squeezing": self.protocol.squeezing,
-            "pad_len": self.protocol.pad_len,
-            "codec_scheme": self.protocol.codec_scheme,
-            "security_param": self.protocol.security_param,
-        }
-        channel = None
-        if self.channel is not None:
-            channel = {
-                "transmittance": self.channel.transmittance,
-                "excess_noise": self.channel.excess_noise,
-                "convention": self.channel.convention,
-            }
         return {
-            "protocol": protocol,
-            "channel": channel,
+            "protocol": asdict(self.protocol),
+            "channel": None if self.channel is None else asdict(self.channel),
             "seed": self.seed,
             "trials": self.trials,
             "format": self.fmt,
@@ -94,9 +77,7 @@ def _build_protocol(raw: dict) -> ProtocolParams:
         max_errors=int(raw["max_errors"]),
         alpha=float(raw["alpha"]),
         squeezing=float(raw["squeezing"]),
-        pad_len=int(raw["pad_len"]) if "pad_len" in raw else None,
         codec_scheme=str(raw.get("codec_scheme", "oracle")),
-        security_param=int(raw.get("security_param", 1)),
     )
 
 

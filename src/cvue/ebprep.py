@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .codec import base_encrypt
 from .gaussian import GaussianState, Quadrature, homodyne_sample, two_mode_squeezed
-from .protocol import CipherState, ProtocolParams, QecmKey, balanced_string_rank
-from .stats import two_proportion_ztest
+from .protocol import CipherState, ProtocolParams, QecmKey, _mode_arrays, balanced_string_rank
+from .stats import normal_window, truncated_normal, two_proportion_ztest
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,16 @@ class RestrictedEprSpec:
         return (center - self.alpha, center + self.alpha)
 
 
-def _truncated_outcomes(spec: RestrictedEprSpec, rng: np.random.Generator, size=None):
-    # challenger marginal: N(sign*alpha, cosh(r)/2) restricted to the window
-    sigma = math.sqrt(0.5 * math.cosh(spec.squeezing))
-    edge = spec.alpha / sigma
-    lo, hi = ndtr(-edge), ndtr(edge)
-    u = rng.uniform(lo, hi, size=size)
-    return spec.sign * spec.alpha + sigma * ndtri(u)
+def _challenger_sigma(squeezing: float) -> float:
+    # the challenger marginal is N(sign*alpha, cosh(r)/2), restricted to the window
+    return math.sqrt(0.5 * math.cosh(squeezing))
+
+
+def window_mass(squeezing: float, alpha: float) -> float:
+    """Normal mass of the restriction window: the expected acceptance ratio
+    of eb_rejection_oracle."""
+    lo, hi = normal_window(_challenger_sigma(squeezing), alpha)
+    return float(hi - lo)
 
 
 def sample_eb_mode(
@@ -75,8 +77,9 @@ def sample_eb_mode(
     along ``direction`` and covariance diag(1/cosh r, cosh r) in that axis
     ordering, i.e. exactly an encryption-map squeezed coherent state.
     """
-    u = float(_truncated_outcomes(spec, rng))
-    axis_value = spec.sign * spec.alpha + (u - spec.sign * spec.alpha) * math.tanh(spec.squeezing)
+    center = spec.sign * spec.alpha
+    u = float(center + truncated_normal(_challenger_sigma(spec.squeezing), spec.alpha, rng))
+    axis_value = center + (u - center) * math.tanh(spec.squeezing)
     ch = math.cosh(spec.squeezing)
     if direction == Quadrature.Q:
         disp, cov = (axis_value, 0.0), np.diag([1.0 / ch, ch])
@@ -118,25 +121,13 @@ def eb_prepare(
         raise ValueError("entanglement-based preparation needs positive squeezing")
     codeword = codec.encode(base_encrypt(pad, message))
     signs = 1.0 - 2.0 * np.asarray(codeword, dtype=float)
-    n = signs.size
-
-    sigma = math.sqrt(0.5 * math.cosh(params.squeezing))
-    edge = params.alpha / sigma
-    lo, hi = ndtr(-edge), ndtr(edge)
-    outcomes = signs * params.alpha + sigma * ndtri(rng.uniform(lo, hi, size=n))
+    sigma = _challenger_sigma(params.squeezing)
+    outcomes = signs * params.alpha + truncated_normal(sigma, params.alpha, rng, signs.size)
     shifted = outcomes - signs * params.alpha
     if np.any(np.abs(shifted) >= params.alpha):
         raise AssertionError("challenger outcome escaped the restriction window")
     offsets = shifted * math.tanh(params.squeezing)
-
-    dirs = np.asarray(directions, dtype=np.uint8)
-    axis_value = signs * params.alpha + offsets
-    disp = np.zeros((n, 2))
-    disp[np.arange(n), dirs] = axis_value
-    ch = math.cosh(params.squeezing)
-    cov = np.empty((n, 2))
-    cov[np.arange(n), dirs] = 1.0 / ch
-    cov[np.arange(n), 1 - dirs] = ch
+    disp, cov = _mode_arrays(codeword, directions, offsets, params.alpha, params.squeezing)
     return EbChallengeRecord(outcomes, offsets, CipherState(disp, cov))
 
 
@@ -148,7 +139,7 @@ def eb_rejection_oracle(
     outcome lands in the restriction window.
 
     Returns (outcome, conditional remote mode, attempts); the expected
-    acceptance ratio is the normal mass of the window.
+    acceptance ratio is window_mass(squeezing, alpha).
     """
     spec = RestrictedEprSpec(squeezing, sign, alpha)  # validates arguments
     center = sign * alpha

@@ -6,7 +6,10 @@ with phase-space density proportional to ``exp[-(x-d)^T G^{-1} (x-d)]``.
 Under this convention a homodyne measurement of a single quadrature has
 variance ``G_ii / 2``; the vacuum has ``G = I`` and shot-noise power 1/2.
 
-Only the two axis-aligned quadrature directions are supported.
+Only the two axis-aligned quadrature directions are supported. This module
+holds what the entanglement-based rejection oracle needs; the vacuum,
+tensor-product and beamsplitter constructions that the tests build states
+with live in ``cvue.reference``.
 """
 
 from __future__ import annotations
@@ -87,35 +90,6 @@ def _check_mode(state: GaussianState, mode: int) -> None:
         raise IndexError(f"mode index {mode} out of range for {state.num_modes} modes")
 
 
-def vacuum_state(num_modes: int) -> GaussianState:
-    """Return the N-mode vacuum (zero displacement, identity covariance)."""
-    return GaussianState(num_modes, np.zeros(2 * num_modes), np.eye(2 * num_modes))
-
-
-def make_squeezed_coherent(
-    displacement, squeezing: float, direction: Quadrature
-) -> GaussianState:
-    """Single-mode squeezed coherent state used by the encryption map.
-
-    The covariance is diag(1/cosh(squeezing), cosh(squeezing)) when squeezed
-    along Q and the transpose arrangement along P, so the homodyne variance in
-    the squeezed direction is 1/(2 cosh(squeezing)).
-
-    Args:
-        displacement: length-2 sequence (q, p).
-        squeezing: nonnegative squeezing parameter.
-        direction: the narrow (squeezed) quadrature.
-    """
-    if squeezing < 0:
-        raise ValueError("squeezing must be nonnegative")
-    ch = np.cosh(squeezing)
-    if direction == Quadrature.Q:
-        cov = np.diag([1.0 / ch, ch])
-    else:
-        cov = np.diag([ch, 1.0 / ch])
-    return GaussianState(1, np.asarray(displacement, dtype=float), cov)
-
-
 def two_mode_squeezed(squeezing: float, displacement=None) -> GaussianState:
     """Two-mode squeezed state, optionally displaced.
 
@@ -137,64 +111,6 @@ def two_mode_squeezed(squeezing: float, displacement=None) -> GaussianState:
     if displacement is None:
         displacement = np.zeros(4)
     return GaussianState(2, np.asarray(displacement, dtype=float), cov)
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Tensor product of two states (block-diagonal covariance)."""
-    n = a.num_modes + b.num_modes
-    disp = np.concatenate([a.disp, b.disp])
-    cov = np.zeros((2 * n, 2 * n))
-    cov[: 2 * a.num_modes, : 2 * a.num_modes] = a.cov
-    cov[2 * a.num_modes :, 2 * a.num_modes :] = b.cov
-    return GaussianState(n, disp, cov)
-
-
-def symplectic_form(num_modes: int) -> np.ndarray:
-    """The symplectic form Omega for the (q1, p1, ..., qN, pN) ordering."""
-    w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.zeros((2 * num_modes, 2 * num_modes))
-    for i in range(num_modes):
-        omega[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = w
-    return omega
-
-
-def beamsplitter_matrix(num_modes: int, modes, transmittance: float) -> np.ndarray:
-    """Symplectic matrix of a beamsplitter acting on a mode pair.
-
-    Uses the rotation convention: output_i = sqrt(T) in_i + sqrt(1-T) in_j,
-    output_j = -sqrt(1-T) in_i + sqrt(T) in_j, identically on q and p.
-    """
-    i, j = modes
-    if i == j:
-        raise ValueError("beamsplitter requires two distinct modes")
-    if not (0.0 <= transmittance <= 1.0):
-        raise ValueError("transmittance must lie in [0, 1]")
-    a = np.sqrt(transmittance)
-    b = np.sqrt(1.0 - transmittance)
-    s = np.eye(2 * num_modes)
-    for off in (0, 1):
-        qi, qj = 2 * i + off, 2 * j + off
-        s[qi, qi] = a
-        s[qi, qj] = b
-        s[qj, qi] = -b
-        s[qj, qj] = a
-    return s
-
-
-def apply_beamsplitter(state: GaussianState, modes, transmittance: float) -> GaussianState:
-    """Mix two modes of a state on a beamsplitter of given transmittance."""
-    i, j = modes
-    _check_mode(state, i)
-    _check_mode(state, j)
-    s = beamsplitter_matrix(state.num_modes, modes, transmittance)
-    return GaussianState(state.num_modes, s @ state.disp, s @ state.cov @ s.T)
-
-
-def marginal_variance(state: GaussianState, mode: int, direction: Quadrature) -> float:
-    """Homodyne measurement variance of one quadrature (= cov entry / 2)."""
-    _check_mode(state, mode)
-    idx = _quad_index(mode, direction)
-    return float(state.cov[idx, idx]) / 2.0
 
 
 def condition_on_homodyne(

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .codec import CodecSpec, base_decrypt, base_encrypt, make_codec, random_bits
-from .gaussian import GaussianState
-from .stats import wilson_interval
+from .stats import truncated_normal, wilson_interval
+
+# trials per vectorised block in run_round_trip; bounds the (block, N) arrays
+ROUND_TRIP_BLOCK = 4000
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,9 @@ class ProtocolParams:
         max_errors: bit errors t the code corrects.
         alpha: displacement magnitude (> 0).
         squeezing: squeezing parameter r (>= 0).
-        pad_len: XOR pad length; must equal msg_len (one-time pad).
         codec_scheme: 'oracle' or 'concrete'.
-        security_param: bookkeeping index for the parameter family.
+
+    The XOR one-time pad is msg_len bits long.
     """
 
     msg_len: int
@@ -42,23 +43,16 @@ class ProtocolParams:
     max_errors: int
     alpha: float
     squeezing: float
-    pad_len: int | None = None
     codec_scheme: str = "oracle"
-    security_param: int = 1
 
     def __post_init__(self):
-        if self.pad_len is None:
-            object.__setattr__(self, "pad_len", self.msg_len)
-        if self.security_param < 1:
-            raise ValueError("security_param must be a positive integer")
         if self.num_modes % 2 != 0:
             raise ValueError("num_modes must be even (balanced direction string)")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.squeezing < 0:
-            raise ValueError("squeezing must be nonnegative")
-        if self.pad_len != self.msg_len:
-            raise ValueError("pad_len must equal msg_len (XOR one-time pad)")
+        # written so that NaN fails the comparison
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 <= self.squeezing < math.inf:
+            raise ValueError("squeezing must be nonnegative and finite")
         # delegates msg_len/num_modes/max_errors checks, incl. concrete realizability
         self.codec_spec()
 
@@ -102,7 +96,7 @@ class QecmKey:
 
 def validate_key(key: QecmKey, params: ProtocolParams) -> None:
     """Check a key against the parameter set it claims to belong to."""
-    if key.pad.size != params.pad_len:
+    if key.pad.size != params.msg_len:
         raise ValueError("pad length does not match params")
     if key.num_modes != params.num_modes:
         raise ValueError("direction string length does not match params")
@@ -120,8 +114,7 @@ class CipherState:
     """Product of N single-mode Gaussian states, stored compactly.
 
     ``disp[i]`` is the (q, p) displacement of mode i and ``cov_diag[i]`` the
-    diagonal of its (diagonal) covariance matrix. ``modes`` materializes the
-    per-mode GaussianState descriptors.
+    diagonal of its (diagonal) covariance matrix.
     """
 
     disp: np.ndarray
@@ -141,13 +134,6 @@ class CipherState:
     def num_modes(self) -> int:
         return self.disp.shape[0]
 
-    def mode(self, i: int) -> GaussianState:
-        return GaussianState(1, self.disp[i], np.diag(self.cov_diag[i]))
-
-    @property
-    def modes(self) -> list[GaussianState]:
-        return [self.mode(i) for i in range(self.num_modes)]
-
 
 def sample_key_offset(
     alpha: float, squeezing: float, rng: np.random.Generator, size=None
@@ -155,9 +141,7 @@ def sample_key_offset(
     """Threshold offsets: centered normal with variance cosh(r) tanh^2(r) / 2,
     truncated to the open interval (-alpha tanh r, alpha tanh r).
 
-    Sampling is by inverse CDF (exact to floating precision; rejection would
-    accept only ~10% of draws at the working parameters). Zero squeezing
-    collapses the interval to {0} and returns zeros.
+    Zero squeezing collapses the interval to {0} and returns zeros.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -166,10 +150,7 @@ def sample_key_offset(
     if squeezing == 0:
         return 0.0 if size is None else np.zeros(size)
     sigma = math.sqrt(0.5 * math.cosh(squeezing)) * math.tanh(squeezing)
-    edge = alpha * math.tanh(squeezing) / sigma
-    lo, hi = ndtr(-edge), ndtr(edge)
-    u = rng.uniform(lo, hi, size=size)
-    out = sigma * ndtri(u)
+    out = truncated_normal(sigma, alpha * math.tanh(squeezing), rng, size)
     return float(out) if size is None else out
 
 
@@ -229,7 +210,7 @@ def key_gen(params: ProtocolParams, rng: np.random.Generator) -> QecmKey:
             "displaced vacua with no direction hiding",
             stacklevel=2,
         )
-    pad = random_bits(params.pad_len, rng)
+    pad = random_bits(params.msg_len, rng)
     ones = rng.choice(n, size=n // 2, replace=False)
     directions = np.zeros(n, dtype=np.uint8)
     directions[ones] = 1
@@ -242,7 +223,7 @@ def _mode_arrays(codeword, directions, offsets, alpha, squeezing):
     signs = 1.0 - 2.0 * np.asarray(codeword, dtype=float)
     axis_value = alpha * signs + offsets
     n = signs.size
-    dirs = np.asarray(directions)
+    dirs = np.asarray(directions, dtype=np.uint8)
     disp = np.zeros((n, 2))
     disp[np.arange(n), dirs] = axis_value
     ch = math.cosh(squeezing)
@@ -333,7 +314,6 @@ def run_round_trip(
     trials: int,
     rng: np.random.Generator,
     channel=None,
-    block_trials: int = 4000,
 ) -> RoundTripResult:
     """Estimate Pr[decryption fails] over encrypt/measure/decode round trips.
 
@@ -341,7 +321,8 @@ def run_round_trip(
     flips). The flip indicator of mode i is independent of the direction bit
     and of the threshold offset (the offset cancels against the threshold),
     so only the plaintext/pad bits and the measurement noise are sampled;
-    run_round_trip_states is the object-level reference for this shortcut.
+    cvue.reference.run_round_trip_states is the object-level reference for
+    this shortcut.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -360,7 +341,7 @@ def run_round_trip(
     mode_flips = 0
     done = 0
     while done < trials:
-        block = min(block_trials, trials - done)
+        block = min(ROUND_TRIP_BLOCK, trials - done)
         message = rng.integers(0, 2, size=(block, n), dtype=np.uint8)
         pad = rng.integers(0, 2, size=(block, n), dtype=np.uint8)
         codeword = np.zeros((block, big_n), dtype=np.uint8)
@@ -372,35 +353,3 @@ def run_round_trip(
         mode_flips += int(per_trial.sum())
         done += block
     return RoundTripResult.from_counts(trials, failures, trials * big_n, mode_flips)
-
-
-def run_round_trip_states(
-    params: ProtocolParams,
-    trials: int,
-    rng: np.random.Generator,
-    channel=None,
-) -> RoundTripResult:
-    """Object-level reference round trip: full key_gen/encrypt/decrypt per trial."""
-    threshold_scale = 1.0
-    failures = 0
-    mode_flips = 0
-    for _ in range(trials):
-        codec = params.make_codec()
-        key = key_gen(params, rng)
-        message = random_bits(params.msg_len, rng)
-        cipher = encrypt(key, message, params, codec)
-        truth = codec.encode(base_encrypt(key.pad, message))
-        if channel is not None:
-            from .channel import apply_channel, displacement_scale
-
-            cipher = apply_channel(cipher, channel)
-            threshold_scale = displacement_scale(channel)
-        estimate = measure_codeword(key, cipher, rng, threshold_scale)
-        mode_flips += int(np.count_nonzero(estimate != truth))
-        decoded = codec.decode(estimate)
-        recovered = None if decoded is None else base_decrypt(key.pad, decoded)
-        if recovered is None or not np.array_equal(recovered, message):
-            failures += 1
-    return RoundTripResult.from_counts(
-        trials, failures, trials * params.num_modes, mode_flips
-    )

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+from scipy.special import ndtr, ndtri
+
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion; valid near 0 and 1."""
@@ -29,3 +32,20 @@ def two_proportion_ztest(k1: int, n1: int, k2: int, n2: int) -> tuple[float, flo
     z = (k1 / n1 - k2 / n2) / se
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return (z, p)
+
+
+def normal_window(sigma: float, bound: float):
+    """CDF values (lo, hi) of N(0, sigma^2) at -bound and +bound; hi - lo is
+    the mass of the window (-bound, bound)."""
+    edge = bound / sigma
+    return ndtr(-edge), ndtr(edge)
+
+
+def truncated_normal(sigma: float, bound: float, rng: np.random.Generator, size=None):
+    """N(0, sigma^2) restricted to the open window (-bound, bound).
+
+    Sampling is by inverse CDF, exact to floating precision; rejection would
+    accept only ~10% of draws at the working parameters.
+    """
+    lo, hi = normal_window(sigma, bound)
+    return sigma * ndtri(rng.uniform(lo, hi, size=size))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cvue.bounds import (
-    MonogamyParams,
     asymptotic_margin,
     ber_analytic,
     binary_entropy,
@@ -118,6 +117,11 @@ class TestEpsDf:
         with pytest.raises(ValueError):
             eps_df(4, 4, 0.4, 3.4)
 
+    @pytest.mark.parametrize("r", [10.0, 12.0, 20.0])
+    def test_underflowed_beta_gives_limit_zero(self, r):
+        assert ber_analytic(0.4, r) == 0.0
+        assert eps_df(1000, 35, 0.4, r) == 0.0
+
 
 class TestMonogamy:
     def test_vandermonde_point_exact(self):
@@ -175,11 +179,7 @@ class TestMonogamy:
         with pytest.raises(ValueError):
             monogamy_bound_exact(4, 0.0, 0.1)
         with pytest.raises(ValueError):
-            MonogamyParams(5, 0.1, 0.1)
-
-    def test_params_helper(self):
-        params = MonogamyParams(4, 1 / 16, 1 / 16)
-        assert params.exact_bound() <= params.relaxed_bound()
+            monogamy_bound_relaxed(5, 0.1, 0.1)
 
 
 class TestTau:
@@ -279,6 +279,12 @@ class TestSecurityReport:
         params = ProtocolParams(32, 32, 0, 0.25, 3.4)
         report = security_report(params)
         assert 0 < report.win_bound < 0.02
+
+    def test_large_squeezing(self):
+        report = security_report(ProtocolParams(892, 1000, 35, 0.4, 12.0))
+        assert report.beta == 0.0
+        assert report.eps_df == 0.0
+        assert math.isfinite(report.asymptotic_margin)
 
 
 class TestFigureData:

@@ -14,7 +14,8 @@ from cvue.channel import (
     noisy_ber,
     noisy_variance,
 )
-from cvue.protocol import ProtocolParams, encrypt, key_gen, run_round_trip, run_round_trip_states
+from cvue.protocol import ProtocolParams, encrypt, key_gen, run_round_trip
+from cvue.reference import run_round_trip_states
 from cvue.codec import random_bits
 
 

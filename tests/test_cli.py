@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvue
 from cvue.cli import load_key, main
 from cvue.config import config_hash, load_config
 from cvue.bounds import figure_data
@@ -221,6 +226,46 @@ class TestValidation:
     def test_bad_format_flag_rejected_by_argparse(self, config_file, capsys):
         with pytest.raises(SystemExit):
             main(["bounds", config_file(), "--format", "xml"])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "section,field",
+        [("protocol", "alpha"), ("protocol", "squeezing"), ("channel", "excess_noise")],
+    )
+    def test_nan_and_inf_rejected(self, section, field, value, config_file, capsys):
+        # json.dumps writes NaN / Infinity, which json.loads parses back to floats
+        channel = {"transmittance": 0.8, "excess_noise": 0.001}
+        if section == "protocol":
+            path = config_file(protocol={field: value})
+        else:
+            path = config_file(channel={**channel, field: value})
+        code, _, err = run(["roundtrip", path], capsys)
+        assert code == 2
+        assert field.replace("_", " ") in err
+
+
+def test_dropped_protocol_keys_are_ignored(config_file, tmp_path, capsys):
+    # pad_len and security_param are no longer settable; older configs and
+    # key files that carry them load as before and hash the same
+    plain, legacy = tmp_path / "plain.json", tmp_path / "legacy.json"
+    assert main(["keygen", config_file(), "--out", str(plain)]) == 0
+    path = config_file(protocol={"pad_len": 16, "security_param": 3})
+    assert main(["keygen", path, "--out", str(legacy)]) == 0
+    assert plain.read_bytes() == legacy.read_bytes()
+    payload = json.loads(legacy.read_text())
+    payload["params"].update(pad_len=16, security_param=3)
+    legacy.write_text(json.dumps(payload))
+    key, params = load_key(legacy)
+    assert key.pad.size == params["msg_len"] == 16
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second of start-up; only ebcheck imports it
+    src = str(Path(cvue.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import cvue.cli, sys; assert 'scipy.stats' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 class TestDeterminism:

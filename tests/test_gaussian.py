@@ -4,15 +4,17 @@ import pytest
 from cvue.gaussian import (
     GaussianState,
     Quadrature,
-    apply_beamsplitter,
-    beamsplitter_matrix,
     condition_on_homodyne,
     homodyne_sample,
+    two_mode_squeezed,
+)
+from cvue.reference import (
+    apply_beamsplitter,
+    beamsplitter_matrix,
     make_squeezed_coherent,
     marginal_variance,
     symplectic_form,
     tensor,
-    two_mode_squeezed,
     vacuum_state,
 )
 
