@@ -4,129 +4,72 @@ game and the comparison of empirical winning rates against the security bound.
 One game trial: the challenger samples a message and key and encrypts; Alice
 splits the cipherstate (or measures it) before the key is revealed; Bob and
 Charlie then decode their shares with full key knowledge and win iff both
-recover the message. The oracle codec decides success by flip count.
+recover the message.
+
+Each strategy is a kernel that returns per-trial (bob, charlie) error counts
+for a block of trials, sampled from the homodyne noise alone. Three facts
+make that exact:
+
+* the keyed offset k shifts the outcome and the threshold alike, so it
+  cancels and neither k nor the direction string is sampled;
+* the flip law is symmetric in the codeword bit (a 1 flips on the mirror
+  image of the noise that flips a 0), so every codeword is taken as all-zero;
+* a bounded-distance decoder (the oracle codec or the shortened BCH code)
+  returns the sent message iff the word carries at most t flips, so a player
+  succeeds iff their count is <= max_errors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import base_decrypt, base_encrypt, random_bits
-from .protocol import ProtocolParams, QecmKey, encrypt, key_gen, measure_codeword
 from .bounds import tau, win_prob_bound
+from .protocol import ROUND_TRIP_BLOCK, ProtocolParams
 from .stats import wilson_interval
 
-STRATEGY_IDS = ("heterodyne_split", "forward_to_bob", "measure_guess_basis")
 
-_SQRT_HALF = math.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial's decoded messages plus codeword-level bit statistics."""
-
-    msg_bob: np.ndarray | None
-    msg_charlie: np.ndarray | None
-    bit_errors_bob: int
-    bit_errors_charlie: int
-    bits_bob: int
-    bits_charlie: int
+def _signal(params: ProtocolParams, block: int, rng: np.random.Generator) -> np.ndarray:
+    """Keyed-quadrature outcomes of an all-zero codeword, offset removed:
+    N(alpha, 1/(2 cosh r)) per mode; an outcome below 0 is a flip."""
+    std = math.sqrt(0.5 / math.cosh(params.squeezing))
+    return rng.normal(params.alpha, std, size=(block, params.num_modes))
 
 
-class AttackStrategy:
-    """Base class: a split map for Alice plus key-dependent decoders."""
-
-    strategy_id: str = ""
-
-    def play(self, key, cipher, message, codeword, params, codec, rng) -> TrialRecord:
-        raise NotImplementedError
-
-
-class HeterodyneSplit(AttackStrategy):
-    """Mix every mode with vacuum on a balanced beamsplitter; one port each.
-
-    Bob's and Charlie's homodyne outcomes on a mode are correlated through
-    the shared signal and vacuum quadratures (y_b = (x+v)/sqrt2,
-    y_c = (x-v)/sqrt2), so the trial samples them jointly.
-    """
-
-    strategy_id = "heterodyne_split"
-
-    def play(self, key, cipher, message, codeword, params, codec, rng) -> TrialRecord:
-        n = cipher.num_modes
-        idx = np.arange(n)
-        dirs = key.directions
-        signal = rng.normal(cipher.disp[idx, dirs], np.sqrt(cipher.cov_diag[idx, dirs] / 2.0))
-        vac = rng.normal(0.0, _SQRT_HALF, size=n)
-        thresholds = _SQRT_HALF * key.offsets
-        est_bob = ((signal + vac) * _SQRT_HALF - thresholds < 0).astype(np.uint8)
-        est_charlie = ((signal - vac) * _SQRT_HALF - thresholds < 0).astype(np.uint8)
-        return TrialRecord(
-            _finish(key, codec, est_bob),
-            _finish(key, codec, est_charlie),
-            int(np.count_nonzero(est_bob != codeword)),
-            int(np.count_nonzero(est_charlie != codeword)),
-            n,
-            n,
-        )
+def heterodyne_split(params: ProtocolParams, block: int, rng: np.random.Generator):
+    """Mix every mode with vacuum v ~ N(0, 1/2) on a balanced beamsplitter;
+    Bob homodynes port (x + v)/sqrt2, Charlie port (x - v)/sqrt2. The shared
+    signal and vacuum correlate their flips."""
+    x = _signal(params, block, rng)
+    v = rng.normal(0.0, math.sqrt(0.5), size=x.shape)
+    return np.count_nonzero(x + v < 0, axis=1), np.count_nonzero(x - v < 0, axis=1)
 
 
-class ForwardToBob(AttackStrategy):
-    """Bob receives the entire cipherstate; Charlie guesses the message blind."""
-
-    strategy_id = "forward_to_bob"
-
-    def play(self, key, cipher, message, codeword, params, codec, rng) -> TrialRecord:
-        est_bob = measure_codeword(key, cipher, rng)
-        guess = random_bits(params.msg_len, rng)
-        return TrialRecord(
-            _finish(key, codec, est_bob),
-            guess,
-            int(np.count_nonzero(est_bob != codeword)),
-            int(np.count_nonzero(guess != message)),
-            cipher.num_modes,
-            params.msg_len,
-        )
+def forward_to_bob(params: ProtocolParams, block: int, rng: np.random.Generator):
+    """Bob receives the entire cipherstate; Charlie guesses the message blind,
+    so Charlie's count is Bin(msg_len, 1/2) wrong bits and wins only at 0."""
+    bob = np.count_nonzero(_signal(params, block, rng) < 0, axis=1)
+    return bob, rng.binomial(params.msg_len, 0.5, size=block)
 
 
-class MeasureGuessBasis(AttackStrategy):
+def measure_guess_basis(params: ProtocolParams, block: int, rng: np.random.Generator):
     """Alice heterodynes every mode before the key reveal and forwards the same
-    classical record to both players; their identical decoders threshold the
-    revealed axis, so the two responses always coincide."""
-
-    strategy_id = "measure_guess_basis"
-
-    def play(self, key, cipher, message, codeword, params, codec, rng) -> TrialRecord:
-        n = cipher.num_modes
-        # heterodyne = vacuum 50/50 mix, q on one port, p on the other
-        q_est = rng.normal(
-            cipher.disp[:, 0] * _SQRT_HALF, np.sqrt((cipher.cov_diag[:, 0] + 1.0) / 4.0)
-        )
-        p_est = rng.normal(
-            cipher.disp[:, 1] * _SQRT_HALF, np.sqrt((cipher.cov_diag[:, 1] + 1.0) / 4.0)
-        )
-        record = np.where(key.directions == 0, q_est, p_est)
-        est = (record - _SQRT_HALF * key.offsets < 0).astype(np.uint8)
-        msg = _finish(key, codec, est)
-        errors = int(np.count_nonzero(est != codeword))
-        return TrialRecord(msg, msg, errors, errors, n, n)
+    classical record to both players. Her q or p outcome on the keyed axis is
+    one port of the heterodyne split, and both players threshold it alike."""
+    errors = heterodyne_split(params, block, rng)[0]
+    return errors, errors
 
 
-def _finish(key: QecmKey, codec, codeword_estimate: np.ndarray):
-    decoded = codec.decode(codeword_estimate)
-    if decoded is None:
-        return None
-    return base_decrypt(key.pad, decoded)
+_STRATEGIES = {f.__name__: f for f in (heterodyne_split, forward_to_bob, measure_guess_basis)}
+STRATEGY_IDS = tuple(_STRATEGIES)
 
 
-def make_strategy(strategy_id: str) -> AttackStrategy:
-    for cls in (HeterodyneSplit, ForwardToBob, MeasureGuessBasis):
-        if cls.strategy_id == strategy_id:
-            return cls()
-    raise ValueError(f"unknown strategy {strategy_id!r}; expected one of {STRATEGY_IDS}")
+def make_strategy(strategy_id: str):
+    if strategy_id not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy_id!r}; expected one of {STRATEGY_IDS}")
+    return _STRATEGIES[strategy_id]
 
 
 @dataclass(frozen=True)
@@ -161,47 +104,36 @@ class GameOutcome:
 
 
 def run_cloning_game(
-    params: ProtocolParams,
-    strategy: AttackStrategy,
-    trials: int,
-    rng: np.random.Generator,
+    params: ProtocolParams, strategy, trials: int, rng: np.random.Generator
 ) -> GameOutcome:
-    """Play the cloning game ``trials`` times; a win needs both players to
-    return the exact message. Each trial runs on its own generator spawned
-    from ``rng`` so aggregation is order-independent."""
+    """Play the cloning game ``trials`` times, in blocks of ROUND_TRIP_BLOCK
+    trials drawn from ``rng``; a win needs both players to succeed."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    wins = 0
-    ok_bob = ok_charlie = 0
-    err_bob = err_charlie = 0
-    bits_bob = bits_charlie = 0
-    for child in rng.spawn(trials):
-        codec = params.make_codec()
-        key = key_gen(params, child)
-        message = random_bits(params.msg_len, child)
-        cipher = encrypt(key, message, params, codec)
-        codeword = codec.encode(base_encrypt(key.pad, message))
-        record = strategy.play(key, cipher, message, codeword, params, codec, child)
-        bob_ok = record.msg_bob is not None and np.array_equal(record.msg_bob, message)
-        charlie_ok = record.msg_charlie is not None and np.array_equal(
-            record.msg_charlie, message
-        )
-        ok_bob += bob_ok
-        ok_charlie += charlie_ok
-        wins += bob_ok and charlie_ok
-        err_bob += record.bit_errors_bob
-        err_charlie += record.bit_errors_charlie
-        bits_bob += record.bits_bob
-        bits_charlie += record.bits_charlie
+    t = params.max_errors
+    if strategy is forward_to_bob:
+        charlie_budget, charlie_bits = 0, params.msg_len
+    else:
+        charlie_budget, charlie_bits = t, params.num_modes
+    wins = ok_bob = ok_charlie = err_bob = err_charlie = 0
+    for start in range(0, trials, ROUND_TRIP_BLOCK):
+        block = min(ROUND_TRIP_BLOCK, trials - start)
+        bob, charlie = strategy(params, block, rng)
+        bob_ok, charlie_ok = bob <= t, charlie <= charlie_budget
+        ok_bob += int(bob_ok.sum())
+        ok_charlie += int(charlie_ok.sum())
+        wins += int((bob_ok & charlie_ok).sum())
+        err_bob += int(bob.sum())
+        err_charlie += int(charlie.sum())
     return GameOutcome(
-        strategy_id=strategy.strategy_id,
+        strategy_id=strategy.__name__,
         trials=trials,
         wins=wins,
         win_rate=wins / trials if trials else 0.0,
         interval=wilson_interval(wins, trials),
         per_bit_error_rates=(
-            err_bob / bits_bob if bits_bob else 0.0,
-            err_charlie / bits_charlie if bits_charlie else 0.0,
+            err_bob / (trials * params.num_modes) if trials else 0.0,
+            err_charlie / (trials * charlie_bits) if trials else 0.0,
         ),
         per_player_successes=(ok_bob, ok_charlie),
     )
@@ -218,13 +150,7 @@ class BoundCheck:
     slack: float
 
     def as_dict(self) -> dict:
-        return {
-            "win_bound": self.win_bound,
-            "upper_confidence": self.upper_confidence,
-            "holds": self.holds,
-            "vacuous": self.vacuous,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 def check_against_bound(outcome: GameOutcome, params: ProtocolParams) -> BoundCheck:

@@ -9,7 +9,7 @@ computed through log-gamma to stay overflow-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import erfc, gammaln, logsumexp, xlogy
@@ -162,18 +162,7 @@ class SecurityReport:
                 raise ValueError(f"{name} must be a probability, got {value}")
 
     def as_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "eps_df": self.eps_df,
-            "tau": self.tau,
-            "win_bound": self.win_bound,
-            "asymptotic_margin": self.asymptotic_margin,
-            "msg_len": self.msg_len,
-            "num_modes": self.num_modes,
-            "max_errors": self.max_errors,
-            "alpha": self.alpha,
-            "squeezing": self.squeezing,
-        }
+        return asdict(self)
 
 
 def security_report(params) -> SecurityReport:

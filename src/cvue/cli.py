@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, bounds, ebprep, protocol
+from .channel import noisy_ber, noisy_variance
 from .codec import bits_to_hex, hex_to_bits
 from .config import RunConfig, config_hash, load_config
 from .gaussian import Quadrature
@@ -140,8 +141,6 @@ def cmd_roundtrip(config: RunConfig) -> int:
         ),
     }
     if config.channel is not None:
-        from .channel import noisy_ber, noisy_variance
-
         record["beta_noisy"] = noisy_ber(params.alpha, params.squeezing, config.channel)
         record["noisy_variance"] = noisy_variance(params.squeezing, config.channel)
     if config.trials > 0:

@@ -66,15 +66,27 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _integer(raw: dict, key: str, default=None) -> int:
+    """``raw[key]`` as an int; NaN, infinities and non-integral numbers fail
+    with a message naming the key."""
+    value = raw.get(key, default)
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _build_protocol(raw: dict) -> ProtocolParams:
     required = ("msg_len", "num_modes", "max_errors", "alpha", "squeezing")
     missing = [k for k in required if k not in raw]
     if missing:
         raise ValueError(f"protocol config missing keys: {', '.join(missing)}")
     return ProtocolParams(
-        msg_len=int(raw["msg_len"]),
-        num_modes=int(raw["num_modes"]),
-        max_errors=int(raw["max_errors"]),
+        msg_len=_integer(raw, "msg_len"),
+        num_modes=_integer(raw, "num_modes"),
+        max_errors=_integer(raw, "max_errors"),
         alpha=float(raw["alpha"]),
         squeezing=float(raw["squeezing"]),
         codec_scheme=str(raw.get("codec_scheme", "oracle")),
@@ -116,12 +128,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return RunConfig(
         protocol=_build_protocol(merged["protocol"]),
         channel=_build_channel(merged.get("channel")),
-        seed=int(merged["seed"]),
-        trials=int(merged.get("trials", 10000)),
+        seed=_integer(merged, "seed"),
+        trials=_integer(merged, "trials", 10000),
         fmt=str(merged.get("format", "csv")),
         out=merged.get("out"),
         figure=str(merged.get("figure", "report")),
         strategy=str(merged.get("strategy", "heterodyne_split")),
         grid=grid,
-        rejection_samples=int(merged.get("rejection_samples", 2000)),
+        rejection_samples=_integer(merged, "rejection_samples", 2000),
     )

@@ -18,13 +18,15 @@ two-mode squeezed state provides an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import base_encrypt
+from .codec import base_encrypt, random_bits
 from .gaussian import GaussianState, Quadrature, homodyne_sample, two_mode_squeezed
-from .protocol import CipherState, ProtocolParams, QecmKey, _mode_arrays, balanced_string_rank
+from .protocol import (
+    CipherState, ProtocolParams, QecmKey, _mode_arrays, encrypt, key_gen, measure_codeword
+)
 from .stats import normal_window, truncated_normal, two_proportion_ztest
 
 
@@ -167,16 +169,7 @@ class EquivalenceReport:
     outcome_range_ok: bool
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "modes_per_trial": self.modes_per_trial,
-            "flip_rate_direct": self.flip_rate_direct,
-            "flip_rate_eb": self.flip_rate_eb,
-            "z_statistic": self.z_statistic,
-            "p_value": self.p_value,
-            "max_candidate_error": self.max_candidate_error,
-            "outcome_range_ok": self.outcome_range_ok,
-        }
+        return asdict(self)
 
 
 def game_equivalence_test(
@@ -191,9 +184,6 @@ def game_equivalence_test(
     the challenger outcome is offset/tanh(r) +- alpha and that every outcome
     lies in (-2 alpha, 2 alpha).
     """
-    from .protocol import encrypt, key_gen, measure_codeword
-    from .codec import random_bits
-
     if trials < 1:
         raise ValueError("need at least one trial")
     tanh_r = math.tanh(params.squeezing)
@@ -213,9 +203,7 @@ def game_equivalence_test(
         flips_direct += int(np.count_nonzero(est != codeword))
 
         record = eb_prepare(params, key.pad, key.directions, message, child, codec)
-        eb_key = QecmKey(
-            key.pad, key.directions, record.offsets, balanced_string_rank(key.directions)
-        )
+        eb_key = QecmKey(key.pad, key.directions, record.offsets, key.label)
         est_eb = measure_codeword(eb_key, record.cipher, child)
         flips_eb += int(np.count_nonzero(est_eb != codeword))
 

@@ -10,6 +10,7 @@ each mode along the keyed direction and thresholds at the offset.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from math import comb
@@ -21,6 +22,8 @@ from .stats import truncated_normal, wilson_interval
 
 # trials per vectorised block in run_round_trip; bounds the (block, N) arrays
 ROUND_TRIP_BLOCK = 4000
+# largest squeezing r whose cosh(r) is a finite float (about 710.48)
+MAX_SQUEEZING = math.acosh(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,10 @@ class ProtocolParams:
         # written so that NaN fails the comparison
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
-        if not 0 <= self.squeezing < math.inf:
-            raise ValueError("squeezing must be nonnegative and finite")
+        if not 0 <= self.squeezing <= MAX_SQUEEZING:
+            raise ValueError(
+                f"squeezing must lie in [0, {MAX_SQUEEZING}] so that cosh(r) is finite"
+            )
         # delegates msg_len/num_modes/max_errors checks, incl. concrete realizability
         self.codec_spec()
 

@@ -7,7 +7,7 @@ slow, literal form of something the fast paths compute directly:
   products, beamsplitters, marginal variances) that the per-mode descriptor
   arithmetic in protocol, channel and adversary is checked against;
 * heterodyne_split / decode_half, the descriptor-level beamsplitter attack
-  that the joint sampling in adversary.HeterodyneSplit is checked against;
+  that the flip-count kernel adversary.heterodyne_split is checked against;
 * cipher_modes, a cipherstate as a list of single-mode GaussianState values;
 * run_round_trip_states, the full key_gen/encrypt/decrypt loop that
   protocol.run_round_trip's flip-count shortcut is checked against.

@@ -189,10 +189,16 @@ class TestDecodeHalf:
 
 
 class TestCloningGame:
-    def test_heterodyne_win_rate_matches_exact_oracle(self):
+    # the concrete set plays through a shortened BCH(15 -> 14, t=3) code
+    @pytest.mark.parametrize(
+        "params",
+        [TINY, ProtocolParams(4, 14, 3, 0.4, 3.4, "concrete")],
+        ids=["oracle", "concrete"],
+    )
+    def test_heterodyne_win_rate_matches_exact_oracle(self, params):
         rng = np.random.default_rng(7)
-        outcome = run_cloning_game(TINY, make_strategy("heterodyne_split"), 20_000, rng)
-        exact = heterodyne_joint_win_exact(TINY)
+        outcome = run_cloning_game(params, make_strategy("heterodyne_split"), 20_000, rng)
+        exact = heterodyne_joint_win_exact(params)
         sd = math.sqrt(exact * (1 - exact) / outcome.trials)
         assert abs(outcome.win_rate - exact) < 5 * sd
 

@@ -227,21 +227,42 @@ class TestValidation:
         with pytest.raises(SystemExit):
             main(["bounds", config_file(), "--format", "xml"])
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
-        "section,field",
-        [("protocol", "alpha"), ("protocol", "squeezing"), ("channel", "excess_noise")],
+        "section,field,value",
+        [
+            (section, field, value)
+            for section, field in [
+                ("protocol", "alpha"),
+                ("protocol", "squeezing"),
+                ("channel", "excess_noise"),
+                ("protocol", "msg_len"),
+                ("protocol", "num_modes"),
+                ("protocol", "max_errors"),
+                ("top", "seed"),
+                ("top", "trials"),
+                ("top", "rejection_samples"),
+            ]
+            for value in (math.nan, math.inf)
+        ]
+        + [
+            ("protocol", "num_modes", 64.5),
+            ("top", "trials", 10.5),
+            # cosh(r) overflows a float past r ~ 710.48
+            ("protocol", "squeezing", 800.0),
+        ],
     )
     def test_nan_and_inf_rejected(self, section, field, value, config_file, capsys):
         # json.dumps writes NaN / Infinity, which json.loads parses back to floats
         channel = {"transmittance": 0.8, "excess_noise": 0.001}
         if section == "protocol":
             path = config_file(protocol={field: value})
-        else:
+        elif section == "channel":
             path = config_file(channel={**channel, field: value})
+        else:
+            path = config_file(**{field: value})
         code, _, err = run(["roundtrip", path], capsys)
         assert code == 2
-        assert field.replace("_", " ") in err
+        assert field in err or field.replace("_", " ") in err
 
 
 def test_dropped_protocol_keys_are_ignored(config_file, tmp_path, capsys):

@@ -101,22 +101,6 @@ class TestOracleCodec:
             m = random_bits(20, rng)
             assert np.array_equal(codec.decode(codec.encode(m)), m)
 
-    def test_success_iff_flip_count_at_most_t(self):
-        spec = CodecSpec(8, 16, 3)
-        rng = np.random.default_rng(5)
-        codec = OracleCodec(spec)
-        m = random_bits(8, rng)
-        word = codec.encode(m)
-        for flips in range(17):
-            corrupted = word.copy()
-            positions = rng.choice(16, size=flips, replace=False)
-            corrupted[positions] ^= 1
-            decoded = codec.decode(corrupted)
-            if flips <= 3:
-                assert np.array_equal(decoded, m)
-            else:
-                assert decoded is None
-
     def test_decode_before_encode(self):
         codec = OracleCodec(CodecSpec(4, 8, 1))
         with pytest.raises(RuntimeError):
@@ -157,3 +141,26 @@ class TestBchCodec:
 
     def test_make_codec_dispatch(self):
         assert isinstance(make_codec(CodecSpec(4, 8, 1)), OracleCodec)
+
+
+@pytest.mark.parametrize(
+    "spec", [CodecSpec(8, 16, 3), concrete_spec(30, 3)], ids=["oracle", "bch-shortened"]
+)
+def test_success_iff_flip_count_at_most_t(spec):
+    # the property the flip-count kernels in cvue.adversary rely on: a
+    # bounded-distance decoder returns the sent message iff <= t bits flipped
+    rng = np.random.default_rng(5)
+    codec = make_codec(spec)
+    for flips in range(spec.code_len + 1):
+        for _ in range(20):
+            m = random_bits(spec.msg_len, rng)
+            corrupted = codec.encode(m)
+            corrupted[rng.choice(spec.code_len, size=flips, replace=False)] ^= 1
+            decoded = codec.decode(corrupted)
+            if flips <= spec.max_errors:
+                assert np.array_equal(decoded, m)
+            elif spec.scheme == "oracle":
+                assert decoded is None
+            else:
+                # beyond t a BCH decoder may land on another codeword
+                assert decoded is None or not np.array_equal(decoded, m)
