@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from . import adversary, bounds, ebprep, protocol
 from .channel import noisy_ber, noisy_variance
 from .codec import bits_to_hex, hex_to_bits
 from .config import RunConfig, config_hash, load_config
-from .gaussian import Quadrature
 
 FIGURE_COLUMNS = """\
 figure columns (grid coordinates first, value last):
@@ -184,38 +182,29 @@ def cmd_attack(config: RunConfig) -> int:
 
 
 def cmd_ebcheck(config: RunConfig) -> int:
+    params = config.protocol
+    samples = config.rejection_samples
+    rng = np.random.default_rng(config.seed)
+    # first, so that a squeezing the oracle cannot serve fails before any sampling
+    accepted, _, cond_cov, attempts = ebprep.eb_rejection_oracle(
+        params.squeezing, params.alpha, samples, rng
+    )
+    report = ebprep.game_equivalence_test(params, config.trials, rng)
+    direct, _ = ebprep.eb_outcomes(np.ones(samples), params.alpha, params.squeezing, rng)
     # imported here: scipy.stats takes most of a second and only ebcheck needs it
     from scipy.stats import ks_2samp
 
-    params = config.protocol
-    rng = np.random.default_rng(config.seed)
-    report = ebprep.game_equivalence_test(params, config.trials, rng)
-
-    spec = ebprep.RestrictedEprSpec(params.squeezing, 1, params.alpha)
-    accepted = np.empty(config.rejection_samples)
-    attempts = 0
-    cov_err = 0.0
-    target = np.diag([1.0 / math.cosh(params.squeezing), math.cosh(params.squeezing)])
-    for i in range(config.rejection_samples):
-        outcome, mode, tries = ebprep.eb_rejection_oracle(
-            params.squeezing, params.alpha, 1, rng
-        )
-        accepted[i] = outcome
-        attempts += tries
-        cov_err = max(cov_err, float(np.max(np.abs(mode.cov - target))))
-    direct = np.array(
-        [ebprep.sample_eb_mode(spec, rng, Quadrature.Q)[0] for _ in range(config.rejection_samples)]
-    )
     ks = ks_2samp(accepted, direct)
+    ch = np.cosh(params.squeezing)
     payload = {
         "config_hash": config_hash(config),
         "equivalence": report.as_dict(),
         "rejection_oracle": {
-            "samples": config.rejection_samples,
+            "samples": samples,
             "attempts": attempts,
-            "acceptance_ratio": config.rejection_samples / attempts,
+            "acceptance_ratio": samples / attempts,
             "expected_ratio": ebprep.window_mass(params.squeezing, params.alpha),
-            "conditional_cov_error": cov_err,
+            "conditional_cov_error": float(np.max(np.abs(cond_cov - np.diag([1 / ch, ch])))),
             "ks_statistic": float(ks.statistic),
             "ks_pvalue": float(ks.pvalue),
         },

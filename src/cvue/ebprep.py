@@ -11,8 +11,12 @@ collapses to exactly the encryption map's squeezed coherent state.
 The restricted entangled state is represented procedurally through these
 measurement statistics (the truncation makes the joint state non-Gaussian,
 but every protocol-relevant quantity factors through the challenger's
-homodyne). A rejection-sampling oracle built from the unrestricted
-two-mode squeezed state provides an independent cross-check.
+homodyne). Everything here works on arrays drawn straight from the
+caller's generator: eb_outcomes samples any number of challenger outcomes
+at once, game_equivalence_test runs its trials in (block, N) arrays, and
+eb_rejection_oracle, an independent cross-check built from the unrestricted
+two-mode squeezed state, accepts its samples in vectorised blocks and
+conditions them all with one Schur complement.
 """
 
 from __future__ import annotations
@@ -22,43 +26,30 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import base_encrypt, random_bits
-from .gaussian import GaussianState, Quadrature, homodyne_sample, two_mode_squeezed
-from .protocol import (
-    CipherState, ProtocolParams, QecmKey, _mode_arrays, encrypt, key_gen, measure_codeword
-)
+from .codec import base_encrypt
+from .protocol import CipherState, ProtocolParams, _mode_arrays
 from .stats import normal_window, truncated_normal, two_proportion_ztest
 
-
-@dataclass(frozen=True)
-class RestrictedEprSpec:
-    """One mode's restricted entangled-pair parameters.
-
-    ``sign`` (+1/-1) encodes the codeword bit; the challenger's homodyne
-    outcome is restricted to (sign*alpha - alpha, sign*alpha + alpha).
-    """
-
-    squeezing: float
-    sign: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.squeezing <= 0:
-            raise ValueError("squeezing must be positive (tanh r = 0 collapses the offsets)")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        center = self.sign * self.alpha
-        return (center - self.alpha, center + self.alpha)
+# eb_rejection_oracle refuses a run whose expected number of draws,
+# samples / window_mass, exceeds this (10**8 draws take ~2 s on a 2-vCPU VM)
+MAX_EXPECTED_DRAWS = 10**8
+# rejection-oracle draws per vectorised block; bounds the block arrays
+REJECTION_BLOCK = 1 << 16
+# modes (trials * N) per game_equivalence_test block: 4 MB per float64 array
+EQUIVALENCE_BLOCK_MODES = 1 << 19
 
 
 def _challenger_sigma(squeezing: float) -> float:
     # the challenger marginal is N(sign*alpha, cosh(r)/2), restricted to the window
     return math.sqrt(0.5 * math.cosh(squeezing))
+
+
+def _check_squeezing(squeezing: float) -> None:
+    if squeezing <= 0:
+        raise ValueError(
+            "entanglement-based preparation needs positive squeezing "
+            "(tanh r = 0 collapses the offsets)"
+        )
 
 
 def window_mass(squeezing: float, alpha: float) -> float:
@@ -68,41 +59,20 @@ def window_mass(squeezing: float, alpha: float) -> float:
     return float(hi - lo)
 
 
-def sample_eb_mode(
-    spec: RestrictedEprSpec,
-    rng: np.random.Generator,
-    direction: Quadrature = Quadrature.Q,
-) -> tuple[float, GaussianState]:
-    """Sample the challenger outcome and the conditional remote mode.
+def eb_outcomes(signs, alpha: float, squeezing: float, rng: np.random.Generator):
+    """Challenger outcomes and derived offsets for modes of the given signs.
 
-    The remote mode has displacement sign*alpha + (u - sign*alpha) tanh(r)
-    along ``direction`` and covariance diag(1/cosh r, cosh r) in that axis
-    ordering, i.e. exactly an encryption-map squeezed coherent state.
+    ``signs`` (+1/-1, any shape) encode the codeword bits; each outcome u is
+    drawn from the challenger marginal restricted to (sign*alpha - alpha,
+    sign*alpha + alpha), and its offset is (u - sign*alpha) * tanh(r).
+    Returns (outcomes, offsets), both shaped like ``signs``.
     """
-    center = spec.sign * spec.alpha
-    u = float(center + truncated_normal(_challenger_sigma(spec.squeezing), spec.alpha, rng))
-    axis_value = center + (u - center) * math.tanh(spec.squeezing)
-    ch = math.cosh(spec.squeezing)
-    if direction == Quadrature.Q:
-        disp, cov = (axis_value, 0.0), np.diag([1.0 / ch, ch])
-    else:
-        disp, cov = (0.0, axis_value), np.diag([ch, 1.0 / ch])
-    return u, GaussianState(1, np.array(disp), cov)
-
-
-@dataclass(frozen=True)
-class EbChallengeRecord:
-    """Per-mode challenger outcomes, the derived offsets, and the cipherstate."""
-
-    outcomes: np.ndarray
-    offsets: np.ndarray
-    cipher: CipherState
-
-    def __post_init__(self):
-        if self.outcomes.shape != self.offsets.shape:
-            raise ValueError("outcomes and offsets must have equal length")
-        if self.outcomes.size != self.cipher.num_modes:
-            raise ValueError("record length must match the cipherstate")
+    _check_squeezing(squeezing)
+    centers = alpha * np.asarray(signs, dtype=float)
+    outcomes = centers + truncated_normal(
+        _challenger_sigma(squeezing), alpha, rng, centers.shape
+    )
+    return outcomes, (outcomes - centers) * math.tanh(squeezing)
 
 
 def eb_prepare(
@@ -112,47 +82,87 @@ def eb_prepare(
     message: np.ndarray,
     rng: np.random.Generator,
     codec,
-) -> EbChallengeRecord:
+) -> tuple[np.ndarray, np.ndarray, CipherState]:
     """Prepare a cipherstate the entanglement-based way.
 
-    Runs the classical layer with the given pad, then per mode samples the
-    challenger outcome and derives the offset; the resulting conditional
-    cipherstate has exactly the direct encryption map's per-mode descriptors.
+    Runs the classical layer with the given pad, samples every mode's
+    challenger outcome and derives its offset; the conditional cipherstate
+    has exactly the direct encryption map's per-mode descriptors.
+    Returns (outcomes, offsets, cipher).
     """
-    if params.squeezing <= 0:
-        raise ValueError("entanglement-based preparation needs positive squeezing")
     codeword = codec.encode(base_encrypt(pad, message))
     signs = 1.0 - 2.0 * np.asarray(codeword, dtype=float)
-    sigma = _challenger_sigma(params.squeezing)
-    outcomes = signs * params.alpha + truncated_normal(sigma, params.alpha, rng, signs.size)
-    shifted = outcomes - signs * params.alpha
-    if np.any(np.abs(shifted) >= params.alpha):
-        raise AssertionError("challenger outcome escaped the restriction window")
-    offsets = shifted * math.tanh(params.squeezing)
+    outcomes, offsets = eb_outcomes(signs, params.alpha, params.squeezing, rng)
     disp, cov = _mode_arrays(codeword, directions, offsets, params.alpha, params.squeezing)
-    return EbChallengeRecord(outcomes, offsets, CipherState(disp, cov))
+    return outcomes, offsets, CipherState(disp, cov)
+
+
+def tmsv_covariance(squeezing: float) -> np.ndarray:
+    """Covariance of the two-mode squeezed vacuum, ordered (q1, p1, q2, p2).
+
+    Blocks are cosh(r) on the diagonal and sinh(r)*sigma_z between the modes,
+    identical to mixing a q-squeezed with a p-squeezed vacuum on a balanced
+    beamsplitter.
+    """
+    ch, sh = math.cosh(squeezing), math.sinh(squeezing)
+    return np.array(
+        [
+            [ch, 0.0, sh, 0.0],
+            [0.0, ch, 0.0, -sh],
+            [sh, 0.0, ch, 0.0],
+            [0.0, -sh, 0.0, ch],
+        ]
+    )
 
 
 def eb_rejection_oracle(
-    squeezing: float, alpha: float, sign: int, rng: np.random.Generator
-) -> tuple[float, GaussianState, int]:
-    """Independent realization of the restricted pair: build the displaced
-    two-mode squeezed state, homodyne the challenger arm, and retry until the
-    outcome lands in the restriction window.
+    squeezing: float, alpha: float, samples: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Independent realization of the restricted pair (codeword bit 0): take
+    the two-mode squeezed vacuum displaced by alpha in both q quadratures,
+    homodyne the challenger's q, and keep the outcomes that land in the
+    restriction window (0, 2 alpha).
 
-    Returns (outcome, conditional remote mode, attempts); the expected
-    acceptance ratio is window_mass(squeezing, alpha).
+    Outcomes are drawn from the challenger's q marginal in blocks of at most
+    REJECTION_BLOCK. Every accepted outcome u conditions the remote mode
+    through the Schur complement of the challenger's q entry: the
+    conditional covariance is the same for every u, and the conditional
+    displacement is affine in u.
+
+    Returns (outcomes, cond_disp, cond_cov, attempts): ``samples`` accepted
+    outcomes, their (samples, 2) remote (q, p) displacements, the 2x2 remote
+    covariance, and the number of draws up to and including the last
+    accepted one (negative binomial, acceptance ratio window_mass).
+    Refuses, before drawing, a run expected to need more than
+    MAX_EXPECTED_DRAWS draws.
     """
-    spec = RestrictedEprSpec(squeezing, sign, alpha)  # validates arguments
-    center = sign * alpha
-    state = two_mode_squeezed(squeezing, np.array([center, 0.0, center, 0.0]))
-    lo, hi = spec.interval
-    attempts = 0
-    while True:
-        attempts += 1
-        record = homodyne_sample(state, 0, Quadrature.Q, rng)
-        if lo < record.outcome < hi:
-            return record.outcome, record.conditional_state, attempts
+    _check_squeezing(squeezing)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    mass = window_mass(squeezing, alpha)
+    if not samples <= mass * MAX_EXPECTED_DRAWS:
+        raise ValueError(
+            f"squeezing {squeezing} leaves a restriction window of normal mass {mass:.3g}; "
+            f"{samples} rejection samples would need more than {MAX_EXPECTED_DRAWS:.0e} draws"
+        )
+    cov = tmsv_covariance(squeezing)
+    disp = np.array([alpha, 0.0, alpha, 0.0])
+    sigma = math.sqrt(cov[0, 0] / 2.0)
+    lo, hi = disp[0] - alpha, disp[0] + alpha
+    outcomes = np.empty(samples)
+    found = attempts = 0
+    while found < samples:
+        # enough draws for the remaining samples on average, plus some slack
+        block = min(REJECTION_BLOCK, int((samples - found) / mass * 1.1) + 16)
+        draws = rng.normal(disp[0], sigma, size=block)
+        hits = np.flatnonzero((lo < draws) & (draws < hi))[: samples - found]
+        outcomes[found : found + hits.size] = draws[hits]
+        found += hits.size
+        attempts += int(hits[-1]) + 1 if found == samples else block
+    gain = cov[2:, 0] / cov[0, 0]
+    cond_cov = cov[2:, 2:] - np.outer(gain, cov[0, 2:])
+    cond_disp = disp[2:] + np.outer(outcomes - disp[0], gain)
+    return outcomes, cond_disp, cond_cov, attempts
 
 
 @dataclass(frozen=True)
@@ -168,8 +178,29 @@ class EquivalenceReport:
     max_candidate_error: float
     outcome_range_ok: bool
 
+    @classmethod
+    def from_counts(cls, params, trials, flips_direct, flips_eb, max_candidate_err, range_ok):
+        """Compare the two arms' flip counts with a two-proportion z-test."""
+        total = trials * params.num_modes
+        z, p = two_proportion_ztest(flips_direct, total, flips_eb, total)
+        return cls(
+            trials=trials,
+            modes_per_trial=params.num_modes,
+            flip_rate_direct=flips_direct / total,
+            flip_rate_eb=flips_eb / total,
+            z_statistic=z,
+            p_value=p,
+            max_candidate_error=max_candidate_err,
+            outcome_range_ok=range_ok,
+        )
+
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _noise_flips(shape, alpha, std, rng) -> int:
+    """Flips of one arm: modes whose keyed-axis noise falls below -alpha."""
+    return int(np.count_nonzero(rng.normal(0.0, std, size=shape) < -alpha))
 
 
 def game_equivalence_test(
@@ -177,51 +208,47 @@ def game_equivalence_test(
 ) -> EquivalenceReport:
     """Check the two preparations agree where the protocol can see.
 
-    Per trial, one fresh key/message is run through the direct encryption
-    map and one through eb_prepare (same pad and directions), and honest
-    decryption flips are accumulated for both arms; the flip rates are
-    compared with a two-proportion z-test. Also verifies algebraically that
-    the challenger outcome is offset/tanh(r) +- alpha and that every outcome
-    lies in (-2 alpha, 2 alpha).
+    Per trial and mode, the entanglement-based arm derives its offset k from
+    a challenger outcome and verifies algebraically that the outcome is
+    k/tanh(r) +- alpha and lies in its codeword bit's window: (0, 2 alpha)
+    for a 0, (-2 alpha, 0) for a 1. Both arms then count their flips, and
+    the flip rates are compared with a two-proportion z-test. That
+    comparison holds by construction: measure_codeword thresholds the
+    keyed-axis outcome alpha*s + k + noise at the same k that displaced it,
+    so a 0 flips iff noise < -alpha (a 1 iff noise > alpha, the same law)
+    whatever the offset or its law, and each arm just counts its own
+    N(0, 1/(2 cosh r)) noise draws. No direct offsets are drawn: the offset
+    law the two preparations must share is invisible to this comparison.
+
+    Trials run in (block, N) arrays of at most EQUIVALENCE_BLOCK_MODES
+    modes, drawn straight from ``rng``. As in cvue.adversary, the direction
+    string is not sampled: it only picks which quadrature is the keyed
+    axis. Nor is the codec: every codec's codeword is laid out as the oracle
+    codec's, pad xor message (uniform under the one-time pad) in the first
+    msg_len positions, zeros after, and its bits set the window centres.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    n, big_n, alpha = params.msg_len, params.num_modes, params.alpha
     tanh_r = math.tanh(params.squeezing)
+    std = math.sqrt(0.5 / math.cosh(params.squeezing))
+    step = max(1, EQUIVALENCE_BLOCK_MODES // big_n)
     flips_direct = flips_eb = 0
-    modes = params.num_modes
     max_candidate_err = 0.0
     range_ok = True
-    for child in rng.spawn(trials):
-        codec = params.make_codec()
-        key = key_gen(params, child)
-        message = random_bits(params.msg_len, child)
-        codeword = codec.encode(base_encrypt(key.pad, message))
-        signs = 1.0 - 2.0 * codeword.astype(float)
-
-        cipher = encrypt(key, message, params, codec)
-        est = measure_codeword(key, cipher, child)
-        flips_direct += int(np.count_nonzero(est != codeword))
-
-        record = eb_prepare(params, key.pad, key.directions, message, child, codec)
-        eb_key = QecmKey(key.pad, key.directions, record.offsets, key.label)
-        est_eb = measure_codeword(eb_key, record.cipher, child)
-        flips_eb += int(np.count_nonzero(est_eb != codeword))
-
-        reconstructed = record.offsets / tanh_r + signs * params.alpha
+    for start in range(0, trials, step):
+        block = min(step, trials - start)
+        signs = np.ones((block, big_n))
+        signs[:, :n] -= 2.0 * rng.integers(0, 2, size=(block, n))
+        outcomes, offsets = eb_outcomes(signs, alpha, params.squeezing, rng)
+        flips_direct += _noise_flips(signs.shape, alpha, std, rng)
+        flips_eb += _noise_flips(signs.shape, alpha, std, rng)
+        reconstructed = offsets / tanh_r + signs * alpha
         max_candidate_err = max(
-            max_candidate_err, float(np.max(np.abs(reconstructed - record.outcomes)))
+            max_candidate_err, float(np.max(np.abs(reconstructed - outcomes)))
         )
-        if np.any(np.abs(record.outcomes) >= 2.0 * params.alpha):
-            range_ok = False
-    total = trials * modes
-    z, p = two_proportion_ztest(flips_direct, total, flips_eb, total)
-    return EquivalenceReport(
-        trials=trials,
-        modes_per_trial=modes,
-        flip_rate_direct=flips_direct / total,
-        flip_rate_eb=flips_eb / total,
-        z_statistic=z,
-        p_value=p,
-        max_candidate_error=max_candidate_err,
-        outcome_range_ok=range_ok,
+        sided = signs * outcomes
+        range_ok = range_ok and bool(np.all((0.0 < sided) & (sided < 2.0 * alpha)))
+    return EquivalenceReport.from_counts(
+        params, trials, flips_direct, flips_eb, max_candidate_err, range_ok
     )

@@ -325,13 +325,14 @@ def run_round_trip(
     Uses the oracle-codec criterion (failure iff more than max_errors bit
     flips). The flip indicator of mode i is independent of the direction bit
     and of the threshold offset (the offset cancels against the threshold),
-    so only the plaintext/pad bits and the measurement noise are sampled;
-    cvue.reference.run_round_trip_states is the object-level reference for
-    this shortcut.
+    and its law is symmetric in the codeword bit (a 1 flips on the mirror
+    image of the noise that flips a 0), so only the measurement noise is
+    sampled and every mode flips iff its noise falls below -alpha (scaled
+    by the channel); cvue.reference.run_round_trip_states is the
+    object-level reference for this shortcut.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    n, big_n = params.msg_len, params.num_modes
     if channel is None:
         mean_shift = params.alpha
         meas_var = 1.0 / math.cosh(params.squeezing)
@@ -344,17 +345,12 @@ def run_round_trip(
 
     failures = 0
     mode_flips = 0
-    done = 0
-    while done < trials:
-        block = min(ROUND_TRIP_BLOCK, trials - done)
-        message = rng.integers(0, 2, size=(block, n), dtype=np.uint8)
-        pad = rng.integers(0, 2, size=(block, n), dtype=np.uint8)
-        codeword = np.zeros((block, big_n), dtype=np.uint8)
-        codeword[:, :n] = message ^ pad
-        noise = rng.normal(0.0, std, size=(block, big_n))
-        flipped = np.where(codeword == 0, noise < -mean_shift, noise >= mean_shift)
-        per_trial = flipped.sum(axis=1)
+    for start in range(0, trials, ROUND_TRIP_BLOCK):
+        block = min(ROUND_TRIP_BLOCK, trials - start)
+        noise = rng.normal(0.0, std, size=(block, params.num_modes))
+        per_trial = np.count_nonzero(noise < -mean_shift, axis=1)
         failures += int((per_trial > params.max_errors).sum())
         mode_flips += int(per_trial.sum())
-        done += block
-    return RoundTripResult.from_counts(trials, failures, trials * big_n, mode_flips)
+    return RoundTripResult.from_counts(
+        trials, failures, trials * params.num_modes, mode_flips
+    )

@@ -3,25 +3,38 @@
 Nothing in the simulator calls into this module. Each function here is the
 slow, literal form of something the fast paths compute directly:
 
-* the N-mode Gaussian toolkit (vacuum, squeezed coherent states, tensor
-  products, beamsplitters, marginal variances) that the per-mode descriptor
-  arithmetic in protocol, channel and adversary is checked against;
+* the N-mode Gaussian phase-space toolkit (GaussianState, two-mode squeezed
+  states, homodyne sampling with exact conditioning, vacuum, squeezed
+  coherent states, tensor products, beamsplitters, marginal variances) that
+  the per-mode descriptor arithmetic in protocol, channel, adversary and
+  ebprep is checked against;
 * heterodyne_split / decode_half, the descriptor-level beamsplitter attack
   that the flip-count kernel adversary.heterodyne_split is checked against;
 * cipher_modes, a cipherstate as a list of single-mode GaussianState values;
 * run_round_trip_states, the full key_gen/encrypt/decrypt loop that
-  protocol.run_round_trip's flip-count shortcut is checked against.
+  protocol.run_round_trip's flip-count shortcut is checked against;
+* game_equivalence_states, the per-trial key_gen/encrypt/eb_prepare loop
+  that ebprep.game_equivalence_test's array kernel is checked against.
+
+An N-mode Gaussian state is parameterized by a displacement vector ``d``
+(quadratures ordered q1, p1, ..., qN, pN) and a covariance matrix ``G``,
+with phase-space density proportional to ``exp[-(x-d)^T G^{-1} (x-d)]``.
+Under this convention a homodyne measurement of a single quadrature has
+variance ``G_ii / 2``; the vacuum has ``G = I`` and shot-noise power 1/2.
+Only the two axis-aligned quadrature directions are supported.
 """
 
 from __future__ import annotations
 
+import enum
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import apply_channel, displacement_scale
 from .codec import base_decrypt, base_encrypt, random_bits
-from .gaussian import GaussianState, Quadrature, _check_mode, _quad_index
+from .ebprep import EquivalenceReport, eb_prepare, tmsv_covariance
 from .protocol import (
     CipherState,
     ProtocolParams,
@@ -33,9 +46,112 @@ from .protocol import (
 )
 
 _SQRT_HALF = math.sqrt(0.5)
+# Covariance matrices are symmetrized on construction and must satisfy
+# min eigenvalue > -EIG_TOL to guard against drift in long operation chains.
+EIG_TOL = 1e-12
 
 
 # --- Gaussian toolkit -----------------------------------------------------
+
+class Quadrature(enum.IntEnum):
+    """Axis-aligned measurement direction; the int value doubles as a key bit."""
+
+    Q = 0
+    P = 1
+
+
+def _as_readonly(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """Immutable Gaussian state: displacement vector plus covariance matrix.
+
+    Attributes:
+        num_modes: number of optical modes N.
+        disp: displacement vector, shape (2N,), ordered (q1, p1, ..., qN, pN).
+        cov: covariance matrix, shape (2N, 2N), symmetric positive-definite.
+    """
+
+    num_modes: int
+    disp: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        if self.num_modes < 0:
+            raise ValueError("num_modes must be nonnegative")
+        d = np.asarray(self.disp, dtype=float).reshape(-1)
+        c = np.asarray(self.cov, dtype=float)
+        dim = 2 * self.num_modes
+        if d.shape != (dim,):
+            raise ValueError(f"displacement must have shape ({dim},), got {d.shape}")
+        if c.shape != (dim, dim):
+            raise ValueError(f"covariance must have shape ({dim}, {dim}), got {c.shape}")
+        if dim:
+            if not np.allclose(c, c.T, atol=1e-9, rtol=1e-9):
+                raise ValueError("covariance must be symmetric")
+            c = (c + c.T) / 2.0
+            if np.linalg.eigvalsh(c).min() <= -EIG_TOL:
+                raise ValueError("covariance must be positive-definite")
+        object.__setattr__(self, "disp", _as_readonly(d))
+        object.__setattr__(self, "cov", _as_readonly(c))
+
+
+def _quad_index(mode: int, direction: Quadrature) -> int:
+    return 2 * mode + int(direction)
+
+
+def _check_mode(state: GaussianState, mode: int) -> None:
+    if not 0 <= mode < state.num_modes:
+        raise IndexError(f"mode index {mode} out of range for {state.num_modes} modes")
+
+
+def two_mode_squeezed(squeezing: float, displacement=None) -> GaussianState:
+    """Two-mode squeezed state (ebprep.tmsv_covariance), optionally displaced."""
+    if squeezing < 0:
+        raise ValueError("squeezing must be nonnegative")
+    if displacement is None:
+        displacement = np.zeros(4)
+    return GaussianState(2, np.asarray(displacement, dtype=float), tmsv_covariance(squeezing))
+
+
+def condition_on_homodyne(
+    state: GaussianState, mode: int, direction: Quadrature, outcome: float
+) -> GaussianState:
+    """Post-measurement state of the remaining modes after a homodyne outcome.
+
+    Gaussian conditioning on the measured quadrature (Schur complement of its
+    row/column); the conjugate quadrature of the measured mode is traced out,
+    so the result has one mode fewer.
+    """
+    _check_mode(state, mode)
+    if state.num_modes == 1:
+        return GaussianState(0, np.zeros(0), np.zeros((0, 0)))
+    idx = _quad_index(mode, direction)
+    keep = [k for k in range(2 * state.num_modes) if k not in (2 * mode, 2 * mode + 1)]
+    cvar = state.cov[idx, idx]
+    gain = state.cov[keep, idx] / cvar
+    disp = state.disp[keep] + gain * (outcome - state.disp[idx])
+    cov = state.cov[np.ix_(keep, keep)] - np.outer(gain, state.cov[idx, keep])
+    return GaussianState(state.num_modes - 1, disp, cov)
+
+
+def homodyne_sample(
+    state: GaussianState, mode: int, direction: Quadrature, rng: np.random.Generator
+) -> tuple[float, GaussianState]:
+    """Sample a homodyne outcome and condition the remaining modes on it.
+
+    The outcome is normal with mean equal to the displacement component and
+    variance equal to half the corresponding covariance entry. Returns
+    (outcome, conditional state of the other modes).
+    """
+    _check_mode(state, mode)
+    idx = _quad_index(mode, direction)
+    outcome = float(rng.normal(state.disp[idx], np.sqrt(state.cov[idx, idx] / 2.0)))
+    return outcome, condition_on_homodyne(state, mode, direction, outcome)
 
 
 def vacuum_state(num_modes: int) -> GaussianState:
@@ -195,4 +311,46 @@ def run_round_trip_states(
             failures += 1
     return RoundTripResult.from_counts(
         trials, failures, trials * params.num_modes, mode_flips
+    )
+
+
+def game_equivalence_states(
+    params: ProtocolParams, trials: int, rng: np.random.Generator
+) -> EquivalenceReport:
+    """Object-level reference equivalence test: per trial a fresh key and
+    message go through the direct encryption map and through eb_prepare
+    (same pad and directions), and both cipherstates are measured with the
+    keyed directions and their own offsets."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    tanh_r = math.tanh(params.squeezing)
+    flips_direct = flips_eb = 0
+    max_candidate_err = 0.0
+    range_ok = True
+    for child in rng.spawn(trials):
+        codec = params.make_codec()
+        key = key_gen(params, child)
+        message = random_bits(params.msg_len, child)
+        codeword = codec.encode(base_encrypt(key.pad, message))
+        signs = 1.0 - 2.0 * codeword.astype(float)
+
+        cipher = encrypt(key, message, params, codec)
+        est = measure_codeword(key, cipher, child)
+        flips_direct += int(np.count_nonzero(est != codeword))
+
+        outcomes, offsets, eb_cipher = eb_prepare(
+            params, key.pad, key.directions, message, child, codec
+        )
+        eb_key = QecmKey(key.pad, key.directions, offsets, key.label)
+        est_eb = measure_codeword(eb_key, eb_cipher, child)
+        flips_eb += int(np.count_nonzero(est_eb != codeword))
+
+        reconstructed = offsets / tanh_r + signs * params.alpha
+        max_candidate_err = max(
+            max_candidate_err, float(np.max(np.abs(reconstructed - outcomes)))
+        )
+        if np.any(np.abs(outcomes) >= 2.0 * params.alpha):
+            range_ok = False
+    return EquivalenceReport.from_counts(
+        params, trials, flips_direct, flips_eb, max_candidate_err, range_ok
     )

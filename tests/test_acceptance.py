@@ -25,7 +25,7 @@ from cvue.bounds import (
 from cvue.channel import ChannelParams, noisy_ber
 from cvue.cli import main
 from cvue.codec import random_bits
-from cvue.ebprep import eb_prepare, eb_rejection_oracle, sample_eb_mode, RestrictedEprSpec
+from cvue.ebprep import eb_prepare, eb_rejection_oracle
 from cvue.protocol import ProtocolParams, key_gen, run_round_trip, sample_key_offset
 
 REFERENCE = ProtocolParams(892, 1000, 35, 0.4, 3.4)
@@ -125,7 +125,7 @@ def test_criterion_8_eb_equivalence():
     message = random_bits(REFERENCE.msg_len, rng)
     derived = np.concatenate(
         [
-            eb_prepare(REFERENCE, key.pad, key.directions, message, rng, codec).offsets
+            eb_prepare(REFERENCE, key.pad, key.directions, message, rng, codec)[1]
             for _ in range(100)
         ]
     )
@@ -135,17 +135,13 @@ def test_criterion_8_eb_equivalence():
     assert ks.pvalue > 0.01
 
     ch = math.cosh(3.4)
-    spec = RestrictedEprSpec(3.4, 1, 0.4)
-    for _ in range(50):
-        _, mode = sample_eb_mode(spec, rng)
-        assert np.max(np.abs(mode.cov - np.diag([1 / ch, ch]))) <= 1e-10
+    _, _, cipher = eb_prepare(REFERENCE, key.pad, key.directions, message, rng, codec)
+    want = np.where(key.directions[:, None] == 0, [1 / ch, ch], [ch, 1 / ch])
+    assert np.max(np.abs(cipher.cov_diag - want)) <= 1e-10
 
     accepted = 3000
-    attempts = 0
-    for _ in range(accepted):
-        _, mode, tries = eb_rejection_oracle(3.4, 0.4, 1, rng)
-        attempts += tries
-        assert np.max(np.abs(mode.cov - np.diag([1 / ch, ch]))) <= 1e-10
+    _, _, cond_cov, attempts = eb_rejection_oracle(3.4, 0.4, accepted, rng)
+    assert np.max(np.abs(cond_cov - np.diag([1 / ch, ch]))) <= 1e-10
     sigma = math.sqrt(0.5 * ch)
     expected = float(erf(0.4 / (sigma * math.sqrt(2.0))))
     sd = math.sqrt(expected * (1 - expected) / attempts)

@@ -228,30 +228,40 @@ class TestValidation:
             main(["bounds", config_file(), "--format", "xml"])
 
     @pytest.mark.parametrize(
-        "section,field,value",
+        "section,field,value,command",
         [
-            (section, field, value)
-            for section, field in [
-                ("protocol", "alpha"),
-                ("protocol", "squeezing"),
-                ("channel", "excess_noise"),
-                ("protocol", "msg_len"),
-                ("protocol", "num_modes"),
-                ("protocol", "max_errors"),
-                ("top", "seed"),
-                ("top", "trials"),
-                ("top", "rejection_samples"),
+            pytest.param(section, field, value, "roundtrip", id=f"{section}-{field}-{value}")
+            for section, field, value in [
+                *(
+                    (section, field, value)
+                    for section, field in [
+                        ("protocol", "alpha"),
+                        ("protocol", "squeezing"),
+                        ("channel", "excess_noise"),
+                        ("protocol", "msg_len"),
+                        ("protocol", "num_modes"),
+                        ("protocol", "max_errors"),
+                        ("top", "seed"),
+                        ("top", "trials"),
+                        ("top", "rejection_samples"),
+                    ]
+                    for value in (math.nan, math.inf)
+                ),
+                ("protocol", "num_modes", 64.5),
+                ("top", "trials", 10.5),
+                # cosh(r) overflows a float past r ~ 710.48
+                ("protocol", "squeezing", 800.0),
             ]
-            for value in (math.nan, math.inf)
         ]
         + [
-            ("protocol", "num_modes", 64.5),
-            ("top", "trials", 10.5),
-            # cosh(r) overflows a float past r ~ 710.48
-            ("protocol", "squeezing", 800.0),
+            # valid configs that only ebcheck refuses: it needs tanh r > 0, and
+            # a rejection window it can fill (mass 1.3e-9 at r = 40, 0 in floats
+            # at r = 710.47)
+            pytest.param("protocol", "squeezing", value, "ebcheck", id=f"ebcheck-squeezing-{value}")
+            for value in (0.0, 40.0, 710.47)
         ],
     )
-    def test_nan_and_inf_rejected(self, section, field, value, config_file, capsys):
+    def test_nan_and_inf_rejected(self, section, field, value, command, config_file, capsys):
         # json.dumps writes NaN / Infinity, which json.loads parses back to floats
         channel = {"transmittance": 0.8, "excess_noise": 0.001}
         if section == "protocol":
@@ -260,7 +270,7 @@ class TestValidation:
             path = config_file(channel={**channel, field: value})
         else:
             path = config_file(**{field: value})
-        code, _, err = run(["roundtrip", path], capsys)
+        code, _, err = run([command, path], capsys)
         assert code == 2
         assert field in err or field.replace("_", " ") in err
 
@@ -280,11 +290,13 @@ def test_dropped_protocol_keys_are_ignored(config_file, tmp_path, capsys):
     assert key.pad.size == params["msg_len"] == 16
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a second of start-up; only ebcheck imports it
+@pytest.mark.parametrize("module", ["scipy.stats", "cvue.reference"])
+def test_cli_import_leaves_scipy_stats_unloaded(module):
+    # scipy.stats costs most of a second of start-up and only ebcheck imports
+    # it; cvue.reference holds test oracles that no subcommand may use
     src = str(Path(cvue.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import cvue.cli, sys; assert 'scipy.stats' not in sys.modules"
+    code = f"import cvue.cli, sys; assert {module!r} not in sys.modules"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
 

@@ -7,16 +7,12 @@ from scipy.stats import ks_2samp
 
 from cvue.codec import random_bits
 from cvue.ebprep import (
-    EbChallengeRecord,
-    RestrictedEprSpec,
+    eb_outcomes,
     eb_prepare,
     eb_rejection_oracle,
     game_equivalence_test,
-    sample_eb_mode,
 )
-from cvue.gaussian import Quadrature
 from cvue.protocol import (
-    CipherState,
     ProtocolParams,
     QecmKey,
     balanced_string_rank,
@@ -24,6 +20,13 @@ from cvue.protocol import (
     key_gen,
     sample_key_offset,
 )
+from cvue.reference import (
+    Quadrature,
+    condition_on_homodyne,
+    game_equivalence_states,
+    two_mode_squeezed,
+)
+from cvue.stats import two_proportion_ztest
 
 REFERENCE = ProtocolParams(892, 1000, 35, 0.4, 3.4)
 
@@ -34,55 +37,47 @@ def acceptance_mass(alpha, squeezing):
     return float(erf(alpha / (sigma * math.sqrt(2.0))))
 
 
-class TestSpec:
-    def test_interval(self):
-        spec = RestrictedEprSpec(3.4, 1, 0.4)
-        assert spec.interval == (0.0, 0.8)
-        spec = RestrictedEprSpec(3.4, -1, 0.4)
-        assert spec.interval == (-0.8, 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="squeezing"):
-            RestrictedEprSpec(0.0, 1, 0.4)
-        with pytest.raises(ValueError, match="sign"):
-            RestrictedEprSpec(3.4, 2, 0.4)
-        with pytest.raises(ValueError, match="alpha"):
-            RestrictedEprSpec(3.4, 1, 0.0)
-
-
 class TestSampleEbMode:
+    """Per-mode sampling of the challenger outcome, its offset and the
+    conditional remote mode (eb_outcomes, eb_prepare)."""
+
     def test_conditional_covariance_exact(self):
+        params = ProtocolParams(50, 100, 5, 0.4, 3.4)
         rng = np.random.default_rng(0)
-        spec = RestrictedEprSpec(3.4, 1, 0.4)
+        codec = params.make_codec()
         ch = math.cosh(3.4)
         for _ in range(100):
-            _, mode = sample_eb_mode(spec, rng)
-            assert np.allclose(mode.cov, np.diag([1 / ch, ch]), atol=1e-14)
-        _, mode = sample_eb_mode(spec, rng, Quadrature.P)
-        assert np.allclose(mode.cov, np.diag([ch, 1 / ch]), atol=1e-14)
+            key = key_gen(params, rng)
+            _, _, cipher = eb_prepare(
+                params, key.pad, key.directions, random_bits(50, rng), rng, codec
+            )
+            q_modes = key.directions == Quadrature.Q
+            assert np.allclose(cipher.cov_diag[q_modes], [1 / ch, ch], atol=1e-14)
+            assert np.allclose(cipher.cov_diag[~q_modes], [ch, 1 / ch], atol=1e-14)
 
     def test_outcome_inside_window(self):
         rng = np.random.default_rng(1)
         for sign in (1, -1):
-            spec = RestrictedEprSpec(3.4, sign, 0.4)
-            lo, hi = spec.interval
-            for _ in range(2000):
-                u, _ = sample_eb_mode(spec, rng)
-                assert lo < u < hi
+            lo, hi = sign * 0.4 - 0.4, sign * 0.4 + 0.4
+            u, _ = eb_outcomes(np.full(2000, sign), 0.4, 3.4, rng)
+            assert np.all((lo < u) & (u < hi))
 
     def test_displacement_tracks_outcome(self):
+        params = ProtocolParams(2, 4, 1, 0.3, 2.0)
         rng = np.random.default_rng(2)
-        spec = RestrictedEprSpec(2.0, -1, 0.3)
-        u, mode = sample_eb_mode(spec, rng)
-        want = -0.3 + (u + 0.3) * math.tanh(2.0)
-        assert np.isclose(mode.disp[0], want)
+        # zero pad, message 10 -> codeword 1000; mode 0 is a 1 bit (sign -1) along Q
+        pad = np.zeros(2, dtype=np.uint8)
+        directions = np.array([0, 0, 1, 1], dtype=np.uint8)
+        message = np.array([1, 0], dtype=np.uint8)
+        u, _, cipher = eb_prepare(params, pad, directions, message, rng, params.make_codec())
+        want = -0.3 + (u[0] + 0.3) * math.tanh(2.0)
+        assert np.isclose(cipher.disp[0, 0], want)
 
     def test_derived_offsets_match_keygen_distribution(self):
         # the two samplers draw from the same truncated normal
         rng = np.random.default_rng(3)
-        spec = RestrictedEprSpec(3.4, 1, 0.4)
         draws = 100_000
-        u = np.array([sample_eb_mode(spec, rng)[0] for _ in range(draws)])
+        u, _ = eb_outcomes(np.ones(draws), 0.4, 3.4, rng)
         derived = (u - 0.4) * math.tanh(3.4)
         direct = sample_key_offset(0.4, 3.4, rng, size=draws)
         assert ks_2samp(derived, direct).pvalue > 0.01
@@ -95,13 +90,13 @@ class TestEbPrepare:
         codec = params.make_codec()
         key = key_gen(params, rng)
         message = random_bits(16, rng)
-        record = eb_prepare(params, key.pad, key.directions, message, rng, codec)
+        _, offsets, cipher = eb_prepare(params, key.pad, key.directions, message, rng, codec)
         eb_key = QecmKey(
-            key.pad, key.directions, record.offsets, balanced_string_rank(key.directions)
+            key.pad, key.directions, offsets, balanced_string_rank(key.directions)
         )
         direct = encrypt(eb_key, message, params, codec)
-        assert np.array_equal(record.cipher.disp, direct.disp)
-        assert np.array_equal(record.cipher.cov_diag, direct.cov_diag)
+        assert np.array_equal(cipher.disp, direct.disp)
+        assert np.array_equal(cipher.cov_diag, direct.cov_diag)
 
     def test_offsets_inside_truncation_interval(self):
         rng = np.random.default_rng(5)
@@ -110,9 +105,11 @@ class TestEbPrepare:
         message = random_bits(REFERENCE.msg_len, rng)
         bound = REFERENCE.alpha * math.tanh(REFERENCE.squeezing)
         for _ in range(20):
-            record = eb_prepare(REFERENCE, key.pad, key.directions, message, rng, codec)
-            assert np.all(np.abs(record.offsets) < bound)
-            assert np.all(np.abs(record.outcomes) < 2 * REFERENCE.alpha)
+            outcomes, offsets, _ = eb_prepare(
+                REFERENCE, key.pad, key.directions, message, rng, codec
+            )
+            assert np.all(np.abs(offsets) < bound)
+            assert np.all(np.abs(outcomes) < 2 * REFERENCE.alpha)
 
     def test_zero_squeezing_rejected(self):
         params = ProtocolParams(8, 16, 2, 0.4, 0.0)
@@ -123,45 +120,56 @@ class TestEbPrepare:
             eb_prepare(params, key.pad, key.directions, random_bits(8, rng), rng,
                        params.make_codec())
 
-    def test_record_validation(self):
-        cipher = CipherState(np.zeros((2, 2)), np.ones((2, 2)))
-        with pytest.raises(ValueError, match="equal length"):
-            EbChallengeRecord(np.zeros(3), np.zeros(2), cipher)
-        with pytest.raises(ValueError, match="match the cipherstate"):
-            EbChallengeRecord(np.zeros(3), np.zeros(3), cipher)
-
 
 class TestRejectionOracle:
     def test_conditional_matches_closed_form(self):
         rng = np.random.default_rng(7)
         ch = math.cosh(3.4)
-        for sign in (1, -1):
-            u, mode, _ = eb_rejection_oracle(3.4, 0.4, sign, rng)
-            assert np.allclose(mode.cov, np.diag([1 / ch, ch]), atol=1e-10)
-            want = sign * 0.4 + (u - sign * 0.4) * math.tanh(3.4)
-            assert np.isclose(mode.disp[0], want, atol=1e-10)
-            assert np.isclose(mode.disp[1], 0.0, atol=1e-10)
+        u, disp, cov, _ = eb_rejection_oracle(3.4, 0.4, 20, rng)
+        assert np.allclose(cov, np.diag([1 / ch, ch]), atol=1e-10)
+        want = 0.4 + (u - 0.4) * math.tanh(3.4)
+        assert np.allclose(disp[:, 0], want, atol=1e-10)
+        assert np.allclose(disp[:, 1], 0.0, atol=1e-10)
+        # the batched Schur complement agrees with conditioning the state object
+        state = two_mode_squeezed(3.4, np.array([0.4, 0.0, 0.4, 0.0]))
+        for outcome, mode_disp in zip(u, disp):
+            mode = condition_on_homodyne(state, 0, Quadrature.Q, outcome)
+            assert np.allclose(mode.cov, cov, rtol=1e-12, atol=1e-12)
+            assert np.allclose(mode.disp, mode_disp, rtol=1e-12, atol=1e-12)
 
     def test_acceptance_ratio(self):
         rng = np.random.default_rng(8)
         accepted = 2000
-        attempts = 0
-        for _ in range(accepted):
-            _, _, tries = eb_rejection_oracle(3.4, 0.4, 1, rng)
-            attempts += tries
+        _, _, _, attempts = eb_rejection_oracle(3.4, 0.4, accepted, rng)
         want = acceptance_mass(0.4, 3.4)
         sd = math.sqrt(want * (1 - want) / attempts)
         assert abs(accepted / attempts - want) < 5 * sd
+        # one sample per call: attempts counts the draws through the accepted
+        # one, so it is geometric with mean 1/p
+        calls = 4000
+        tries = np.array([eb_rejection_oracle(3.4, 0.4, 1, rng)[3] for _ in range(calls)])
+        assert tries.min() >= 1
+        assert abs(tries.mean() - 1 / want) < 5 * math.sqrt((1 - want) / want**2 / calls)
 
     def test_distribution_matches_inverse_cdf_sampler(self):
         rng = np.random.default_rng(9)
         draws = 5000
-        rejected_u = np.array(
-            [eb_rejection_oracle(3.4, 0.4, 1, rng)[0] for _ in range(draws)]
-        )
-        spec = RestrictedEprSpec(3.4, 1, 0.4)
-        direct_u = np.array([sample_eb_mode(spec, rng)[0] for _ in range(draws)])
+        rejected_u = eb_rejection_oracle(3.4, 0.4, draws, rng)[0]
+        direct_u, _ = eb_outcomes(np.ones(draws), 0.4, 3.4, rng)
         assert ks_2samp(rejected_u, direct_u).pvalue > 0.01
+
+    def test_validation(self):
+        rng = np.random.default_rng(15)
+        with pytest.raises(ValueError, match="squeezing"):
+            eb_rejection_oracle(0.0, 0.4, 10, rng)
+        with pytest.raises(ValueError, match="alpha"):
+            eb_rejection_oracle(3.4, 0.0, 10, rng)
+        # a window too narrow to fill fails before drawing anything
+        state = rng.bit_generator.state
+        for squeezing in (40.0, 710.47):
+            with pytest.raises(ValueError, match="squeezing"):
+                eb_rejection_oracle(squeezing, 0.4, 20, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestGameEquivalence:
@@ -181,6 +189,24 @@ class TestGameEquivalence:
     def test_needs_trials(self):
         with pytest.raises(ValueError):
             game_equivalence_test(REFERENCE, 0, np.random.default_rng(12))
+
+    @pytest.mark.parametrize(
+        "params",
+        [ProtocolParams(16, 32, 2, 0.4, 2.0), ProtocolParams(15, 30, 3, 0.4, 2.0, "concrete")],
+        ids=["oracle", "concrete"],
+    )
+    def test_matches_object_loop(self, params):
+        fast = game_equivalence_test(params, 4000, np.random.default_rng(16))
+        slow = game_equivalence_states(params, 1000, np.random.default_rng(17))
+        fast_modes = fast.trials * fast.modes_per_trial
+        slow_modes = slow.trials * slow.modes_per_trial
+        for arm in ("flip_rate_direct", "flip_rate_eb"):
+            fast_flips = round(getattr(fast, arm) * fast_modes)
+            slow_flips = round(getattr(slow, arm) * slow_modes)
+            z, _ = two_proportion_ztest(fast_flips, fast_modes, slow_flips, slow_modes)
+            assert abs(z) < 5, arm
+        assert slow.max_candidate_error < 1e-9 * params.alpha
+        assert slow.outcome_range_ok
 
     def test_report_serializes(self):
         params = ProtocolParams(8, 16, 1, 0.4, 3.4)
