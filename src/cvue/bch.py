@@ -8,12 +8,16 @@ A designed-distance code correcting t errors has generator polynomial
 g(x) = lcm of the minimal polynomials of alpha^1 ... alpha^2t; the code
 length is 2^m - 1 and the message length is (2^m - 1) - deg(g). Encoding
 is systematic (message bits occupy the high-order coefficients). Decoding
-runs syndrome computation, Berlekamp-Massey, and a Chien root search, and
-reports failure when the error locator is inconsistent with any pattern
-of weight <= t.
+computes the 2t syndromes and the Chien root search as array gathers over
+the exp table, with a scalar Berlekamp-Massey in between, and reports
+failure when the error locator is inconsistent with any pattern of
+weight <= t.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -50,8 +54,18 @@ def _poly_mul(a: int, b: int) -> int:
     return result
 
 
+@functools.cache
+def _shared_code(m: int, t: int) -> "BchCode":
+    # the field and generator take milliseconds to build; instances are immutable
+    return BchCode(m, t)
+
+
 class BchCode:
-    """A (2^m - 1, msg_len) binary BCH code correcting ``t`` bit errors."""
+    """A (2^m - 1, msg_len) binary BCH code correcting ``t`` bit errors.
+
+    ``for_length`` and ``smallest_for`` return one shared instance per
+    (m, t); an instance holds only read-only tables and no decode state.
+    """
 
     def __init__(self, m: int, t: int):
         if m not in _PRIMITIVE_POLY:
@@ -77,50 +91,46 @@ class BchCode:
         m = (length + 1).bit_length() - 1
         if (1 << m) - 1 != length:
             raise ValueError(f"code length must be 2^m - 1, one of {SUPPORTED_LENGTHS}")
-        return cls(m, t)
+        return _shared_code(m, t)
 
     @classmethod
     def smallest_for(cls, length: int, t: int) -> "BchCode":
         """Smallest primitive code whose length covers ``length`` (for shortening)."""
         for m in sorted(_PRIMITIVE_POLY):
             if (1 << m) - 1 >= length:
-                return cls(m, t)
+                return _shared_code(m, t)
         raise ValueError(f"code length must be at most {SUPPORTED_LENGTHS[-1]}")
 
     def _build_field(self) -> None:
+        # exp[i] = alpha^i for i < 2*length (doubled so log sums need no modulo)
         order = self.length
         prim = _PRIMITIVE_POLY[self.m]
-        exp = np.zeros(2 * order, dtype=np.int64)
-        log = np.zeros(order + 1, dtype=np.int64)
+        exp = [0] * (2 * order)
+        log = [0] * (order + 1)
         x = 1
         for i in range(order):
-            exp[i] = x
+            exp[i] = exp[i + order] = x
             log[x] = i
             x <<= 1
             if x & (order + 1):
                 x ^= prim
-        exp[order:] = exp[:order]
-        self._exp = exp
-        self._log = log
+        self._exp, self._log = tuple(exp), tuple(log)  # scalar lookups
+        self._exp_table = np.array(exp, dtype=np.int64)  # array gathers
+        self._exp_table.flags.writeable = False
 
     def _gf_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        return self._exp[self._log[a] + self._log[b]]
 
     def _gf_inv(self, a: int) -> int:
-        return int(self._exp[self.length - self._log[a]])
+        return self._exp[self.length - self._log[a]]
 
-    def _minimal_poly(self, i: int) -> int:
-        # product of (x - alpha^j) over the cyclotomic coset of i
-        coset = []
-        c = i
-        while c not in coset:
-            coset.append(c)
-            c = (c * 2) % self.length
+    def _minimal_poly(self, coset: list[int]) -> int:
+        # product of (x - alpha^j) over the cyclotomic coset
         poly = [1]  # coefficients in GF(2^m), poly[k] = coeff of x^k
         for j in coset:
-            root = int(self._exp[j])
+            root = self._exp[j]
             nxt = [0] * (len(poly) + 1)
             for k, coeff in enumerate(poly):
                 nxt[k + 1] ^= coeff
@@ -128,79 +138,61 @@ class BchCode:
             poly = nxt
         if any(c not in (0, 1) for c in poly):
             raise AssertionError("minimal polynomial is not binary")
-        out = 0
-        for k, coeff in enumerate(poly):
-            out |= coeff << k
-        return out
+        return sum(coeff << k for k, coeff in enumerate(poly))
 
     def _build_generator(self) -> int:
         g = 1
         seen = set()
         for i in range(1, 2 * self.t + 1):
-            rep = i
-            c = i
-            while True:
-                c = (c * 2) % self.length
-                rep = min(rep, c)
-                if c == i:
-                    break
-            if rep in seen:
+            if i in seen:
                 continue
-            seen.add(rep)
-            g = _poly_mul(g, self._minimal_poly(i))
+            coset = [i]
+            while (c := coset[-1] * 2 % self.length) != i:
+                coset.append(c)
+            seen.update(coset)
+            g = _poly_mul(g, self._minimal_poly(coset))
         return g
 
     def encode(self, message: np.ndarray) -> np.ndarray:
         """Systematic encoding; message bits land in positions parity_len..length-1."""
-        message = np.asarray(message, dtype=np.uint8)
+        message = np.asarray(message)
         if message.shape != (self.msg_len,):
             raise ValueError(f"message must have length {self.msg_len}")
-        data = 0
-        for i in range(self.msg_len - 1, -1, -1):
-            data = (data << 1) | int(message[i])
-        shifted = data << self.parity_len
+        if not np.isin(message, (0, 1)).all():
+            raise ValueError("message bits must be 0 or 1")
+        packed = np.packbits(message.astype(np.uint8), bitorder="little")
+        shifted = int.from_bytes(packed.tobytes(), "little") << self.parity_len
         word = shifted | _poly_mod(shifted, self.generator)
-        return self._int_to_bits(word)
+        raw = np.frombuffer(word.to_bytes((self.length + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, count=self.length, bitorder="little")
 
     def decode(self, word: np.ndarray):
         """Return the message bits, or None when decoding fails."""
         word = np.asarray(word, dtype=np.uint8)
         if word.shape != (self.length,):
             raise ValueError(f"word must have length {self.length}")
-        positions = np.flatnonzero(word)
-        syndromes = self._syndromes(positions)
-        if not any(syndromes):
+        syndromes = self._syndromes(np.flatnonzero(word))
+        if not syndromes.any():
             return word[self.parity_len :].copy()
-        locator = self._berlekamp_massey(syndromes)
+        locator = self._berlekamp_massey(syndromes.tolist())
         if locator is None:
             return None
         errors = self._chien_search(locator)
-        if errors is None:
+        # the roots must be distinct field points, one per degree, and flipping
+        # them must clear every syndrome (syndromes are linear in the word)
+        if errors.size != len(locator) - 1:
+            return None
+        if np.any(self._syndromes(errors) != syndromes):
             return None
         corrected = word.copy()
         corrected[errors] ^= 1
-        if any(self._syndromes(np.flatnonzero(corrected))):
-            return None
         return corrected[self.parity_len :]
 
-    def _int_to_bits(self, word: int) -> np.ndarray:
-        bits = np.zeros(self.length, dtype=np.uint8)
-        i = 0
-        while word:
-            bits[i] = word & 1
-            word >>= 1
-            i += 1
-        return bits
-
-    def _syndromes(self, positions: np.ndarray) -> list[int]:
-        # S_j = r(alpha^j) = XOR of alpha^{i*j} over set bit positions i
-        out = []
-        for j in range(1, 2 * self.t + 1):
-            s = 0
-            for i in positions:
-                s ^= int(self._exp[(int(i) * j) % self.length])
-            out.append(s)
-        return out
+    def _syndromes(self, positions: np.ndarray) -> np.ndarray:
+        # S_j = r(alpha^j) = XOR of alpha^(i*j) over the set bits i, j = 1..2t,
+        # as one gather and one XOR reduce
+        exponents = (positions[:, None] * np.arange(1, 2 * self.t + 1)) % self.length
+        return np.bitwise_xor.reduce(self._exp_table[exponents], axis=0)
 
     def _berlekamp_massey(self, syndromes: list[int]):
         # returns the error-locator polynomial as a coefficient list, or None
@@ -211,48 +203,31 @@ class BchCode:
         prev_disc = 1
         for n, s_n in enumerate(syndromes):
             disc = s_n
-            for i in range(1, length + 1):
-                if i < len(sigma):
-                    disc ^= self._gf_mul(sigma[i], syndromes[n - i])
+            for i in range(1, min(length, len(sigma) - 1) + 1):
+                disc ^= self._gf_mul(sigma[i], syndromes[n - i])
             if disc == 0:
                 shift += 1
                 continue
             coeff = self._gf_mul(disc, self._gf_inv(prev_disc))
             update = [0] * shift + [self._gf_mul(coeff, c) for c in prev]
+            new = [a ^ b for a, b in itertools.zip_longest(sigma, update, fillvalue=0)]
             if 2 * length <= n:
-                old = sigma[:]
-                sigma = [a ^ b for a, b in self._pad(sigma, update)]
-                length = n + 1 - length
-                prev = old
-                prev_disc = disc
-                shift = 1
+                length, prev, prev_disc, shift = n + 1 - length, sigma, disc, 1
             else:
-                sigma = [a ^ b for a, b in self._pad(sigma, update)]
                 shift += 1
+            sigma = new
         while sigma and sigma[-1] == 0:
             sigma.pop()
         if len(sigma) - 1 > self.t:
             return None
         return sigma
 
-    @staticmethod
-    def _pad(a: list[int], b: list[int]):
-        n = max(len(a), len(b))
-        return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-    def _chien_search(self, sigma: list[int]):
-        degree = len(sigma) - 1
-        if degree == 0:
-            return None
-        errors = []
-        for i in range(self.length):
-            # evaluate sigma at alpha^{-i}; a root marks an error at position i
-            val = 0
-            for k, coeff in enumerate(sigma):
-                if coeff:
-                    val ^= int(self._exp[(self._log[coeff] + k * (self.length - i)) % self.length])
-            if val == 0:
-                errors.append(i)
-        if len(errors) != degree:
-            return None
-        return np.array(errors, dtype=np.int64)
+    def _chien_search(self, sigma: list[int]) -> np.ndarray:
+        # sigma(alpha^-i) = XOR_k alpha^(log sigma_k - k*i) at all n points at
+        # once; a root marks an error at position i
+        k = np.flatnonzero(sigma)
+        logs = np.array([self._log[sigma[j]] for j in k])
+        points = np.arange(self.length)
+        exponents = (logs[:, None] - k[:, None] * points) % self.length
+        values = np.bitwise_xor.reduce(self._exp_table[exponents], axis=0)
+        return np.flatnonzero(values == 0)

@@ -195,7 +195,6 @@ def cmd_ebcheck(config: RunConfig) -> int:
     from scipy.stats import ks_2samp
 
     ks = ks_2samp(accepted, direct)
-    ch = np.cosh(params.squeezing)
     payload = {
         "config_hash": config_hash(config),
         "equivalence": report.as_dict(),
@@ -204,7 +203,7 @@ def cmd_ebcheck(config: RunConfig) -> int:
             "attempts": attempts,
             "acceptance_ratio": samples / attempts,
             "expected_ratio": ebprep.window_mass(params.squeezing, params.alpha),
-            "conditional_cov_error": float(np.max(np.abs(cond_cov - np.diag([1 / ch, ch])))),
+            "conditional_cov_error": ebprep.conditional_cov_error(cond_cov, params.squeezing),
             "ks_statistic": float(ks.statistic),
             "ks_pvalue": float(ks.pvalue),
         },

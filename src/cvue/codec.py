@@ -169,7 +169,7 @@ class BchCodec:
         self._shorten = self._code.length - spec.code_len
 
     def encode(self, message: np.ndarray) -> np.ndarray:
-        message = np.asarray(message, dtype=np.uint8)
+        message = np.asarray(message)  # BchCode.encode checks the bits before any cast
         if message.shape != (self.spec.msg_len,):
             raise ValueError(f"message must have length {self.spec.msg_len}")
         full = np.concatenate([message, np.zeros(self._shorten, dtype=np.uint8)])

@@ -165,6 +165,16 @@ def eb_rejection_oracle(
     return outcomes, cond_disp, cond_cov, attempts
 
 
+def conditional_cov_error(cond_cov: np.ndarray, squeezing: float) -> float:
+    """Largest error of the remote conditional covariance relative to its
+    closed form diag(1/cosh r, cosh r): entry (i, j) is scaled by
+    sqrt(d_i d_j), so a diagonal entry gives its relative error. An absolute
+    error cannot see the narrow variance 1/cosh r vanish at large r."""
+    ch = math.cosh(squeezing)
+    closed = np.array([1 / ch, ch])
+    return float(np.max(np.abs(cond_cov - np.diag(closed)) / np.sqrt(np.outer(closed, closed))))
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Statistical comparison of prepare-and-send vs entanglement-based runs."""

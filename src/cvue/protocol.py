@@ -240,9 +240,11 @@ def _mode_arrays(codeword, directions, offsets, alpha, squeezing):
 
 def encrypt(key: QecmKey, message: np.ndarray, params: ProtocolParams, codec) -> CipherState:
     """Encrypt a plaintext into a cipherstate (pad, encode, modulate)."""
-    message = np.asarray(message, dtype=np.uint8)
+    message = np.asarray(message)
     if message.shape != (params.msg_len,):
         raise ValueError(f"message must have length {params.msg_len}")
+    if not np.isin(message, (0, 1)).all():
+        raise ValueError("message bits must be 0 or 1")
     codeword = codec.encode(base_encrypt(key.pad, message))
     disp, cov = _mode_arrays(
         codeword, key.directions, key.offsets, params.alpha, params.squeezing

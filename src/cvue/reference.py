@@ -14,7 +14,10 @@ slow, literal form of something the fast paths compute directly:
 * run_round_trip_states, the full key_gen/encrypt/decrypt loop that
   protocol.run_round_trip's flip-count shortcut is checked against;
 * game_equivalence_states, the per-trial key_gen/encrypt/eb_prepare loop
-  that ebprep.game_equivalence_test's array kernel is checked against.
+  that ebprep.game_equivalence_test's array kernel is checked against;
+* bch_decode_scalar, the per-bit syndrome / Berlekamp-Massey / per-point
+  Chien search decoder that bch.BchCode.decode's array kernels are checked
+  against.
 
 An N-mode Gaussian state is parameterized by a displacement vector ``d``
 (quadratures ordered q1, p1, ..., qN, pN) and a covariance matrix ``G``,
@@ -27,11 +30,13 @@ Only the two axis-aligned quadrature directions are supported.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bch import BchCode
 from .channel import apply_channel, displacement_scale
 from .codec import base_decrypt, base_encrypt, random_bits
 from .ebprep import EquivalenceReport, eb_prepare, tmsv_covariance
@@ -354,3 +359,91 @@ def game_equivalence_states(
     return EquivalenceReport.from_counts(
         params, trials, flips_direct, flips_eb, max_candidate_err, range_ok
     )
+
+
+# --- BCH decoding -----------------------------------------------------------
+
+
+def _bch_syndromes(code: BchCode, positions) -> list[int]:
+    # S_j = r(alpha^j) = XOR of alpha^{i*j} over set bit positions i
+    out = []
+    for j in range(1, 2 * code.t + 1):
+        s = 0
+        for i in positions:
+            s ^= code._exp[(int(i) * j) % code.length]
+        out.append(s)
+    return out
+
+
+def _bch_berlekamp_massey(code: BchCode, syndromes: list[int]):
+    # the error-locator polynomial as a coefficient list, or None past t
+    sigma = [1]
+    prev = [1]
+    length = 0
+    shift = 1
+    prev_disc = 1
+    for n, s_n in enumerate(syndromes):
+        disc = s_n
+        for i in range(1, length + 1):
+            if i < len(sigma):
+                disc ^= code._gf_mul(sigma[i], syndromes[n - i])
+        if disc == 0:
+            shift += 1
+            continue
+        coeff = code._gf_mul(disc, code._gf_inv(prev_disc))
+        update = [0] * shift + [code._gf_mul(coeff, c) for c in prev]
+        summed = [a ^ b for a, b in itertools.zip_longest(sigma, update, fillvalue=0)]
+        if 2 * length <= n:
+            length = n + 1 - length
+            prev = sigma
+            prev_disc = disc
+            shift = 1
+        else:
+            shift += 1
+        sigma = summed
+    while sigma and sigma[-1] == 0:
+        sigma.pop()
+    if len(sigma) - 1 > code.t:
+        return None
+    return sigma
+
+
+def _bch_chien_search(code: BchCode, sigma: list[int]):
+    degree = len(sigma) - 1
+    if degree == 0:
+        return None
+    errors = []
+    for i in range(code.length):
+        # evaluate sigma at alpha^{-i}; a root marks an error at position i
+        val = 0
+        for k, coeff in enumerate(sigma):
+            if coeff:
+                val ^= code._exp[(code._log[coeff] + k * (code.length - i)) % code.length]
+        if val == 0:
+            errors.append(i)
+    if len(errors) != degree:
+        return None
+    return np.array(errors, dtype=np.int64)
+
+
+def bch_decode_scalar(code: BchCode, word: np.ndarray):
+    """Reference bounded-distance decode of a full-length word with scalar
+    loops: the message bits, or None when decoding fails. The corrected word
+    must have all-zero syndromes."""
+    word = np.asarray(word, dtype=np.uint8)
+    if word.shape != (code.length,):
+        raise ValueError(f"word must have length {code.length}")
+    syndromes = _bch_syndromes(code, np.flatnonzero(word))
+    if not any(syndromes):
+        return word[code.parity_len :].copy()
+    locator = _bch_berlekamp_massey(code, syndromes)
+    if locator is None:
+        return None
+    errors = _bch_chien_search(code, locator)
+    if errors is None:
+        return None
+    corrected = word.copy()
+    corrected[errors] ^= 1
+    if any(_bch_syndromes(code, np.flatnonzero(corrected))):
+        return None
+    return corrected[code.parity_len :]

@@ -3,7 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from cvue import bch
 from cvue.bch import BchCode, SUPPORTED_LENGTHS
+from cvue.codec import concrete_spec, make_codec
+from cvue.protocol import ProtocolParams
+from cvue.reference import bch_decode_scalar
 
 
 # (length, message bits, t) triples from the standard BCH tables
@@ -76,6 +80,20 @@ def test_randomized_volume_63_45_3():
         assert np.array_equal(code.decode(word), msg)
 
 
+def test_randomized_volume_shortened_1000_675_35():
+    # the paper-point codec: BCH(1023, t=35) shortened to 1000 bits
+    spec = concrete_spec(1000, 35)
+    assert spec.msg_len == 675
+    codec = make_codec(spec)
+    rng = np.random.default_rng(1000)
+    for _ in range(1000):
+        msg = rng.integers(0, 2, spec.msg_len, dtype=np.uint8)
+        word = codec.encode(msg)
+        weight = int(rng.integers(0, spec.max_errors + 1))
+        word[rng.choice(spec.code_len, size=weight, replace=False)] ^= 1
+        assert np.array_equal(codec.decode(word), msg)
+
+
 @pytest.mark.parametrize("m,t", [(5, 3), (6, 3), (7, 4), (10, 5)])
 def test_random_correction(m, t):
     code = BchCode(m, t)
@@ -123,3 +141,94 @@ def test_encode_length_check():
         code.encode(np.zeros(4, dtype=np.uint8))
     with pytest.raises(ValueError, match="length"):
         code.decode(np.zeros(10, dtype=np.uint8))
+
+
+def test_encode_rejects_non_binary_bits():
+    code = BchCode(4, 2)
+    for bad in ([2, 0, 0, 0, 0, 0, 1], [0.5, 0, 0, 0, 0, 0, 1], [-1, 0, 0, 0, 0, 0, 1]):
+        with pytest.raises(ValueError, match="bits"):
+            code.encode(np.array(bad))
+    booleans = np.array([True, False, True, True, False, False, True])
+    assert np.array_equal(code.encode(booleans), code.encode(booleans.astype(np.uint8)))
+    # the shortened codec hands the bits over uncast, so 256 does not wrap to 0
+    with pytest.raises(ValueError, match="bits"):
+        make_codec(concrete_spec(30, 3)).encode(np.array([256] + [0] * 14))
+
+
+def test_codes_are_shared_and_read_only():
+    code = BchCode.for_length(63, 3)
+    assert BchCode.smallest_for(60, 3) is code
+    with pytest.raises(ValueError):
+        code._exp_table[0] = 0
+
+
+def test_concrete_params_build_the_code_once(monkeypatch):
+    builds = []
+    build = BchCode.__init__
+
+    def counting_init(self, m, t):
+        builds.append((m, t))
+        build(self, m, t)
+
+    bch._shared_code.cache_clear()
+    monkeypatch.setattr(BchCode, "__init__", counting_init)
+    for _ in range(2):
+        params = ProtocolParams(675, 1000, 35, 0.4, 3.4, "concrete")
+        params.make_codec()
+    assert builds == [(10, 35)]
+
+
+def _same_result(got, want) -> bool:
+    if want is None:
+        return got is None
+    return got is not None and np.array_equal(got, want)
+
+
+def _differential_weights(t: int) -> list[int]:
+    # every weight the decoder must correct, then beyond t where it may fail
+    # or land on another codeword
+    return list(range(t + 1)) + [t + 1] * 8 + [2 * t] * 8
+
+
+def test_decode_matches_scalar_oracle_63_45_3():
+    code = BchCode(6, 3)
+    rng = np.random.default_rng(631)
+    outcomes = {"none": 0, "miscorrect": 0}
+    for weight in _differential_weights(code.t) * 25:
+        msg = rng.integers(0, 2, code.msg_len, dtype=np.uint8)
+        word = code.encode(msg)
+        word[rng.choice(code.length, size=weight, replace=False)] ^= 1
+        want = bch_decode_scalar(code, word)
+        assert _same_result(code.decode(word), want), weight
+        if want is None:
+            outcomes["none"] += 1
+        elif not np.array_equal(want, msg):
+            outcomes["miscorrect"] += 1
+    # both beyond-t paths were exercised
+    assert outcomes["none"] > 0 and outcomes["miscorrect"] > 0
+
+
+@pytest.mark.parametrize(
+    "code_len,t,repeats", [(1000, 35, 1), (40, 3, 25)], ids=["1000-35", "40-3"]
+)
+def test_decode_matches_scalar_oracle_shortened(code_len, t, repeats):
+    # 1000-35 is the paper-point codec; 40-3 shortens BCH(63, 45, 3) by 23
+    # bits, so miscorrections into the pinned positions are common there
+    spec = concrete_spec(code_len, t)
+    codec = make_codec(spec)
+    code = BchCode.smallest_for(code_len, t)
+    rng = np.random.default_rng(code_len + t)
+    refused = 0
+    for weight in _differential_weights(t) * repeats:
+        msg = rng.integers(0, 2, spec.msg_len, dtype=np.uint8)
+        word = codec.encode(msg)
+        word[rng.choice(code_len, size=weight, replace=False)] ^= 1
+        full = np.concatenate([word, np.zeros(code.length - code_len, dtype=np.uint8)])
+        want = bch_decode_scalar(code, full)
+        assert _same_result(code.decode(full), want), weight
+        # the codec also refuses a correction in a shortened position
+        if want is not None and np.any(want[spec.msg_len :]):
+            want = None
+            refused += 1
+        assert _same_result(codec.decode(word), None if want is None else want[: spec.msg_len])
+    assert refused > 0 or repeats == 1

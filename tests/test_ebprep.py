@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 
 from cvue.codec import random_bits
 from cvue.ebprep import (
+    conditional_cov_error,
     eb_outcomes,
     eb_prepare,
     eb_rejection_oracle,
@@ -136,6 +137,16 @@ class TestRejectionOracle:
             mode = condition_on_homodyne(state, 0, Quadrature.Q, outcome)
             assert np.allclose(mode.cov, cov, rtol=1e-12, atol=1e-12)
             assert np.allclose(mode.disp, mode_disp, rtol=1e-12, atol=1e-12)
+
+    def test_conditional_cov_error_is_relative(self):
+        # the Schur complement cosh r - sinh^2 r / cosh r loses 1/cosh r to
+        # cancellation: exact at the paper point, 2 % off at r = 18, where the
+        # absolute error is still below 1e-7
+        rng = np.random.default_rng(16)
+        assert conditional_cov_error(eb_rejection_oracle(3.4, 0.4, 1, rng)[2], 3.4) < 1e-10
+        cov = eb_rejection_oracle(18.0, 0.4, 1, rng)[2]
+        assert conditional_cov_error(cov, 18.0) > 1e-3
+        assert np.max(np.abs(cov - np.diag([1 / math.cosh(18.0), math.cosh(18.0)]))) < 1e-7
 
     def test_acceptance_ratio(self):
         rng = np.random.default_rng(8)

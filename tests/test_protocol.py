@@ -230,6 +230,20 @@ class TestEncrypt:
         with pytest.raises(ValueError, match="length"):
             encrypt(key, np.zeros(5, dtype=np.uint8), SMALL, SMALL.make_codec())
 
+    @pytest.mark.parametrize(
+        "params",
+        [ProtocolParams(4, 8, 1, 0.4, 3.4), ProtocolParams(4, 14, 3, 0.4, 3.4, "concrete")],
+        ids=["oracle", "concrete"],
+    )
+    @pytest.mark.parametrize("bad", [[2, 0, 3, 1], [0.5, 0, 1, 1], [-1, 0, 1, 1]])
+    def test_non_binary_message_rejected(self, params, bad):
+        key = key_gen(params, np.random.default_rng(16))
+        with pytest.raises(ValueError, match="bits"):
+            encrypt(key, np.array(bad), params, params.make_codec())
+        # booleans and 0/1 floats are bits
+        encrypt(key, np.array([True, False, True, True]), params, params.make_codec())
+        encrypt(key, np.array([1.0, 0.0, 0.0, 1.0]), params, params.make_codec())
+
     def test_cipherstate_mode_accessor(self):
         rng = np.random.default_rng(15)
         key = key_gen(SMALL, rng)
