@@ -27,8 +27,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import tau, win_prob_bound
-from .protocol import ROUND_TRIP_BLOCK, ProtocolParams
+from .protocol import ProtocolParams
 from .stats import wilson_interval
+
+# trials per cloning-game block; bounds the (block, N) noise arrays (32 MB
+# per float64 array at N = 1000)
+GAME_BLOCK = 4000
 
 
 def _signal(params: ProtocolParams, block: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,7 +110,7 @@ class GameOutcome:
 def run_cloning_game(
     params: ProtocolParams, strategy, trials: int, rng: np.random.Generator
 ) -> GameOutcome:
-    """Play the cloning game ``trials`` times, in blocks of ROUND_TRIP_BLOCK
+    """Play the cloning game ``trials`` times, in blocks of GAME_BLOCK
     trials drawn from ``rng``; a win needs both players to succeed."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -116,8 +120,8 @@ def run_cloning_game(
     else:
         charlie_budget, charlie_bits = t, params.num_modes
     wins = ok_bob = ok_charlie = err_bob = err_charlie = 0
-    for start in range(0, trials, ROUND_TRIP_BLOCK):
-        block = min(ROUND_TRIP_BLOCK, trials - start)
+    for start in range(0, trials, GAME_BLOCK):
+        block = min(GAME_BLOCK, trials - start)
         bob, charlie = strategy(params, block, rng)
         bob_ok, charlie_ok = bob <= t, charlie <= charlie_budget
         ok_bob += int(bob_ok.sum())

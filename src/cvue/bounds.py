@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln, logsumexp, xlogy
+from scipy.special import bdtrc, erfc, gammaln, logsumexp, xlogy
 
 from .channel import ChannelParams, noisy_ber
 
@@ -63,6 +63,18 @@ def eps_df(num_modes: int, max_errors: int, alpha: float, squeezing: float) -> f
     if beta == 0.0:
         return 0.0
     return math.exp(-num_modes * dkl_binary(threshold, beta))
+
+
+def exact_failure(num_modes: int, max_errors: int, beta: float) -> float:
+    """Exact decryption-failure probability P[Bin(N, beta) > t]: the oracle
+    codec fails iff more than t of the N modes flip, each independently with
+    probability beta. scipy's bdtrc evaluates the tail through the
+    regularized incomplete beta function, accurate far below eps_df."""
+    if not 0 <= max_errors < num_modes:
+        raise ValueError("need 0 <= max_errors < num_modes")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    return float(bdtrc(max_errors, num_modes, beta))
 
 
 def _log_comb(n, k):
@@ -146,6 +158,7 @@ class SecurityReport:
 
     beta: float
     eps_df: float
+    failure_exact: float
     tau: float
     win_bound: float
     asymptotic_margin: float
@@ -156,7 +169,7 @@ class SecurityReport:
     squeezing: float
 
     def __post_init__(self):
-        for name in ("beta", "eps_df", "win_bound"):
+        for name in ("beta", "eps_df", "failure_exact", "win_bound"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
@@ -168,9 +181,11 @@ class SecurityReport:
 def security_report(params) -> SecurityReport:
     """Evaluate every closed-form quantity for a ProtocolParams value."""
     t_value = tau(params.num_modes, params.max_errors, params.alpha)
+    beta = ber_analytic(params.alpha, params.squeezing)
     return SecurityReport(
-        beta=ber_analytic(params.alpha, params.squeezing),
+        beta=beta,
         eps_df=eps_df(params.num_modes, params.max_errors, params.alpha, params.squeezing),
+        failure_exact=exact_failure(params.num_modes, params.max_errors, beta),
         tau=t_value,
         win_bound=win_prob_bound(params.msg_len, t_value),
         asymptotic_margin=asymptotic_margin(params.alpha, params.squeezing),

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .protocol import CipherState
-
 CONVENTIONS = ("paper", "symplectic")
 
 
@@ -78,21 +76,6 @@ def noisy_ber(alpha: float, squeezing: float, channel: ChannelParams):
     mean = displacement_scale(channel) * np.asarray(alpha, dtype=float)
     out = 0.5 * erfc(mean / np.sqrt(noisy_variance(squeezing, channel)))
     return float(out) if np.isscalar(alpha) else out
-
-
-def apply_channel(cipher: CipherState, channel: ChannelParams) -> CipherState:
-    """Transform a cipherstate's descriptors through the channel.
-
-    The map is deterministic on Gaussian descriptors (the added noise lives
-    in the covariance). The identity channel returns the input unchanged,
-    bit-exactly.
-    """
-    t = channel.transmittance
-    if t == 1.0 and channel.excess_noise == 0.0:
-        return cipher
-    disp = displacement_scale(channel) * cipher.disp
-    cov = t * cipher.cov_diag + (1.0 - t + t * channel.excess_noise)
-    return CipherState(disp, cov)
 
 
 def fiber_transmittance(length_km: float, loss_db_per_km: float = 0.22) -> float:

@@ -23,7 +23,8 @@ from .config import RunConfig, config_hash, load_config
 
 FIGURE_COLUMNS = """\
 figure columns (grid coordinates first, value last):
-  report - one row of beta, eps_df, tau, win_bound, asymptotic_margin plus the parameter echo
+  report - one row of beta, eps_df, failure_exact, tau, win_bound, asymptotic_margin
+           plus the parameter echo
   fig1   - alpha, squeezing, margin (negative margin = asymptotically securable)
   fig2a  - squeezing, transmittance, beta_noisy (excess noise fixed, default 0.001)
   fig2b  - transmittance, excess_noise, beta_noisy (squeezing fixed, default 3.6)
@@ -131,15 +132,22 @@ def cmd_keygen(config: RunConfig) -> int:
 
 def cmd_roundtrip(config: RunConfig) -> int:
     params = config.protocol
+    beta = bounds.ber_analytic(params.alpha, params.squeezing)
+    # the flip probability the trials draw with, and so the exact failure tail
+    trial_beta = (
+        beta if config.channel is None
+        else noisy_ber(params.alpha, params.squeezing, config.channel)
+    )
     record = {
         "trials": config.trials,
-        "beta_analytic": bounds.ber_analytic(params.alpha, params.squeezing),
+        "beta_analytic": beta,
         "eps_df": bounds.eps_df(
             params.num_modes, params.max_errors, params.alpha, params.squeezing
         ),
+        "failure_exact": bounds.exact_failure(params.num_modes, params.max_errors, trial_beta),
     }
     if config.channel is not None:
-        record["beta_noisy"] = noisy_ber(params.alpha, params.squeezing, config.channel)
+        record["beta_noisy"] = trial_beta
         record["noisy_variance"] = noisy_variance(params.squeezing, config.channel)
     if config.trials > 0:
         rng = np.random.default_rng(config.seed)

@@ -48,6 +48,11 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(a != b))
 
 
+def check_message_bits(message: np.ndarray) -> None:
+    if not np.isin(message, (0, 1)).all():
+        raise ValueError("message bits must be 0 or 1")
+
+
 def base_encrypt(pad: np.ndarray, message: np.ndarray) -> np.ndarray:
     """One-time-pad encryption; an involution, so it is its own inverse."""
     pad = np.asarray(pad, dtype=np.uint8)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import base_encrypt
+from .codec import base_encrypt, check_message_bits
 from .protocol import CipherState, ProtocolParams, _mode_arrays
 from .stats import normal_window, truncated_normal, two_proportion_ztest
 
@@ -90,6 +90,7 @@ def eb_prepare(
     has exactly the direct encryption map's per-mode descriptors.
     Returns (outcomes, offsets, cipher).
     """
+    check_message_bits(message)
     codeword = codec.encode(base_encrypt(pad, message))
     signs = 1.0 - 2.0 * np.asarray(codeword, dtype=float)
     outcomes, offsets = eb_outcomes(signs, params.alpha, params.squeezing, rng)

@@ -17,11 +17,21 @@ from math import comb
 
 import numpy as np
 
-from .codec import CodecSpec, base_decrypt, base_encrypt, make_codec, random_bits
+from .bounds import ber_analytic
+from .channel import noisy_ber
+from .codec import (
+    CodecSpec,
+    base_decrypt,
+    base_encrypt,
+    check_message_bits,
+    make_codec,
+    random_bits,
+)
 from .stats import truncated_normal, wilson_interval
 
-# trials per vectorised block in run_round_trip; bounds the (block, N) arrays
-ROUND_TRIP_BLOCK = 4000
+# trials per binomial draw in run_round_trip: caps its count array at 8 MB;
+# draws made in blocks are the very numbers one draw of all trials gives
+ROUND_TRIP_BLOCK = 1 << 20
 # largest squeezing r whose cosh(r) is a finite float (about 710.48)
 MAX_SQUEEZING = math.acosh(sys.float_info.max)
 
@@ -243,8 +253,7 @@ def encrypt(key: QecmKey, message: np.ndarray, params: ProtocolParams, codec) ->
     message = np.asarray(message)
     if message.shape != (params.msg_len,):
         raise ValueError(f"message must have length {params.msg_len}")
-    if not np.isin(message, (0, 1)).all():
-        raise ValueError("message bits must be 0 or 1")
+    check_message_bits(message)
     codeword = codec.encode(base_encrypt(key.pad, message))
     disp, cov = _mode_arrays(
         codeword, key.directions, key.offsets, params.alpha, params.squeezing
@@ -328,30 +337,24 @@ def run_round_trip(
     flips). The flip indicator of mode i is independent of the direction bit
     and of the threshold offset (the offset cancels against the threshold),
     and its law is symmetric in the codeword bit (a 1 flips on the mirror
-    image of the noise that flips a 0), so only the measurement noise is
-    sampled and every mode flips iff its noise falls below -alpha (scaled
-    by the channel); cvue.reference.run_round_trip_states is the
-    object-level reference for this shortcut.
+    image of the noise that flips a 0), so every mode flips independently
+    with probability beta, the honest bit error rate (bounds.ber_analytic, or
+    channel.noisy_ber on a channel), and a trial's flip count is one
+    Binomial(num_modes, beta) draw; cvue.reference.run_round_trip_states is
+    the object-level reference for this shortcut.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if channel is None:
-        mean_shift = params.alpha
-        meas_var = 1.0 / math.cosh(params.squeezing)
+        beta = ber_analytic(params.alpha, params.squeezing)
     else:
-        from .channel import displacement_scale, noisy_variance
-
-        mean_shift = displacement_scale(channel) * params.alpha
-        meas_var = noisy_variance(params.squeezing, channel)
-    std = math.sqrt(meas_var / 2.0)
-
+        beta = noisy_ber(params.alpha, params.squeezing, channel)
     failures = 0
     mode_flips = 0
     for start in range(0, trials, ROUND_TRIP_BLOCK):
         block = min(ROUND_TRIP_BLOCK, trials - start)
-        noise = rng.normal(0.0, std, size=(block, params.num_modes))
-        per_trial = np.count_nonzero(noise < -mean_shift, axis=1)
-        failures += int((per_trial > params.max_errors).sum())
+        per_trial = rng.binomial(params.num_modes, beta, size=block)
+        failures += int(np.count_nonzero(per_trial > params.max_errors))
         mode_flips += int(per_trial.sum())
     return RoundTripResult.from_counts(
         trials, failures, trials * params.num_modes, mode_flips

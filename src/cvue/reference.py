@@ -11,6 +11,9 @@ slow, literal form of something the fast paths compute directly:
 * heterodyne_split / decode_half, the descriptor-level beamsplitter attack
   that the flip-count kernel adversary.heterodyne_split is checked against;
 * cipher_modes, a cipherstate as a list of single-mode GaussianState values;
+* apply_channel, the channel's map on a cipherstate's descriptors, which
+  channel.noisy_ber and run_round_trip's channel branch reduce to one
+  per-mode flip probability;
 * run_round_trip_states, the full key_gen/encrypt/decrypt loop that
   protocol.run_round_trip's flip-count shortcut is checked against;
 * game_equivalence_states, the per-trial key_gen/encrypt/eb_prepare loop
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import BchCode
-from .channel import apply_channel, displacement_scale
+from .channel import ChannelParams, displacement_scale
 from .codec import base_decrypt, base_encrypt, random_bits
 from .ebprep import EquivalenceReport, eb_prepare, tmsv_covariance
 from .protocol import (
@@ -287,6 +290,21 @@ def decode_half(
 
 
 # --- round trips ------------------------------------------------------------
+
+
+def apply_channel(cipher: CipherState, channel: ChannelParams) -> CipherState:
+    """Transform a cipherstate's descriptors through the channel.
+
+    The map is deterministic on Gaussian descriptors (the added noise lives
+    in the covariance). The identity channel returns the input unchanged,
+    bit-exactly.
+    """
+    t = channel.transmittance
+    if t == 1.0 and channel.excess_noise == 0.0:
+        return cipher
+    disp = displacement_scale(channel) * cipher.disp
+    cov = t * cipher.cov_diag + (1.0 - t + t * channel.excess_noise)
+    return CipherState(disp, cov)
 
 
 def run_round_trip_states(

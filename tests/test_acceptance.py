@@ -18,6 +18,7 @@ from cvue.bounds import (
     asymptotic_margin,
     ber_analytic,
     eps_df,
+    exact_failure,
     monogamy_bound_exact,
     monogamy_bound_relaxed,
     tau,
@@ -44,7 +45,13 @@ def test_criterion_1_ber_reproduction():
 def test_criterion_2_decryption_failure_bound():
     value = eps_df(1000, 35, 0.4, 3.4)
     assert 5.7e-6 <= value <= 8.3e-6
-    report(2, f"eps_df(1000, 35, 0.4, 3.4) = {value:.3e} in [5.7e-6, 8.3e-6]")
+    exact = exact_failure(1000, 35, ber_analytic(0.4, 3.4))
+    assert abs(exact - 7.43e-7) <= 1e-9
+    report(
+        2,
+        f"eps_df(1000, 35, 0.4, 3.4) = {value:.3e} in [5.7e-6, 8.3e-6]; "
+        f"exact tail P[Bin(1000, beta) > 35] = {exact:.4e}",
+    )
 
 
 def test_criterion_3_monte_carlo_vs_analytic():

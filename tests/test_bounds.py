@@ -4,14 +4,19 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from cvue.bounds import (
+    SecurityReport,
     asymptotic_margin,
     ber_analytic,
     binary_entropy,
     conjugate_coding_bound,
     dkl_binary,
     eps_df,
+    exact_failure,
     figure_data,
     monogamy_bound_exact,
     monogamy_bound_relaxed,
@@ -121,6 +126,72 @@ class TestEpsDf:
     def test_underflowed_beta_gives_limit_zero(self, r):
         assert ber_analytic(0.4, r) == 0.0
         assert eps_df(1000, 35, 0.4, r) == 0.0
+
+
+class TestExactFailure:
+    def test_reference_point(self):
+        beta = ber_analytic(0.4, 3.4)
+        value = exact_failure(1000, 35, beta)
+        assert abs(value - 7.43e-7) <= 1e-9
+        # independent route: the log-space sum of the tail terms
+        ks = np.arange(36, 1001)
+        log_terms = (
+            gammaln(1001) - gammaln(ks + 1) - gammaln(1001 - ks)
+            + ks * math.log(beta) + (1000 - ks) * math.log1p(-beta)
+        )
+        assert value == pytest.approx(math.exp(logsumexp(log_terms)), rel=1e-12, abs=0)
+
+    def test_matches_exact_rationals_up_to_64(self):
+        for n in (1, 2, 5, 16, 33, 64):
+            for t in sorted({0, n // 4, n // 2, n - 1}):
+                for beta in (1e-6, 0.0142, 0.25, 0.5, 0.93):
+                    b = Fraction(beta)  # the float's exact value
+                    exact = sum(
+                        comb(n, k) * b**k * (1 - b) ** (n - k) for k in range(t + 1, n + 1)
+                    )
+                    want = pytest.approx(float(exact), rel=1e-12, abs=0)
+                    assert exact_failure(n, t, beta) == want
+
+    def test_endpoints(self):
+        assert exact_failure(1000, 35, 0.0) == 0.0
+        assert exact_failure(1000, 35, 1.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "n, t, beta",
+        [(10, 10, 0.1), (10, -1, 0.1), (10, 2, -0.1), (10, 2, 1.5), (10, 2, math.nan)],
+    )
+    def test_argument_validation(self, n, t, beta):
+        with pytest.raises(ValueError):
+            exact_failure(n, t, beta)
+
+
+# (N, t, alpha, r) over ProtocolParams' domain: N even, t < N/2
+POINTS = st.integers(1, 1000).flatmap(
+    lambda half: st.tuples(
+        st.just(2 * half),
+        st.integers(0, half - 1),
+        st.floats(0.01, 2.0),
+        st.floats(0.0, 20.0),
+    )
+)
+
+
+class TestFailureProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(POINTS)
+    def test_exact_tail_below_chernoff(self, point):
+        n, t, alpha, r = point
+        exact = exact_failure(n, t, ber_analytic(alpha, r))
+        assert 0.0 <= exact <= eps_df(n, t, alpha, r) <= 1.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(POINTS, st.floats(0.0, 20.0))
+    def test_exact_tail_nonincreasing_in_squeezing(self, point, other_r):
+        n, t, alpha, r = point
+        low, high = sorted((r, other_r))
+        assert exact_failure(n, t, ber_analytic(alpha, high)) <= exact_failure(
+            n, t, ber_analytic(alpha, low)
+        )
 
 
 class TestMonogamy:
@@ -273,7 +344,15 @@ class TestSecurityReport:
         assert np.isclose(report.beta, ber_analytic(0.4, 3.4))
         assert report.win_bound == 1.0  # vacuous at these parameters
         assert report.eps_df < 1e-5
+        assert report.failure_exact == exact_failure(1000, 35, report.beta)
         assert report.as_dict()["msg_len"] == 892
+
+    @pytest.mark.parametrize("field", ["beta", "eps_df", "failure_exact", "win_bound"])
+    def test_probabilities_validated(self, field):
+        values = security_report(ProtocolParams(892, 1000, 35, 0.4, 3.4)).as_dict()
+        values[field] = 1.5
+        with pytest.raises(ValueError, match=field):
+            SecurityReport(**values)
 
     def test_non_vacuous_bound(self):
         params = ProtocolParams(32, 32, 0, 0.25, 3.4)
@@ -284,6 +363,7 @@ class TestSecurityReport:
         report = security_report(ProtocolParams(892, 1000, 35, 0.4, 12.0))
         assert report.beta == 0.0
         assert report.eps_df == 0.0
+        assert report.failure_exact == 0.0
         assert math.isfinite(report.asymptotic_margin)
 
 

@@ -7,7 +7,6 @@ from scipy.special import erfc
 from cvue.bounds import ber_analytic
 from cvue.channel import (
     ChannelParams,
-    apply_channel,
     displacement_scale,
     fiber_transmittance,
     identity_channel,
@@ -15,7 +14,7 @@ from cvue.channel import (
     noisy_variance,
 )
 from cvue.protocol import ProtocolParams, encrypt, key_gen, run_round_trip
-from cvue.reference import run_round_trip_states
+from cvue.reference import apply_channel, run_round_trip_states
 from cvue.codec import random_bits
 
 

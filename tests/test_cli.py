@@ -11,7 +11,7 @@ import pytest
 import cvue
 from cvue.cli import load_key, main
 from cvue.config import config_hash, load_config
-from cvue.bounds import figure_data
+from cvue.bounds import exact_failure, figure_data
 
 
 BASE = {
@@ -97,6 +97,7 @@ class TestRoundtrip:
         assert payload["trials"] == 500
         assert 0 <= payload["failure_rate"] <= 1
         assert np.isclose(payload["beta_analytic"], 0.014233207919441758)
+        assert payload["failure_exact"] == exact_failure(32, 2, payload["beta_analytic"])
         assert "config_hash" in payload
 
     def test_zero_trials_emits_analytics_only(self, config_file, capsys):
@@ -114,6 +115,8 @@ class TestRoundtrip:
         payload = json.loads(out)
         assert 0 < payload["beta_noisy"] < 0.5
         assert payload["noisy_variance"] > 0
+        # the exact tail is taken at the flip probability the trials use
+        assert payload["failure_exact"] == exact_failure(32, 2, payload["beta_noisy"])
 
     def test_csv_has_hash_comment_and_header(self, config_file, capsys):
         code, out, _ = run(["roundtrip", config_file()], capsys)
@@ -127,7 +130,7 @@ class TestBounds:
     def test_report_default(self, config_file, capsys):
         code, out, _ = run(["bounds", config_file(), "--format", "json"], capsys)
         payload = json.loads(out)
-        assert {"beta", "eps_df", "tau", "win_bound"} <= set(payload)
+        assert {"beta", "eps_df", "failure_exact", "tau", "win_bound"} <= set(payload)
 
     def test_figure_csv_matches_library(self, config_file, capsys):
         path = config_file(figure="fig2a", grid={"squeezing": [3.5, 3.5, 1], "transmittance": [0.8]})

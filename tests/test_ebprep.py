@@ -112,6 +112,20 @@ class TestEbPrepare:
             assert np.all(np.abs(offsets) < bound)
             assert np.all(np.abs(outcomes) < 2 * REFERENCE.alpha)
 
+    @pytest.mark.parametrize(
+        "params",
+        [ProtocolParams(4, 8, 1, 0.4, 3.4), ProtocolParams(4, 14, 3, 0.4, 3.4, "concrete")],
+        ids=["oracle", "concrete"],
+    )
+    @pytest.mark.parametrize("bad", [[2, 0, 3, 1], [0.5, 0, 1, 1], [-1, 0, 1, 1]])
+    def test_non_binary_message_rejected(self, params, bad):
+        rng = np.random.default_rng(7)
+        key = key_gen(params, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="message bits must be 0 or 1"):
+            eb_prepare(params, key.pad, key.directions, np.array(bad), rng, params.make_codec())
+        assert rng.bit_generator.state == state  # refused before any sampling
+
     def test_zero_squeezing_rejected(self):
         params = ProtocolParams(8, 16, 2, 0.4, 0.0)
         rng = np.random.default_rng(6)

@@ -4,8 +4,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, norm
+from scipy.stats import binom, chisquare, norm
 
+from cvue import protocol
+from cvue.bounds import ber_analytic, exact_failure
+from cvue.channel import ChannelParams, noisy_ber
 from cvue.codec import random_bits
 from cvue.protocol import (
     CipherState,
@@ -26,6 +29,14 @@ from cvue.stats import two_proportion_ztest
 
 REFERENCE = ProtocolParams(892, 1000, 35, 0.4, 3.4)
 SMALL = ProtocolParams(16, 32, 2, 0.4, 3.4)
+# two-sided 5-sigma normal mass
+TAIL = math.erfc(5 / math.sqrt(2))
+
+
+def assert_count_fits(count, trials, p):
+    # an exact binomial tail no likelier than a 5-sigma deviation, either side
+    assert binom.cdf(count, trials, p) > TAIL / 2
+    assert binom.sf(count - 1, trials, p) > TAIL / 2
 
 
 def truncated_sd(alpha, r):
@@ -367,6 +378,30 @@ class TestRoundTrip:
         result = run_round_trip(params, 30_000, np.random.default_rng(24))
         assert result.failures > 0
         assert result.failure_rate <= eps_df(64, 8, 0.4, 2.0)
+
+    def test_failures_match_exact_tail(self):
+        params = ProtocolParams(32, 64, 8, 0.4, 2.0)
+        result = run_round_trip(params, 30_000, np.random.default_rng(32))
+        assert_count_fits(result.failures, result.trials, exact_failure(64, 8, ber_analytic(0.4, 2.0)))
+
+    @pytest.mark.parametrize(
+        "channel", [None, ChannelParams(0.9, 0.01)], ids=["identity", "lossy"]
+    )
+    def test_state_level_failures_match_exact_tail(self, channel):
+        # ties the closed-form tail to homodyne outcomes of real cipherstates,
+        # in a regime where a third or more of the trials fail
+        params = ProtocolParams(15, 30, 3, 0.4, 2.2)
+        result = run_round_trip_states(params, 2000, np.random.default_rng(33), channel=channel)
+        beta = ber_analytic(0.4, 2.2) if channel is None else noisy_ber(0.4, 2.2, channel)
+        assert_count_fits(result.failures, result.trials, exact_failure(30, 3, beta))
+
+    def test_counts_are_binomial_draws_in_any_block_size(self, monkeypatch):
+        whole = run_round_trip(SMALL, 1000, np.random.default_rng(34))
+        counts = np.random.default_rng(34).binomial(32, ber_analytic(0.4, 3.4), size=1000)
+        assert whole.failures == np.count_nonzero(counts > 2)
+        assert whole.mode_flips == counts.sum()
+        monkeypatch.setattr(protocol, "ROUND_TRIP_BLOCK", 7)
+        assert run_round_trip(SMALL, 1000, np.random.default_rng(34)) == whole
 
     def test_generous_error_budget_never_fails(self):
         params = ProtocolParams(8, 32, 15, 0.4, 3.4)
