@@ -46,17 +46,26 @@ def dkl_binary(a: float, b: float) -> float:
     """Binary Kullback-Leibler divergence a*ln(a/b) + (1-a)*ln((1-a)/(1-b)) (nats)."""
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ValueError("dkl_binary needs arguments strictly inside (0, 1)")
-    return a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+    ratio = a / b
+    # a subnormal b overflows the ratio, but not the difference of the logs
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(a) - math.log(b)
+    return a * log_ratio + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
 
 
 def eps_df(num_modes: int, max_errors: int, alpha: float, squeezing: float) -> float:
-    """Chernoff bound on the decryption-failure probability,
-    exp[-N * D_KL((t+1)/N || beta)]; reports 1 when the bound is inapplicable
-    (beta >= (t+1)/N), and its limit 0 when beta underflows to 0 (r >~ 10 at
-    alpha 0.4)."""
+    """Chernoff bound on the decryption-failure probability at the noiseless
+    bit error rate: ``chernoff_failure`` at ``ber_analytic(alpha, squeezing)``."""
+    return chernoff_failure(num_modes, max_errors, ber_analytic(alpha, squeezing))
+
+
+def chernoff_failure(num_modes: int, max_errors: int, beta: float) -> float:
+    """Chernoff bound exp[-N * D_KL((t+1)/N || beta)] on P[Bin(N, beta) > t];
+    reports 1 when the bound is inapplicable (beta >= (t+1)/N), and its limit
+    0 when beta underflows to 0 (r >~ 10 at alpha 0.4)."""
     if max_errors + 1 > num_modes:
         raise ValueError("need max_errors + 1 <= num_modes")
-    beta = ber_analytic(alpha, squeezing)
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
     threshold = (max_errors + 1) / num_modes
     if beta >= threshold:
         return 1.0

@@ -10,6 +10,7 @@ success, 2 on validation or I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,8 +22,15 @@ from .channel import noisy_ber, noisy_variance
 from .codec import bits_to_hex, hex_to_bits
 from .config import RunConfig, config_hash, load_config
 
-FIGURE_COLUMNS = """\
-figure columns (grid coordinates first, value last):
+EPILOG = """\
+commands:
+  keygen    - generate a key and write it as JSON
+  roundtrip - Monte-Carlo decryption-failure rate next to the analytic bounds
+  bounds    - closed-form security report or figure data tables
+  attack    - cloning-game Monte Carlo for a concrete strategy
+  ebcheck   - entanglement-based preparation equivalence checks
+
+bounds figure columns (grid coordinates first, value last):
   report - one row of beta, eps_df, failure_exact, tau, win_bound, asymptotic_margin
            plus the parameter echo
   fig1   - alpha, squeezing, margin (negative margin = asymptotically securable)
@@ -133,7 +141,7 @@ def cmd_keygen(config: RunConfig) -> int:
 def cmd_roundtrip(config: RunConfig) -> int:
     params = config.protocol
     beta = bounds.ber_analytic(params.alpha, params.squeezing)
-    # the flip probability the trials draw with, and so the exact failure tail
+    # the flip probability the trials draw with, so both failure bounds are taken at it
     trial_beta = (
         beta if config.channel is None
         else noisy_ber(params.alpha, params.squeezing, config.channel)
@@ -141,9 +149,7 @@ def cmd_roundtrip(config: RunConfig) -> int:
     record = {
         "trials": config.trials,
         "beta_analytic": beta,
-        "eps_df": bounds.eps_df(
-            params.num_modes, params.max_errors, params.alpha, params.squeezing
-        ),
+        "eps_df": bounds.chernoff_failure(params.num_modes, params.max_errors, trial_beta),
         "failure_exact": bounds.exact_failure(params.num_modes, params.max_errors, trial_beta),
     }
     if config.channel is not None:
@@ -229,31 +235,22 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command, built on first use and then reused:
+    building it costs more than a small roundtrip run."""
     parser = argparse.ArgumentParser(
         prog="cvue",
         description="Continuous-variable unclonable-encryption simulator",
+        epilog=EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "keygen": "generate a key and write it as JSON",
-        "roundtrip": "Monte-Carlo decryption-failure rate next to the analytic bounds",
-        "bounds": "closed-form security report or figure data tables",
-        "attack": "cloning-game Monte Carlo for a concrete strategy",
-        "ebcheck": "entanglement-based preparation equivalence checks",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(
-            name,
-            help=help_text,
-            epilog=FIGURE_COLUMNS if name == "bounds" else None,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        p.add_argument("config", help="path to the JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--trials", type=int, default=None, help="override the trial count")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default=None, choices=["csv", "json"], help="output format")
+    parser.add_argument("command", choices=list(COMMANDS), metavar="command", help="listed below")
+    parser.add_argument("config", help="path to the JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
+    parser.add_argument("--trials", type=int, default=None, help="override the trial count")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", default=None, choices=["csv", "json"], help="output format")
     return parser
 
 

@@ -10,8 +10,9 @@ import json
 import math
 
 import numpy as np
+import pytest
 from scipy.special import erf, erfc
-from scipy.stats import ks_2samp
+from scipy.stats import binom, ks_2samp
 
 from cvue.adversary import check_against_bound, make_strategy, run_cloning_game
 from cvue.bounds import (
@@ -54,6 +55,25 @@ def test_criterion_2_decryption_failure_bound():
     )
 
 
+# one-sided 5-sigma mass: a count whose binomial tail is smaller refutes the
+# failure probability the tail is taken at
+TAIL_5SIGMA = math.erfc(5 / math.sqrt(2)) / 2
+
+
+def check_failure_count(result):
+    """The failure count of a REFERENCE round trip does not refute eps_df, and
+    agrees with the exact tail.
+
+    Comparing the failure rate with eps_df cannot resolve it: one failure in
+    1e5 trials is a rate of 1e-5 > 6.9e-6, and at the exact tail 7.43e-7 one
+    or more failures come in ~7 % of runs."""
+    failures, trials = result.failures, result.trials
+    exact = exact_failure(1000, 35, ber_analytic(0.4, 3.4))
+    assert binom.sf(failures - 1, trials, eps_df(1000, 35, 0.4, 3.4)) > TAIL_5SIGMA
+    assert binom.sf(failures - 1, trials, exact) > TAIL_5SIGMA
+    assert binom.cdf(failures, trials, exact) > TAIL_5SIGMA
+
+
 def test_criterion_3_monte_carlo_vs_analytic():
     result = run_round_trip(REFERENCE, 100_000, np.random.default_rng(1003))
     beta = ber_analytic(0.4, 3.4)
@@ -64,13 +84,22 @@ def test_criterion_3_monte_carlo_vs_analytic():
     # the simulation must not refute the Chernoff bound: its confidence
     # interval has to contain values at or below eps_df
     assert result.interval[0] <= bound
-    assert result.failure_rate <= bound
+    check_failure_count(result)
     report(
         3,
         f"flip rate {result.flip_rate:.6f} vs beta {beta:.6f} over {result.modes_total:.0e} "
         f"modes; {result.failures} failures in 1e5 trials, interval {result.interval} "
         f"consistent with eps_df {bound:.2e}",
     )
+
+
+@pytest.mark.parametrize("seed", [26, 31, 32])
+def test_criterion_3_failure_count_on_seeds_with_failures(seed):
+    # these seeds see failures: a failure rate above eps_df, but a count that
+    # refutes neither eps_df nor the exact tail
+    result = run_round_trip(REFERENCE, 100_000, np.random.default_rng(seed))
+    assert result.failure_rate > eps_df(1000, 35, 0.4, 3.4)
+    check_failure_count(result)
 
 
 def test_criterion_4_noise_model():

@@ -13,6 +13,7 @@ from cvue.bounds import (
     asymptotic_margin,
     ber_analytic,
     binary_entropy,
+    chernoff_failure,
     conjugate_coding_bound,
     dkl_binary,
     eps_df,
@@ -24,7 +25,7 @@ from cvue.bounds import (
     tau,
     win_prob_bound,
 )
-from cvue.protocol import ProtocolParams
+from cvue.protocol import MAX_SQUEEZING, ProtocolParams
 
 
 class TestBer:
@@ -128,6 +129,23 @@ class TestEpsDf:
         assert eps_df(1000, 35, 0.4, r) == 0.0
 
 
+class TestChernoffFailure:
+    def test_eps_df_is_chernoff_at_the_noiseless_ber(self):
+        for n, t, alpha, r in [(1000, 35, 0.4, 3.4), (64, 8, 0.4, 2.0), (10, 1, 0.4, 0.0)]:
+            assert eps_df(n, t, alpha, r) == chernoff_failure(n, t, ber_analytic(alpha, r))
+
+    def test_subnormal_beta_stays_above_exact_tail(self):
+        # D_KL(1/2 || 5e-324) holds the ratio 1e323, past the largest float
+        assert chernoff_failure(2, 0, 5e-324) >= exact_failure(2, 0, 5e-324) > 0.0
+
+    @pytest.mark.parametrize(
+        "n, t, beta", [(4, 4, 0.1), (10, 2, -0.1), (10, 2, 1.5), (10, 2, math.nan)]
+    )
+    def test_argument_validation(self, n, t, beta):
+        with pytest.raises(ValueError):
+            chernoff_failure(n, t, beta)
+
+
 class TestExactFailure:
     def test_reference_point(self):
         beta = ber_analytic(0.4, 3.4)
@@ -192,6 +210,44 @@ class TestFailureProperties:
         assert exact_failure(n, t, ber_analytic(alpha, high)) <= exact_failure(
             n, t, ber_analytic(alpha, low)
         )
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(POINTS, st.floats(0.0, 1.0))
+    def test_exact_tail_below_chernoff_at_any_beta(self, point, beta):
+        # the channel's flip probability is any beta, not only ber_analytic's
+        n, t, _alpha, _r = point
+        assert 0.0 <= exact_failure(n, t, beta) <= chernoff_failure(n, t, beta) <= 1.0
+
+
+# ProtocolParams' domain: alpha positive and finite, cosh(r) finite
+ALPHAS = st.floats(0.0, exclude_min=True, allow_infinity=False)
+SQUEEZINGS = st.floats(0.0, MAX_SQUEEZING)
+
+
+class TestClosedFormProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(ALPHAS, min_size=2, max_size=2), st.lists(SQUEEZINGS, min_size=2, max_size=2))
+    def test_ber_nonincreasing_in_alpha_and_squeezing(self, alphas, squeezings):
+        (a_low, a_high), (r_low, r_high) = sorted(alphas), sorted(squeezings)
+        assert ber_analytic(a_high, r_low) <= ber_analytic(a_low, r_low)
+        assert ber_analytic(a_low, r_high) <= ber_analytic(a_low, r_low)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 1000).flatmap(
+            lambda half: st.tuples(
+                st.just(2 * half), st.integers(1, 2 * half), st.integers(0, half - 1)
+            )
+        ),
+        ALPHAS,
+        SQUEEZINGS,
+    )
+    def test_security_report_probabilities(self, sizes, alpha, squeezing):
+        num_modes, msg_len, max_errors = sizes
+        params = ProtocolParams(msg_len, num_modes, max_errors, alpha, squeezing)
+        report = security_report(params).as_dict()
+        for name in ("beta", "eps_df", "failure_exact", "win_bound"):
+            assert 0.0 <= report[name] <= 1.0
 
 
 class TestMonogamy:

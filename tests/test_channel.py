@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from cvue.bounds import ber_analytic
 from cvue.channel import (
+    CONVENTIONS,
     ChannelParams,
     displacement_scale,
     fiber_transmittance,
@@ -13,7 +16,7 @@ from cvue.channel import (
     noisy_ber,
     noisy_variance,
 )
-from cvue.protocol import ProtocolParams, encrypt, key_gen, run_round_trip
+from cvue.protocol import MAX_SQUEEZING, ProtocolParams, encrypt, key_gen, run_round_trip
 from cvue.reference import apply_channel, run_round_trip_states
 from cvue.codec import random_bits
 
@@ -55,6 +58,17 @@ class TestNoisyBer:
             assert np.isclose(
                 noisy_ber(alpha, r, identity_channel()), ber_analytic(alpha, r), rtol=1e-12
             )
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, exclude_min=True, allow_infinity=False),
+        st.floats(0.0, MAX_SQUEEZING),
+        st.sampled_from(CONVENTIONS),
+    )
+    def test_lossless_noiseless_channel_is_analytic(self, alpha, squeezing, convention):
+        expected = ber_analytic(alpha, squeezing)
+        got = noisy_ber(alpha, squeezing, ChannelParams(1.0, 0.0, convention))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_reference_value(self):
         beta = noisy_ber(0.4, 3.5, ChannelParams(0.8, 0.001))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import cvue
-from cvue.cli import load_key, main
+from cvue.cli import COMMANDS, build_parser, load_key, main
 from cvue.config import config_hash, load_config
-from cvue.bounds import exact_failure, figure_data
+from cvue.bounds import FIGURE_IDS, chernoff_failure, eps_df, exact_failure, figure_data
 
 
 BASE = {
@@ -117,6 +118,21 @@ class TestRoundtrip:
         assert payload["noisy_variance"] > 0
         # the exact tail is taken at the flip probability the trials use
         assert payload["failure_exact"] == exact_failure(32, 2, payload["beta_noisy"])
+
+    @pytest.mark.parametrize("transmittance", [0.8, 0.99])
+    def test_channel_failure_bounds_taken_at_noisy_beta(self, transmittance, config_file, capsys):
+        path = config_file(
+            protocol={"msg_len": 892, "num_modes": 1000, "max_errors": 35},
+            channel={"transmittance": transmittance, "excess_noise": 0.001},
+        )
+        code, out, _ = run(["roundtrip", path, "--format", "json", "--trials", "0"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        beta = payload["beta_noisy"]
+        assert payload["eps_df"] == chernoff_failure(1000, 35, beta)
+        assert payload["failure_exact"] <= payload["eps_df"]
+        # the noiseless Chernoff figure, 6.9e-6, bounds a run that was not made
+        assert payload["eps_df"] > eps_df(1000, 35, 0.4, 3.4)
 
     def test_csv_has_hash_comment_and_header(self, config_file, capsys):
         code, out, _ = run(["roundtrip", config_file()], capsys)
@@ -322,6 +338,44 @@ class TestDeterminism:
         assert main([command, path, "--out", str(a)]) == 0
         assert main([command, path, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_carries_between_calls(self, config_file, tmp_path, capsys):
+        path = config_file()
+        build_parser.cache_clear()
+        _, fresh, _ = run(["roundtrip", path], capsys)
+        first = tmp_path / "first.json"
+        argv = ["roundtrip", path, "--seed", "5", "--format", "json", "--out", str(first)]
+        assert main(argv) == 0
+        assert first.exists()
+        code, again, _ = run(["roundtrip", path], capsys)
+        assert code == 0
+        assert again == fresh
+
+    def test_options_may_precede_the_command(self, config_file, capsys):
+        path = config_file()
+        _, after, _ = run(["roundtrip", path, "--format", "json", "--seed", "3"], capsys)
+        _, before, _ = run(["--format", "json", "--seed", "3", "roundtrip", path], capsys)
+        assert before == after
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+    def test_help_lists_commands_and_figures(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in [*COMMANDS, "report", *FIGURE_IDS]:
+            assert re.search(rf"^  {name} +- ", out, re.MULTILINE), name
+
+    def test_unknown_command(self, config_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["encrypt", config_file()])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_config_hash_ignores_out_path(tmp_path):
