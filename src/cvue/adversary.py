@@ -6,17 +6,20 @@ splits the cipherstate (or measures it) before the key is revealed; Bob and
 Charlie then decode their shares with full key knowledge and win iff both
 recover the message.
 
-Each strategy is a kernel that returns per-trial (bob, charlie) error counts
-for a block of trials, sampled from the homodyne noise alone. Three facts
-make that exact:
-
-* the keyed offset k shifts the outcome and the threshold alike, so it
-  cancels and neither k nor the direction string is sampled;
-* the flip law is symmetric in the codeword bit (a 1 flips on the mirror
-  image of the noise that flips a 0), so every codeword is taken as all-zero;
-* a bounded-distance decoder (the oracle codec or the shortened BCH code)
-  returns the sent message iff the word carries at most t flips, so a player
-  succeeds iff their count is <= max_errors.
+Each strategy is a kernel that draws a block of trials' (bob, charlie) flip
+counts, all a trial's outcome depends on: the keyed offset shifts outcome
+and threshold alike and cancels, the flip law is symmetric in the codeword
+bit (so every codeword is taken as all-zero), and a bounded-distance decoder
+(the oracle codec or the shortened BCH code) succeeds iff a player's count
+is <= max_errors. Every strategy treats each mode alone with fresh noise, so
+a mode's (Bob flips, Charlie flips) pair is i.i.d. across the N modes, and
+the counts are drawn exactly from that four-outcome law, with a few binomial
+variates per trial whatever N is. On the beamsplitter one port flips with
+p = Phi(h) and both with p11 = Phi(h) - 2 T(h, sqrt cosh r), Owen's T, at
+h = -alpha / sqrt(1/(2 cosh r) + 1/2) (``split_flip_probs``): Bob's count is
+Bin(N, p) and, given it is b, Charlie's is Bin(b, p11/p) + Bin(N - b,
+(p - p11)/(1 - p)). cvue.reference keeps the kernels that threshold
+(block, N) Gaussian homodyne noise as the oracles for these draws.
 """
 
 from __future__ import annotations
@@ -25,36 +28,45 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import ndtr, owens_t
 
-from .bounds import tau, win_prob_bound
-from .protocol import ProtocolParams
+from .bounds import ber_analytic, tau, win_prob_bound
+from .protocol import ROUND_TRIP_BLOCK, ProtocolParams
 from .stats import wilson_interval
 
-# trials per cloning-game block; bounds the (block, N) noise arrays (32 MB
-# per float64 array at N = 1000)
-GAME_BLOCK = 4000
 
-
-def _signal(params: ProtocolParams, block: int, rng: np.random.Generator) -> np.ndarray:
-    """Keyed-quadrature outcomes of an all-zero codeword, offset removed:
-    N(alpha, 1/(2 cosh r)) per mode; an outcome below 0 is a flip."""
-    std = math.sqrt(0.5 / math.cosh(params.squeezing))
-    return rng.normal(params.alpha, std, size=(block, params.num_modes))
+def split_flip_probs(alpha: float, squeezing: float) -> tuple[float, float]:
+    """Per-mode flip law of a vacuum beamsplitter's two ports: (p, p11), the
+    probability that one port flips and that both do. The ports are
+    bivariate normal with correlation rho = (1 - cosh r)/(1 + cosh r), so
+    p11 = Phi2(h, h; rho) = Phi(h) - 2 T(h, sqrt((1 - rho)/(1 + rho))), and
+    that Owen's T argument is exactly sqrt cosh r, finite up to
+    MAX_SQUEEZING. p11 is clipped to [max(0, 2p - 1), p] against rounding."""
+    cosh_r = math.cosh(squeezing)
+    h = -alpha / math.sqrt(0.5 / cosh_r + 0.5)
+    p = float(ndtr(h))
+    p11 = p - 2.0 * float(owens_t(h, math.sqrt(cosh_r)))
+    return p, min(max(p11, 2.0 * p - 1.0, 0.0), p)
 
 
 def heterodyne_split(params: ProtocolParams, block: int, rng: np.random.Generator):
     """Mix every mode with vacuum v ~ N(0, 1/2) on a balanced beamsplitter;
     Bob homodynes port (x + v)/sqrt2, Charlie port (x - v)/sqrt2. The shared
-    signal and vacuum correlate their flips."""
-    x = _signal(params, block, rng)
-    v = rng.normal(0.0, math.sqrt(0.5), size=x.shape)
-    return np.count_nonzero(x + v < 0, axis=1), np.count_nonzero(x - v < 0, axis=1)
+    signal and vacuum correlate their flips: Charlie's count is drawn given
+    Bob's from the joint per-mode law."""
+    p, p11 = split_flip_probs(params.alpha, params.squeezing)
+    n = params.num_modes
+    bob = rng.binomial(n, p, size=block)
+    charlie = rng.binomial(bob, p11 / p if p > 0 else 0.0)
+    charlie += rng.binomial(n - bob, (p - p11) / (1.0 - p))
+    return bob, charlie
 
 
 def forward_to_bob(params: ProtocolParams, block: int, rng: np.random.Generator):
-    """Bob receives the entire cipherstate; Charlie guesses the message blind,
-    so Charlie's count is Bin(msg_len, 1/2) wrong bits and wins only at 0."""
-    bob = np.count_nonzero(_signal(params, block, rng) < 0, axis=1)
+    """Bob receives the entire cipherstate and flips like an honest receiver,
+    Bin(N, ber_analytic); Charlie guesses the message blind, so Charlie's
+    count is Bin(msg_len, 1/2) wrong bits and wins only at 0."""
+    bob = rng.binomial(params.num_modes, ber_analytic(params.alpha, params.squeezing), size=block)
     return bob, rng.binomial(params.msg_len, 0.5, size=block)
 
 
@@ -62,7 +74,8 @@ def measure_guess_basis(params: ProtocolParams, block: int, rng: np.random.Gener
     """Alice heterodynes every mode before the key reveal and forwards the same
     classical record to both players. Her q or p outcome on the keyed axis is
     one port of the heterodyne split, and both players threshold it alike."""
-    errors = heterodyne_split(params, block, rng)[0]
+    p, _ = split_flip_probs(params.alpha, params.squeezing)
+    errors = rng.binomial(params.num_modes, p, size=block)
     return errors, errors
 
 
@@ -110,7 +123,7 @@ class GameOutcome:
 def run_cloning_game(
     params: ProtocolParams, strategy, trials: int, rng: np.random.Generator
 ) -> GameOutcome:
-    """Play the cloning game ``trials`` times, in blocks of GAME_BLOCK
+    """Play the cloning game ``trials`` times, in blocks of ROUND_TRIP_BLOCK
     trials drawn from ``rng``; a win needs both players to succeed."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -120,8 +133,8 @@ def run_cloning_game(
     else:
         charlie_budget, charlie_bits = t, params.num_modes
     wins = ok_bob = ok_charlie = err_bob = err_charlie = 0
-    for start in range(0, trials, GAME_BLOCK):
-        block = min(GAME_BLOCK, trials - start)
+    for start in range(0, trials, ROUND_TRIP_BLOCK):
+        block = min(ROUND_TRIP_BLOCK, trials - start)
         bob, charlie = strategy(params, block, rng)
         bob_ok, charlie_ok = bob <= t, charlie <= charlie_budget
         ok_bob += int(bob_ok.sum())

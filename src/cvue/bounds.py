@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import bdtrc, erfc, gammaln, logsumexp, xlogy
 
-from .channel import ChannelParams, noisy_ber
+from .channel import ERFC_ZERO, ChannelParams, noisy_ber
 
 FIGURE_IDS = ("fig1", "fig2a", "fig2b", "fig4")
 
@@ -25,11 +25,12 @@ def ber_analytic(alpha: float, squeezing: float):
     """Bit error rate of honest decryption: erfc(alpha * sqrt(cosh r)) / 2."""
     alpha = np.asarray(alpha, dtype=float)
     squeezing = np.asarray(squeezing, dtype=float)
-    if np.any(alpha <= 0):
+    if (alpha <= 0).any():
         raise ValueError("alpha must be positive")
-    if np.any(squeezing < 0):
+    if (squeezing < 0).any():
         raise ValueError("squeezing must be nonnegative")
-    out = 0.5 * erfc(alpha * np.sqrt(np.cosh(squeezing)))
+    # sqrt(cosh r) >= 1: past ERFC_ZERO the clamp changes no value
+    out = 0.5 * erfc(np.minimum(alpha, ERFC_ZERO) * np.sqrt(np.cosh(squeezing)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -146,9 +147,13 @@ def win_prob_bound(msg_len: int, tau_value: float) -> float:
 def asymptotic_margin(alpha: float, squeezing: float):
     """h(beta) - (1/2 - beta)(1 - log2(1 + 2 alpha)); negative iff the
     parameter point is asymptotically securable."""
-    alpha = np.asarray(alpha, dtype=float)
     beta = ber_analytic(alpha, squeezing)
-    out = binary_entropy(beta) - (0.5 - beta) * (1.0 - np.log2(1.0 + 2.0 * alpha))
+    if np.ndim(alpha) == 0:  # Python floats overflow 1 + 2 alpha to inf without a warning
+        log_gain = np.log2(1.0 + 2.0 * float(alpha))
+    else:
+        with np.errstate(over="ignore"):
+            log_gain = np.log2(1.0 + 2.0 * np.asarray(alpha, dtype=float))
+    out = binary_entropy(beta) - (0.5 - beta) * (1.0 - log_gain)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -23,6 +23,8 @@ import numpy as np
 from scipy.special import erfc
 
 CONVENTIONS = ("paper", "symplectic")
+# erfc is 0.0 in double past 27.3: clamping an argument there changes no value
+ERFC_ZERO = 27.3
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,11 @@ def noisy_ber(alpha: float, squeezing: float, channel: ChannelParams):
     erfc(T*alpha / sqrt(T/cosh r + (1-T) + T*xi)) / 2; the ``symplectic``
     convention replaces T*alpha by sqrt(T)*alpha.
     """
-    if np.any(np.asarray(alpha) <= 0):
+    if (np.asarray(alpha) <= 0).any():
         raise ValueError("alpha must be positive")
     mean = displacement_scale(channel) * np.asarray(alpha, dtype=float)
-    out = 0.5 * erfc(mean / np.sqrt(noisy_variance(squeezing, channel)))
+    sd = math.sqrt(noisy_variance(squeezing, channel))
+    out = 0.5 * erfc(np.minimum(mean, ERFC_ZERO * sd) / sd)
     return float(out) if np.isscalar(alpha) else out
 
 

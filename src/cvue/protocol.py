@@ -29,8 +29,8 @@ from .codec import (
 )
 from .stats import truncated_normal, wilson_interval
 
-# trials per binomial draw in run_round_trip: caps its count array at 8 MB;
-# draws made in blocks are the very numbers one draw of all trials gives
+# trials per binomial draw in run_round_trip and the cloning game: caps a count
+# array at 8 MB; draws made in blocks are the very numbers one draw gives
 ROUND_TRIP_BLOCK = 1 << 20
 # largest squeezing r whose cosh(r) is a finite float (about 710.48)
 MAX_SQUEEZING = math.acosh(sys.float_info.max)

@@ -10,6 +10,9 @@ slow, literal form of something the fast paths compute directly:
   ebprep is checked against;
 * heterodyne_split / decode_half, the descriptor-level beamsplitter attack
   that the flip-count kernel adversary.heterodyne_split is checked against;
+* noise_heterodyne_split, noise_forward_to_bob and noise_measure_guess_basis,
+  the cloning-game kernels that threshold (block, N) Gaussian homodyne noise,
+  which the exact flip-count draws of cvue.adversary are checked against;
 * cipher_modes, a cipherstate as a list of single-mode GaussianState values;
 * apply_channel, the channel's map on a cipherstate's descriptors, which
   channel.noisy_ber and run_round_trip's channel branch reduce to one
@@ -287,6 +290,33 @@ def decode_half(
     if decoded is None:
         return None
     return base_decrypt(key.pad, decoded)
+
+
+def _game_signal(params: ProtocolParams, block: int, rng: np.random.Generator) -> np.ndarray:
+    """Keyed-quadrature outcomes of an all-zero codeword, offset removed:
+    N(alpha, 1/(2 cosh r)) per mode; an outcome below 0 is a flip."""
+    std = math.sqrt(0.5 / math.cosh(params.squeezing))
+    return rng.normal(params.alpha, std, size=(block, params.num_modes))
+
+
+def noise_heterodyne_split(params: ProtocolParams, block: int, rng: np.random.Generator):
+    """adversary.heterodyne_split from (block, N) homodyne noise: Bob's port
+    (x + v)/sqrt2 and Charlie's (x - v)/sqrt2 with vacuum v ~ N(0, 1/2)."""
+    x = _game_signal(params, block, rng)
+    v = rng.normal(0.0, _SQRT_HALF, size=x.shape)
+    return np.count_nonzero(x + v < 0, axis=1), np.count_nonzero(x - v < 0, axis=1)
+
+
+def noise_forward_to_bob(params: ProtocolParams, block: int, rng: np.random.Generator):
+    """adversary.forward_to_bob from (block, N) homodyne noise."""
+    bob = np.count_nonzero(_game_signal(params, block, rng) < 0, axis=1)
+    return bob, rng.binomial(params.msg_len, 0.5, size=block)
+
+
+def noise_measure_guess_basis(params: ProtocolParams, block: int, rng: np.random.Generator):
+    """adversary.measure_guess_basis from (block, N) homodyne noise."""
+    errors = noise_heterodyne_split(params, block, rng)[0]
+    return errors, errors
 
 
 # --- round trips ------------------------------------------------------------

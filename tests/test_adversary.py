@@ -1,20 +1,23 @@
 import math
+import warnings
 from math import comb
 
 import numpy as np
 import pytest
 from scipy.special import erfc
-from scipy.stats import binom, multivariate_normal, norm
+from scipy.stats import binom, chi2_contingency, multivariate_normal, norm
 
 from cvue.adversary import (
     STRATEGY_IDS,
     check_against_bound,
     make_strategy,
     run_cloning_game,
+    split_flip_probs,
 )
 from cvue.bounds import tau, win_prob_bound
 from cvue.codec import random_bits
 from cvue.protocol import (
+    MAX_SQUEEZING,
     CipherState,
     ProtocolParams,
     encrypt,
@@ -26,6 +29,9 @@ from cvue.reference import (
     cipher_modes,
     decode_half,
     heterodyne_split,
+    noise_forward_to_bob,
+    noise_heterodyne_split,
+    noise_measure_guess_basis,
     tensor,
     vacuum_state,
 )
@@ -41,20 +47,18 @@ def heterodyne_bit_error(alpha, squeezing):
     return 0.5 * erfc(math.sqrt(snr / 2))
 
 
-def heterodyne_joint_win_exact(params):
-    """Exact winning probability of the beamsplitter attack on small instances.
+def split_flip_probs_exact(alpha, squeezing):
+    """(one-port, both-port) flip probabilities of the beamsplitter attack from
+    scipy's normal and bivariate-normal CDFs.
 
     Per mode the two players' centered outcomes are bivariate normal with
-    variance (1/cosh r + 1)/4 each and covariance (1/cosh r - 1)/4; the win
-    needs both error counts to stay within the budget, summed over the
-    multinomial distribution of the four per-bit outcomes.
+    variance (1/cosh r + 1)/4 each and covariance (1/cosh r - 1)/4.
     """
-    n, t = params.num_modes, params.max_errors
     # cell probabilities from the splitter construction: centered outcomes are
     # w_b = (x + v)/sqrt2, w_c = (x - v)/sqrt2 with x ~ N(alpha, 1/(2 cosh r)), v ~ N(0, 1/2)
     scale = math.sqrt(0.5)
-    mean = [params.alpha * scale, params.alpha * scale]
-    vx = 1 / (2 * math.cosh(params.squeezing))
+    mean = [alpha * scale, alpha * scale]
+    vx = 1 / (2 * math.cosh(squeezing))
     var_b = (vx + 0.5) / 2
     cov_bc = (vx - 0.5) / 2
     p11 = float(
@@ -63,6 +67,17 @@ def heterodyne_joint_win_exact(params):
         )
     )
     p_single = float(norm.cdf(-mean[0] / math.sqrt(var_b)))
+    return p_single, p11
+
+
+def heterodyne_joint_win_exact(params):
+    """Exact winning probability of the beamsplitter attack on small instances.
+
+    The win needs both error counts to stay within the budget, summed over the
+    multinomial distribution of the four per-bit outcomes.
+    """
+    n, t = params.num_modes, params.max_errors
+    p_single, p11 = split_flip_probs_exact(params.alpha, params.squeezing)
     p10 = p_single - p11
     p01 = p_single - p11
     p00 = 1 - p10 - p01 - p11
@@ -76,6 +91,93 @@ def heterodyne_joint_win_exact(params):
                 coeff = comb(n, n11) * comb(n - n11, n10) * comb(n - n11 - n10, n01)
                 total += coeff * p11**n11 * p10**n10 * p01**n01 * p00**n00
     return total
+
+
+class TestSplitFlipProbs:
+    @pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.4, 1.0, 2.5])
+    @pytest.mark.parametrize("squeezing", [0.0, 0.3, 1.0, 2.0, 3.4, 6.0, 12.0])
+    def test_matches_bivariate_normal_cdf(self, alpha, squeezing):
+        p, p11 = split_flip_probs(alpha, squeezing)
+        p_want, p11_want = split_flip_probs_exact(alpha, squeezing)
+        assert abs(p - p_want) < 1e-9
+        assert abs(p11 - p11_want) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [1e-12, 0.4, 1e300])
+    @pytest.mark.parametrize("squeezing", [0.0, 3.4, MAX_SQUEEZING])
+    def test_finite_and_feasible_at_extremes(self, alpha, squeezing):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, p11 = split_flip_probs(alpha, squeezing)
+        assert math.isfinite(p) and math.isfinite(p11)
+        assert 0.0 <= p <= 0.5
+        assert max(0.0, 2 * p - 1) <= p11 <= p
+        params = ProtocolParams(2, 8, 1, alpha, squeezing)
+        for strategy_id in STRATEGY_IDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bob, charlie = make_strategy(strategy_id)(params, 50, np.random.default_rng(24))
+            assert 0 <= bob.min() and bob.max() <= 8 and 0 <= charlie.min() and charlie.max() <= 8
+
+    def test_feasible_across_grid(self):
+        # Phi(h) - 2 T(h, sqrt cosh r) rounds an ulp below 0 at strong
+        # squeezing, e.g. alpha 0.0685, r 12.5; the clip keeps it a probability
+        for alpha in np.geomspace(1e-12, 40.0, 60):
+            for squeezing in np.linspace(0.0, 40.0, 81):
+                p, p11 = split_flip_probs(float(alpha), float(squeezing))
+                assert max(0.0, 2 * p - 1) <= p11 <= p
+        params = ProtocolParams(4, 16, 2, 0.06847614692913304, 12.5)
+        bob, charlie = make_strategy("heterodyne_split")(params, 100, np.random.default_rng(23))
+        assert np.all(charlie <= params.num_modes)
+
+    def test_unsqueezed_ports_flip_independently(self):
+        # r = 0: the ports' noises are uncorrelated, so p11 = p^2
+        for alpha in (1e-12, 0.1, 0.4, 2.0):
+            p, p11 = split_flip_probs(alpha, 0.0)
+            assert math.isclose(p11, p * p, rel_tol=1e-12)
+
+    def test_one_port_is_the_heterodyne_bit_error(self):
+        for alpha, squeezing in ((0.4, 3.4), (0.1, 1.0), (1.5, 7.0)):
+            p, _ = split_flip_probs(alpha, squeezing)
+            assert math.isclose(p, heterodyne_bit_error(alpha, squeezing), rel_tol=1e-12)
+
+
+def _joint_count_table(fast, slow, num_modes):
+    """2 x K table of (bob, charlie) pair counts from two samples; pairs the
+    pooled sample sees fewer than 10 times share one bin."""
+    codes = [bob * (num_modes + 1) + charlie for bob, charlie in (fast, slow)]
+    size = (num_modes + 1) ** 2
+    table = np.array([np.bincount(c, minlength=size) for c in codes])
+    pooled = table.sum(axis=0)
+    rare = pooled < 10
+    return np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+
+
+class TestKernelsMatchGaussianNoise:
+    """Each flip-count kernel against its (block, N) Gaussian-noise oracle in
+    cvue.reference: a chi-square test of homogeneity on joint counts."""
+
+    @pytest.mark.parametrize(
+        "strategy_id, oracle",
+        [
+            ("heterodyne_split", noise_heterodyne_split),
+            ("forward_to_bob", noise_forward_to_bob),
+            ("measure_guess_basis", noise_measure_guess_basis),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "params",
+        [ProtocolParams(4, 16, 2, 0.4, 1.0), ProtocolParams(4, 16, 2, 0.4, 3.4)],
+        ids=["r1", "r3.4"],
+    )
+    def test_joint_counts_match_noise_kernel(self, strategy_id, oracle, params):
+        trials = 20_000
+        fast = make_strategy(strategy_id)(params, trials, np.random.default_rng(21))
+        slow = oracle(params, trials, np.random.default_rng(22))
+        for counts in (*fast, *slow):
+            assert counts.shape == (trials,)
+        table = _joint_count_table(fast, slow, params.num_modes)
+        assert table.shape[1] > 5
+        assert chi2_contingency(table).pvalue > 1e-3
 
 
 class TestHeterodyneSplit:

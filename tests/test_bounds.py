@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, logsumexp
+from scipy.special import erfc, gammaln, logsumexp
 
 from cvue.bounds import (
     SecurityReport,
@@ -51,6 +53,43 @@ class TestBer:
             ber_analytic(0.0, 1.0)
         with pytest.raises(ValueError):
             ber_analytic(0.4, -0.5)
+
+
+class TestOverflowFree:
+    """Huge alpha or squeezing inside ProtocolParams' domain returns the
+    limits without a numpy overflow warning."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_ber_at_huge_alpha(self):
+        assert ber_analytic(1e300, 50.0) == 0.0
+        assert ber_analytic(1e300, MAX_SQUEEZING) == 0.0
+        assert ber_analytic(sys.float_info.max, 0.0) == 0.0
+        values = ber_analytic(np.array([0.4, 1e300]), 3.4)
+        assert values.tolist() == [0.014233207919441758, 0.0]
+
+    @pytest.mark.parametrize("alpha", [26.0, 26.64, 27.0, 27.3, 27.4, 30.0])
+    @pytest.mark.parametrize("squeezing", [0.0, 1e-3, 0.1])
+    def test_ber_near_erfc_cutoff_is_the_plain_formula(self, alpha, squeezing):
+        want = 0.5 * erfc(alpha * np.sqrt(np.cosh(squeezing)))
+        assert ber_analytic(alpha, squeezing) == want
+
+    def test_margin_at_huge_alpha(self):
+        assert asymptotic_margin(1e308, 3.4) == math.inf
+        assert asymptotic_margin(1e300, 3.4) == pytest.approx(498.28921423310436, rel=1e-12)
+        values = asymptotic_margin(np.array([0.4, 1e300, 1e308]), 3.4)
+        assert values[0] == asymptotic_margin(0.4, 3.4)
+        assert values[1] == asymptotic_margin(1e300, 3.4)
+        assert values[2] == math.inf
+
+    def test_security_report_at_domain_edge(self):
+        report = security_report(ProtocolParams(1, 2, 0, 1e308, MAX_SQUEEZING))
+        assert report.beta == 0.0 and report.failure_exact == 0.0
+        assert report.asymptotic_margin == math.inf
 
 
 class TestEntropyAndDivergence:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ class TestNoisyBer:
     def test_alpha_positive(self):
         with pytest.raises(ValueError):
             noisy_ber(0.0, 3.5, identity_channel())
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_huge_alpha_is_warning_free(self, convention):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert noisy_ber(1e300, MAX_SQUEEZING, ChannelParams(1.0, 0.0, convention)) == 0.0
+            assert noisy_ber(1e300, 3.5, ChannelParams(0.5, 1e300, convention)) == 0.0
+            values = noisy_ber(np.array([0.4, 1e300]), 3.5, ChannelParams(0.8, 0.001, convention))
+        assert values[0] == noisy_ber(0.4, 3.5, ChannelParams(0.8, 0.001, convention))
+        assert values[1] == 0.0
+
+    @pytest.mark.parametrize("ratio", [26.0, 26.64, 27.0, 27.29, 27.31, 28.0])
+    def test_near_erfc_cutoff_is_the_plain_formula(self, ratio):
+        channel = ChannelParams(0.8, 0.001)
+        sd = math.sqrt(noisy_variance(3.5, channel))
+        alpha = ratio * sd / displacement_scale(channel)
+        want = 0.5 * erfc(displacement_scale(channel) * alpha / sd)
+        assert noisy_ber(alpha, 3.5, channel) == want
 
 
 class TestApplyChannel:

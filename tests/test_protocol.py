@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, chisquare, norm
 
 from cvue import protocol
@@ -119,6 +121,25 @@ class TestBalancedStrings:
             positions = np.flatnonzero(bits)
             direct = sum(comb(int(p), i + 1) for i, p in enumerate(positions))
             assert balanced_string_rank(bits) == direct
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda k: st.permutations([1] * k + [0] * k)))
+    def test_unrank_inverts_rank(self, ones_and_zeros):
+        bits = np.array(ones_and_zeros, dtype=np.uint8)
+        label = balanced_string_rank(bits)
+        assert 0 <= label < comb(bits.size, bits.size // 2)
+        assert np.array_equal(balanced_string_unrank(label, bits.size), bits)
+
+    @pytest.mark.parametrize("length", [2, 8, 64, 1000])
+    def test_smallest_and_largest_labels(self, length):
+        # colex order: the ones sit lowest at label 0 and highest at the last label
+        half = length // 2
+        lowest = np.array([1] * half + [0] * half, dtype=np.uint8)
+        last = comb(length, half) - 1
+        assert np.array_equal(balanced_string_unrank(0, length), lowest)
+        assert np.array_equal(balanced_string_unrank(last, length), lowest[::-1])
+        assert balanced_string_rank(lowest) == 0
+        assert balanced_string_rank(lowest[::-1]) == last
 
     def test_unrank_range_check(self):
         with pytest.raises(ValueError, match="range"):
