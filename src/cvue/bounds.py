@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import bdtrc, erfc, gammaln, logsumexp, xlogy
 
-from .channel import ERFC_ZERO, ChannelParams, noisy_ber
+from .channel import ERFC_ZERO, noisy_ber_grid
 
 FIGURE_IDS = ("fig1", "fig2a", "fig2b", "fig4")
 
@@ -25,9 +25,10 @@ def ber_analytic(alpha: float, squeezing: float):
     """Bit error rate of honest decryption: erfc(alpha * sqrt(cosh r)) / 2."""
     alpha = np.asarray(alpha, dtype=float)
     squeezing = np.asarray(squeezing, dtype=float)
-    if (alpha <= 0).any():
+    # written so that NaN fails the checks
+    if not (alpha > 0).all():
         raise ValueError("alpha must be positive")
-    if (squeezing < 0).any():
+    if not (squeezing >= 0).all():
         raise ValueError("squeezing must be nonnegative")
     # sqrt(cosh r) >= 1: past ERFC_ZERO the clamp changes no value
     out = 0.5 * erfc(np.minimum(alpha, ERFC_ZERO) * np.sqrt(np.cosh(squeezing)))
@@ -211,27 +212,73 @@ def security_report(params) -> SecurityReport:
     )
 
 
-def _grid_triple(spec, default):
-    if spec is None:
-        spec = default
+def _grid_triple(grid: dict, key: str, default):
+    """``grid[key]`` (or ``default``) as a (start, stop, count) triple with
+    finite ends and a count >= 0; anything else fails naming the key."""
+    spec = grid.get(key, default)
     try:
         start, stop, count = spec
-        return float(start), float(stop), int(count)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"grid entry must be a [start, stop, count] triple, got {spec!r}") from exc
+        start, stop = float(start), float(stop)
+        if isinstance(count, float) and not count.is_integer():
+            raise ValueError
+        count = int(count)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"grid {key} must be a [start, stop, count] triple, got {spec!r}"
+        ) from None
+    if not (math.isfinite(start) and math.isfinite(stop)) or count < 0:
+        raise ValueError(
+            f"grid {key} must have a finite start and stop and a nonnegative count, got {spec!r}"
+        )
+    return start, stop, count
 
 
-def _linspace_spec(spec, default):
-    start, stop, count = _grid_triple(spec, default)
-    return np.linspace(start, stop, count)
+def _grid_number(grid: dict, key: str, default: float) -> float:
+    """``grid[key]`` (or ``default``) as one finite float, failing naming the key."""
+    value = grid.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"grid {key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"grid {key} must be finite, got {value!r}")
+    return number
+
+
+def _grid_values(grid: dict, key: str, default) -> np.ndarray:
+    """``grid[key]`` (or ``default``) as a 1-D float array, failing naming the key."""
+    values = grid.get(key, default)
+    try:
+        return np.array([float(v) for v in values])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"grid {key} must be a list of numbers, got {values!r}") from None
+
+
+def _linspace(grid: dict, key: str, default) -> np.ndarray:
+    return np.linspace(*_grid_triple(grid, key, default))
+
+
+def _rows(*columns) -> list[tuple]:
+    """Rows of Python floats from equally long 1-D columns."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def _flat_mesh(outer, inner):
+    """Every (outer, inner) pair, outer value slowest, as two flat arrays."""
+    return [axis.ravel() for axis in np.meshgrid(outer, inner, indexing="ij")]
 
 
 def figure_data(figure_id: str, grid: dict | None = None):
     """Tabulate the data behind one of the parameter-study figures.
 
     Returns (column_names, rows); grid coordinates come first, the value
-    last. ``grid`` entries are [start, stop, count] triples (or a plain list
-    for fig2a's transmittance values), with sensible defaults per figure.
+    last, and every row holds Python ints and floats only. ``grid`` entries
+    are [start, stop, count] triples (or a plain list for fig2a's
+    transmittance values, and a number for a fixed parameter), with
+    sensible defaults per figure. fig1, fig2a and fig2b are each one array
+    evaluation over the grid; their values equal the scalar calls bit for
+    bit (``cvue.reference.figure_data_scalar`` is the loop they are tested
+    against).
 
     * fig1  - asymptotic-security margin over the (alpha, squeezing) plane.
     * fig2a - noisy BER vs squeezing for several transmittances, excess
@@ -245,42 +292,33 @@ def figure_data(figure_id: str, grid: dict | None = None):
     """
     grid = dict(grid or {})
     if figure_id == "fig1":
-        alphas = _linspace_spec(grid.get("alpha"), (0.02, 1.2, 60))
-        squeezings = _linspace_spec(grid.get("squeezing"), (2.0, 5.0, 61))
-        rows = [
-            (float(a), float(r), float(asymptotic_margin(a, r)))
-            for a in alphas
-            for r in squeezings
-        ]
-        return ["alpha", "squeezing", "margin"], rows
+        alphas = _linspace(grid, "alpha", (0.02, 1.2, 60))
+        squeezings = _linspace(grid, "squeezing", (2.0, 5.0, 61))
+        a, r = _flat_mesh(alphas, squeezings)
+        margin = asymptotic_margin(a, r)
+        return ["alpha", "squeezing", "margin"], _rows(a, r, margin)
     if figure_id == "fig2a":
-        squeezings = _linspace_spec(grid.get("squeezing"), (2.0, 4.5, 101))
-        transmittances = grid.get("transmittance", [1.0, 0.95, 0.9, 0.8])
-        alpha = float(grid.get("alpha", 0.4))
-        xi = float(grid.get("excess_noise", 0.001))
-        rows = [
-            (float(r), float(t), noisy_ber(alpha, r, ChannelParams(t, xi)))
-            for t in transmittances
-            for r in squeezings
-        ]
-        return ["squeezing", "transmittance", "beta_noisy"], rows
+        squeezings = _linspace(grid, "squeezing", (2.0, 4.5, 101))
+        transmittances = _grid_values(grid, "transmittance", [1.0, 0.95, 0.9, 0.8])
+        alpha = _grid_number(grid, "alpha", 0.4)
+        xi = _grid_number(grid, "excess_noise", 0.001)
+        t, r = _flat_mesh(transmittances, squeezings)
+        beta = noisy_ber_grid(alpha, r, t, xi)
+        return ["squeezing", "transmittance", "beta_noisy"], _rows(r, t, beta)
     if figure_id == "fig2b":
-        transmittances = _linspace_spec(grid.get("transmittance"), (0.5, 1.0, 51))
-        noises = _linspace_spec(grid.get("excess_noise"), (0.0, 0.05, 51))
-        alpha = float(grid.get("alpha", 0.4))
-        squeezing = float(grid.get("squeezing", 3.6))
-        rows = [
-            (float(t), float(xi), noisy_ber(alpha, squeezing, ChannelParams(t, xi)))
-            for t in transmittances
-            for xi in noises
-        ]
-        return ["transmittance", "excess_noise", "beta_noisy"], rows
+        transmittances = _linspace(grid, "transmittance", (0.5, 1.0, 51))
+        noises = _linspace(grid, "excess_noise", (0.0, 0.05, 51))
+        alpha = _grid_number(grid, "alpha", 0.4)
+        squeezing = _grid_number(grid, "squeezing", 3.6)
+        t, xi = _flat_mesh(transmittances, noises)
+        beta = noisy_ber_grid(alpha, squeezing, t, xi)
+        return ["transmittance", "excess_noise", "beta_noisy"], _rows(t, xi, beta)
     if figure_id == "fig4":
-        start, stop, count = _grid_triple(grid.get("msg_len"), (8, 1200, 120))
+        start, stop, count = _grid_triple(grid, "msg_len", (8, 1200, 120))
         msg_lens = np.unique(np.rint(np.geomspace(start, stop, count)).astype(int))
-        alpha = float(grid.get("alpha", 0.4))
-        squeezing = float(grid.get("squeezing", 3.6))
-        error_fraction = float(grid.get("error_fraction", 0.035))
+        alpha = _grid_number(grid, "alpha", 0.4)
+        squeezing = _grid_number(grid, "squeezing", 3.6)
+        error_fraction = _grid_number(grid, "error_fraction", 0.035)
         rate = 1.0 - binary_entropy(ber_analytic(alpha, squeezing))
         rows = []
         for n in msg_lens:

@@ -62,8 +62,17 @@ def noisy_variance(squeezing: float, channel: ChannelParams) -> float:
     The measurement variance is half this quantity, matching the noiseless
     convention where the squeezed-axis value is 1/cosh r.
     """
-    t = channel.transmittance
-    return t / math.cosh(squeezing) + (1.0 - t) + t * channel.excess_noise
+    return _variance(math.cosh(squeezing), channel.transmittance, channel.excess_noise)
+
+
+def _variance(cosh_r, transmittance, excess_noise):
+    return transmittance / cosh_r + (1.0 - transmittance) + transmittance * excess_noise
+
+
+def _ber(mean, sd):
+    # erfc is 0.0 past ERFC_ZERO, so the clamp changes no value; it keeps a
+    # huge mean from overflowing
+    return 0.5 * erfc(np.minimum(mean, ERFC_ZERO * sd) / sd)
 
 
 def noisy_ber(alpha: float, squeezing: float, channel: ChannelParams):
@@ -73,12 +82,37 @@ def noisy_ber(alpha: float, squeezing: float, channel: ChannelParams):
     erfc(T*alpha / sqrt(T/cosh r + (1-T) + T*xi)) / 2; the ``symplectic``
     convention replaces T*alpha by sqrt(T)*alpha.
     """
-    if (np.asarray(alpha) <= 0).any():
+    # written so that NaN fails the checks
+    if not (np.asarray(alpha) > 0).all():
         raise ValueError("alpha must be positive")
+    if not squeezing >= 0:
+        raise ValueError("squeezing must be nonnegative")
     mean = displacement_scale(channel) * np.asarray(alpha, dtype=float)
-    sd = math.sqrt(noisy_variance(squeezing, channel))
-    out = 0.5 * erfc(np.minimum(mean, ERFC_ZERO * sd) / sd)
+    out = _ber(mean, math.sqrt(noisy_variance(squeezing, channel)))
     return float(out) if np.isscalar(alpha) else out
+
+
+def noisy_ber_grid(alpha: float, squeezing, transmittance, excess_noise) -> np.ndarray:
+    """``noisy_ber`` under the ``paper`` convention over arrays of squeezing,
+    transmittance and excess noise, broadcast together: each value equals,
+    bit for bit, the scalar call with ``ChannelParams(T, xi)``, and every
+    value is checked as ChannelParams and noisy_ber check it."""
+    squeezing = np.asarray(squeezing, dtype=float)
+    transmittance = np.asarray(transmittance, dtype=float)
+    excess_noise = np.asarray(excess_noise, dtype=float)
+    if not ((0.0 < transmittance) & (transmittance <= 1.0)).all():
+        raise ValueError("transmittance must lie in (0, 1]")
+    if not ((0 <= excess_noise) & (excess_noise < math.inf)).all():
+        raise ValueError("excess noise must be nonnegative and finite")
+    if not (np.asarray(alpha) > 0).all():
+        raise ValueError("alpha must be positive")
+    if not (squeezing >= 0).all():
+        raise ValueError("squeezing must be nonnegative")
+    # math.cosh, as noisy_variance takes it: np.cosh differs from it by an
+    # ulp on some arguments
+    cosh_r = np.vectorize(math.cosh, otypes=[float])(squeezing)
+    sd = np.sqrt(_variance(cosh_r, transmittance, excess_noise))
+    return _ber(transmittance * np.asarray(alpha, dtype=float), sd)
 
 
 def fiber_transmittance(length_km: float, loss_db_per_km: float = 0.22) -> float:

@@ -91,7 +91,7 @@ def write_table(columns, rows, config: RunConfig) -> None:
         payload = {
             "config_hash": digest,
             "columns": list(columns),
-            "rows": [_clean(list(row)) for row in rows],
+            "rows": [list(row) for row in rows],
         }
         emit(render_json(payload), config.out)
 

@@ -23,7 +23,10 @@ slow, literal form of something the fast paths compute directly:
   that ebprep.game_equivalence_test's array kernel is checked against;
 * bch_decode_scalar, the per-bit syndrome / Berlekamp-Massey / per-point
   Chien search decoder that bch.BchCode.decode's array kernels are checked
-  against.
+  against;
+* figure_data_scalar, the figure tables built with one scalar closed-form
+  call per grid point, which bounds.figure_data's array evaluations must
+  equal bit for bit.
 
 An N-mode Gaussian state is parameterized by a displacement vector ``d``
 (quadratures ordered q1, p1, ..., qN, pN) and a covariance matrix ``G``,
@@ -43,7 +46,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bch import BchCode
-from .channel import ChannelParams, displacement_scale
+from .bounds import (
+    _grid_number,
+    _grid_triple,
+    _grid_values,
+    _linspace,
+    asymptotic_margin,
+    ber_analytic,
+    binary_entropy,
+    conjugate_coding_bound,
+    tau,
+    win_prob_bound,
+)
+from .channel import ChannelParams, displacement_scale, noisy_ber
 from .codec import base_decrypt, base_encrypt, random_bits
 from .ebprep import EquivalenceReport, eb_prepare, tmsv_covariance
 from .protocol import (
@@ -495,3 +510,61 @@ def bch_decode_scalar(code: BchCode, word: np.ndarray):
     if any(_bch_syndromes(code, np.flatnonzero(corrected))):
         return None
     return corrected[code.parity_len :]
+
+
+# --- figure tables ------------------------------------------------------------
+
+
+def figure_data_scalar(figure_id: str, grid: dict | None = None):
+    """bounds.figure_data with one scalar call per grid point: the same
+    grid readers, columns and row order, and a ChannelParams per (T, xi)."""
+    grid = dict(grid or {})
+    if figure_id == "fig1":
+        alphas = _linspace(grid, "alpha", (0.02, 1.2, 60))
+        squeezings = _linspace(grid, "squeezing", (2.0, 5.0, 61))
+        rows = [
+            (float(a), float(r), float(asymptotic_margin(a, r)))
+            for a in alphas
+            for r in squeezings
+        ]
+        return ["alpha", "squeezing", "margin"], rows
+    if figure_id == "fig2a":
+        squeezings = _linspace(grid, "squeezing", (2.0, 4.5, 101))
+        transmittances = _grid_values(grid, "transmittance", [1.0, 0.95, 0.9, 0.8])
+        alpha = _grid_number(grid, "alpha", 0.4)
+        xi = _grid_number(grid, "excess_noise", 0.001)
+        rows = [
+            (float(r), float(t), noisy_ber(alpha, r, ChannelParams(t, xi)))
+            for t in transmittances
+            for r in squeezings
+        ]
+        return ["squeezing", "transmittance", "beta_noisy"], rows
+    if figure_id == "fig2b":
+        transmittances = _linspace(grid, "transmittance", (0.5, 1.0, 51))
+        noises = _linspace(grid, "excess_noise", (0.0, 0.05, 51))
+        alpha = _grid_number(grid, "alpha", 0.4)
+        squeezing = _grid_number(grid, "squeezing", 3.6)
+        rows = [
+            (float(t), float(xi), noisy_ber(alpha, squeezing, ChannelParams(t, xi)))
+            for t in transmittances
+            for xi in noises
+        ]
+        return ["transmittance", "excess_noise", "beta_noisy"], rows
+    if figure_id == "fig4":
+        start, stop, count = _grid_triple(grid, "msg_len", (8, 1200, 120))
+        msg_lens = np.unique(np.rint(np.geomspace(start, stop, count)).astype(int))
+        alpha = _grid_number(grid, "alpha", 0.4)
+        squeezing = _grid_number(grid, "squeezing", 3.6)
+        error_fraction = _grid_number(grid, "error_fraction", 0.035)
+        rate = 1.0 - binary_entropy(ber_analytic(alpha, squeezing))
+        rows = []
+        for n in msg_lens:
+            num_modes = int(round(n / rate))
+            num_modes += num_modes % 2  # balanced direction string needs even N
+            errors = int(round(error_fraction * num_modes))
+            bound = win_prob_bound(int(n), tau(num_modes, errors, alpha))
+            rows.append(
+                (int(n), 2.0 ** -int(n), conjugate_coding_bound(int(n)), bound)
+            )
+        return ["msg_len", "ideal", "conjugate_coding", "cv_scheme"], rows
+    raise ValueError(f"unknown figure id {figure_id!r}")

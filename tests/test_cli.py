@@ -162,6 +162,13 @@ class TestBounds:
             assert code == 0
             assert out.startswith("# config=")
 
+    @pytest.mark.parametrize("fig", FIGURE_IDS)
+    def test_json_rows_are_the_library_rows(self, fig, config_file, capsys):
+        code, out, _ = run(["bounds", config_file(figure=fig), "--format", "json"], capsys)
+        assert code == 0
+        _, rows = figure_data(fig)
+        assert json.loads(out)["rows"] == [list(row) for row in rows]
+
     def test_unknown_figure_fails_cleanly(self, config_file, capsys):
         code, _, err = run(["bounds", config_file(figure="fig9")], capsys)
         assert code == 2
@@ -241,6 +248,24 @@ class TestValidation:
         code, _, err = run(["bounds", path], capsys)
         assert code == 2
         assert "triple" in err
+
+    @pytest.mark.parametrize(
+        "figure,grid,key",
+        [
+            ("fig1", {"alpha": [math.nan, 1, 3]}, "alpha"),
+            ("fig2b", {"alpha": math.nan}, "alpha"),
+            ("fig2b", {"squeezing": math.nan}, "squeezing"),
+            ("fig2b", {"alpha": [0.1, 0.2]}, "alpha"),
+            ("fig2a", {"transmittance": 0.5}, "transmittance"),
+            ("fig4", {"error_fraction": math.nan}, "error_fraction"),
+            ("fig4", {"msg_len": [8, 1200, math.inf]}, "msg_len"),
+        ],
+    )
+    def test_bad_figure_grid_names_its_key(self, figure, grid, key, config_file, capsys):
+        code, out, err = run(["bounds", config_file(figure=figure, grid=grid)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: grid {key} must")
 
     def test_bad_format_flag_rejected_by_argparse(self, config_file, capsys):
         with pytest.raises(SystemExit):
