@@ -15,8 +15,7 @@ is <= max_errors. Every strategy treats each mode alone with fresh noise, so
 a mode's (Bob flips, Charlie flips) pair is i.i.d. across the N modes, and
 the counts are drawn exactly from that four-outcome law, with a few binomial
 variates per trial whatever N is. On the beamsplitter one port flips with
-p = Phi(h) and both with p11 = Phi(h) - 2 T(h, sqrt cosh r), Owen's T, at
-h = -alpha / sqrt(1/(2 cosh r) + 1/2) (``split_flip_probs``): Bob's count is
+probability p and both with p11 (``split_flip_probs``): Bob's count is
 Bin(N, p) and, given it is b, Charlie's is Bin(b, p11/p) + Bin(N - b,
 (p - p11)/(1 - p)). cvue.reference keeps the kernels that threshold
 (block, N) Gaussian homodyne noise as the oracles for these draws.
@@ -24,29 +23,48 @@ Bin(N, p) and, given it is b, Charlie's is Bin(b, p11/p) + Bin(N - b,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
 from .bounds import ber_analytic, tau, win_prob_bound
+from .channel import flip_probability
 from .protocol import ROUND_TRIP_BLOCK, ProtocolParams
 from .stats import wilson_interval
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre rule on [0, 1]: (nodes, weights)."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
+def _port_flip_prob(alpha: float, cosh_r: float) -> float:
+    # p = Phi(-alpha / sqrt(1/(2 cosh r) + 1/2))
+    return flip_probability(alpha, math.sqrt(1.0 / cosh_r + 1.0))
+
+
 def split_flip_probs(alpha: float, squeezing: float) -> tuple[float, float]:
     """Per-mode flip law of a vacuum beamsplitter's two ports: (p, p11), the
-    probability that one port flips and that both do. The ports are
-    bivariate normal with correlation rho = (1 - cosh r)/(1 + cosh r), so
-    p11 = Phi2(h, h; rho) = Phi(h) - 2 T(h, sqrt((1 - rho)/(1 + rho))), and
-    that Owen's T argument is exactly sqrt cosh r, finite up to
-    MAX_SQUEEZING. p11 is clipped to [max(0, 2p - 1), p] against rounding."""
+    probability that one port flips and that both do. With signal noise
+    n_x ~ N(0, sigma_x^2), sigma_x^2 = 1/(2 cosh r), and vacuum u/sqrt2,
+    u ~ N(0, 1), both ports flip iff n_x < -alpha - |u|/sqrt2, so
+    p11 = 2 int_0^inf phi(u) Phi((-alpha - u/sqrt2) / sigma_x) du. The
+    integrand is positive, so p11 keeps its relative accuracy however small;
+    it decays over about sqrt2 sigma_x min(1, sigma_x / alpha), and a
+    64-node Gauss-Legendre rule on 32 such lengths (at most 12) gives p11
+    to about 1e-14."""
     cosh_r = math.cosh(squeezing)
-    h = -alpha / math.sqrt(0.5 / cosh_r + 0.5)
-    p = float(ndtr(h))
-    p11 = p - 2.0 * float(owens_t(h, math.sqrt(cosh_r)))
-    return p, min(max(p11, 2.0 * p - 1.0, 0.0), p)
+    sd = math.sqrt(1.0 / cosh_r)  # sqrt2 sigma_x
+    length = min(12.0, 32.0 * sd * min(1.0, sd / (math.sqrt(2.0) * alpha)))
+    nodes, weights = _gauss_legendre()
+    u = length * nodes
+    both = np.exp(-0.5 * u * u) * flip_probability(alpha + u * math.sqrt(0.5), sd)
+    p11 = 2.0 * length * float(weights @ both) / math.sqrt(2.0 * math.pi)
+    return _port_flip_prob(alpha, cosh_r), p11
 
 
 def heterodyne_split(params: ProtocolParams, block: int, rng: np.random.Generator):
@@ -74,7 +92,7 @@ def measure_guess_basis(params: ProtocolParams, block: int, rng: np.random.Gener
     """Alice heterodynes every mode before the key reveal and forwards the same
     classical record to both players. Her q or p outcome on the keyed axis is
     one port of the heterodyne split, and both players threshold it alike."""
-    p, _ = split_flip_probs(params.alpha, params.squeezing)
+    p = _port_flip_prob(params.alpha, math.cosh(params.squeezing))
     errors = rng.binomial(params.num_modes, p, size=block)
     return errors, errors
 

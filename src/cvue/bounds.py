@@ -1,10 +1,6 @@
-"""Closed-form quantities: bit error rate, decryption-failure bound, monogamy
-bounds, the security exponent, the asymptotic security region, and the data
-behind the parameter-study figures.
-
-Everything involving binomial coefficients at codeword lengths ~1000 is
-computed through log-gamma to stay overflow-safe.
-"""
+"""Closed-form quantities: bit error rate, decryption-failure bounds, the
+security exponent, the asymptotic security region, and the data behind the
+parameter-study figures."""
 
 from __future__ import annotations
 
@@ -12,9 +8,9 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import bdtrc, erfc, gammaln, logsumexp, xlogy
 
-from .channel import ERFC_ZERO, noisy_ber_grid
+from .channel import ERFC_ZERO, MAX_SQUEEZING, SQUEEZING_RANGE, noisy_ber_grid
+from .stats import binomial_sf, erfc
 
 FIGURE_IDS = ("fig1", "fig2a", "fig2b", "fig4")
 
@@ -28,11 +24,11 @@ def ber_analytic(alpha: float, squeezing: float):
     # written so that NaN fails the checks
     if not (alpha > 0).all():
         raise ValueError("alpha must be positive")
-    if not (squeezing >= 0).all():
-        raise ValueError("squeezing must be nonnegative")
+    if not ((squeezing >= 0) & (squeezing <= MAX_SQUEEZING)).all():
+        raise ValueError(SQUEEZING_RANGE)
     # sqrt(cosh r) >= 1: past ERFC_ZERO the clamp changes no value
     out = 0.5 * erfc(np.minimum(alpha, ERFC_ZERO) * np.sqrt(np.cosh(squeezing)))
-    return float(out) if out.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def binary_entropy(x):
@@ -40,7 +36,10 @@ def binary_entropy(x):
     x = np.asarray(x, dtype=float)
     if np.any((x < 0) | (x > 1)):
         raise ValueError("binary_entropy needs x in [0, 1]")
-    out = -(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / math.log(2.0)
+    y = 1.0 - x
+    # x log x, 0 at x = 0
+    out = -(x * np.log(np.where(x > 0, x, 1.0)) + y * np.log(np.where(y > 0, y, 1.0)))
+    out /= math.log(2.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -79,52 +78,13 @@ def chernoff_failure(num_modes: int, max_errors: int, beta: float) -> float:
 def exact_failure(num_modes: int, max_errors: int, beta: float) -> float:
     """Exact decryption-failure probability P[Bin(N, beta) > t]: the oracle
     codec fails iff more than t of the N modes flip, each independently with
-    probability beta. scipy's bdtrc evaluates the tail through the
-    regularized incomplete beta function, accurate far below eps_df."""
+    probability beta. The tail is summed term by term (stats.binomial_sf),
+    accurate far below eps_df."""
     if not 0 <= max_errors < num_modes:
         raise ValueError("need 0 <= max_errors < num_modes")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    return float(bdtrc(max_errors, num_modes, beta))
-
-
-def _log_comb(n, k):
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-
-
-def _check_monogamy_args(num_modes: int, delta: float, eps: float) -> None:
-    if num_modes < 2 or num_modes % 2 != 0:
-        raise ValueError("num_modes must be a positive even integer")
-    if delta <= 0 or eps <= 0:
-        raise ValueError("error-neighborhood half-widths must be positive")
-
-
-def monogamy_bound_exact(num_modes: int, delta: float, eps: float) -> float:
-    """Winning-probability bound for the restricted monogamy game:
-    sum_k C(M,k)^2 (2 sqrt(delta*eps))^k / C(N, M) with M = N/2.
-
-    Computed in log space; equals 1 exactly at 2 sqrt(delta*eps) = 1 by the
-    Vandermonde identity sum_k C(M,k)^2 = C(2M, M).
-    """
-    _check_monogamy_args(num_modes, delta, eps)
-    x = 2.0 * math.sqrt(delta * eps)
-    if x == 1.0:
-        return 1.0
-    half = num_modes // 2
-    ks = np.arange(half + 1)
-    log_terms = 2.0 * _log_comb(half, ks)
-    if x == 0.0:
-        log_terms = log_terms[:1]
-    else:
-        log_terms = log_terms + ks * math.log(x)
-    return float(math.exp(logsumexp(log_terms) - _log_comb(num_modes, half)))
-
-
-def monogamy_bound_relaxed(num_modes: int, delta: float, eps: float) -> float:
-    """Relaxed closed form sqrt(e) * (1/2 + sqrt(delta*eps))^(N/2)."""
-    _check_monogamy_args(num_modes, delta, eps)
-    half_exponent = (num_modes / 2.0) * math.log(0.5 + math.sqrt(delta * eps))
-    return math.exp(0.5 + half_exponent)
+    return binomial_sf(max_errors, num_modes, beta)
 
 
 def tau(num_modes: int, max_errors: int, alpha: float) -> float:

@@ -17,14 +17,19 @@ factor as the displacement.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+
+from .stats import erfc
 
 CONVENTIONS = ("paper", "symplectic")
 # erfc is 0.0 in double past 27.3: clamping an argument there changes no value
 ERFC_ZERO = 27.3
+# largest squeezing r whose cosh(r) is a finite float (about 710.48)
+MAX_SQUEEZING = math.acosh(sys.float_info.max)
+SQUEEZING_RANGE = f"squeezing must be nonnegative and at most {MAX_SQUEEZING} (cosh r finite)"
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,6 @@ class ChannelParams:
             raise ValueError("excess noise must be nonnegative and finite")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
-
-
-def identity_channel() -> ChannelParams:
-    return ChannelParams(1.0, 0.0)
 
 
 def displacement_scale(channel: ChannelParams) -> float:
@@ -69,9 +70,10 @@ def _variance(cosh_r, transmittance, excess_noise):
     return transmittance / cosh_r + (1.0 - transmittance) + transmittance * excess_noise
 
 
-def _ber(mean, sd):
-    # erfc is 0.0 past ERFC_ZERO, so the clamp changes no value; it keeps a
-    # huge mean from overflowing
+def flip_probability(mean, sd):
+    """0.5 erfc(mean / sd): the probability that an outcome N(mean, sd^2 / 2)
+    falls below the threshold 0. erfc is 0.0 past ERFC_ZERO, so clamping
+    there changes no value; it keeps a huge mean from overflowing."""
     return 0.5 * erfc(np.minimum(mean, ERFC_ZERO * sd) / sd)
 
 
@@ -85,10 +87,10 @@ def noisy_ber(alpha: float, squeezing: float, channel: ChannelParams):
     # written so that NaN fails the checks
     if not (np.asarray(alpha) > 0).all():
         raise ValueError("alpha must be positive")
-    if not squeezing >= 0:
-        raise ValueError("squeezing must be nonnegative")
+    if not 0 <= squeezing <= MAX_SQUEEZING:
+        raise ValueError(SQUEEZING_RANGE)
     mean = displacement_scale(channel) * np.asarray(alpha, dtype=float)
-    out = _ber(mean, math.sqrt(noisy_variance(squeezing, channel)))
+    out = flip_probability(mean, math.sqrt(noisy_variance(squeezing, channel)))
     return float(out) if np.isscalar(alpha) else out
 
 
@@ -106,17 +108,11 @@ def noisy_ber_grid(alpha: float, squeezing, transmittance, excess_noise) -> np.n
         raise ValueError("excess noise must be nonnegative and finite")
     if not (np.asarray(alpha) > 0).all():
         raise ValueError("alpha must be positive")
-    if not (squeezing >= 0).all():
-        raise ValueError("squeezing must be nonnegative")
+    if not ((squeezing >= 0) & (squeezing <= MAX_SQUEEZING)).all():
+        raise ValueError(SQUEEZING_RANGE)
     # math.cosh, as noisy_variance takes it: np.cosh differs from it by an
     # ulp on some arguments
     cosh_r = np.vectorize(math.cosh, otypes=[float])(squeezing)
     sd = np.sqrt(_variance(cosh_r, transmittance, excess_noise))
-    return _ber(transmittance * np.asarray(alpha, dtype=float), sd)
+    return flip_probability(transmittance * np.asarray(alpha, dtype=float), sd)
 
-
-def fiber_transmittance(length_km: float, loss_db_per_km: float = 0.22) -> float:
-    """Transmittance of a fibre span (default 0.22 dB/km, 1550 nm telecom)."""
-    if length_km < 0:
-        raise ValueError("length must be nonnegative")
-    return 10.0 ** (-loss_db_per_km * length_km / 10.0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import adversary, bounds, ebprep, protocol
 from .channel import noisy_ber, noisy_variance
-from .codec import bits_to_hex, hex_to_bits
+from .codec import bits_to_hex
 from .config import RunConfig, config_hash, load_config
 
 EPILOG = """\
@@ -60,22 +60,6 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _clean(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_clean(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    return value
-
-
 def emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -101,7 +85,7 @@ def write_record(record: dict, config: RunConfig) -> None:
         columns = list(record)
         write_table(columns, [[record[c] for c in columns]], config)
     else:
-        payload = {"config_hash": config_hash(config), **_clean(record)}
+        payload = {"config_hash": config_hash(config), **record}
         emit(render_json(payload), config.out)
 
 
@@ -116,16 +100,6 @@ def key_to_dict(key: protocol.QecmKey, config: RunConfig) -> dict:
         "label": int(key.label),
         "params": config.to_dict()["protocol"],
     }
-
-
-def load_key(path) -> tuple[protocol.QecmKey, dict]:
-    """Read a key file back into a QecmKey; returns (key, params dict)."""
-    raw = json.loads(Path(path).read_text())
-    params = raw["params"]
-    pad = hex_to_bits(raw["s"], int(params["msg_len"]))
-    directions = hex_to_bits(raw["phi"], int(params["num_modes"]))
-    key = protocol.QecmKey(pad, directions, np.array(raw["k"], dtype=float), int(raw["label"]))
-    return key, params
 
 
 # --- subcommands ------------------------------------------------------------
@@ -205,10 +179,13 @@ def cmd_ebcheck(config: RunConfig) -> int:
     )
     report = ebprep.game_equivalence_test(params, config.trials, rng)
     direct, _ = ebprep.eb_outcomes(np.ones(samples), params.alpha, params.squeezing, rng)
-    # imported here: scipy.stats takes most of a second and only ebcheck needs it
-    from scipy.stats import ks_2samp
-
-    ks = ks_2samp(accepted, direct)
+    # each arm against the closed-form law, so that an arm that is wrong fails
+    # even when the other is wrong the same way
+    ks = {}
+    for arm, outcomes in (("accepted", accepted), ("direct", direct)):
+        ks[f"ks_statistic_{arm}"], ks[f"ks_pvalue_{arm}"] = ebprep.outcome_ks(
+            outcomes, params.squeezing, params.alpha
+        )
     payload = {
         "config_hash": config_hash(config),
         "equivalence": report.as_dict(),
@@ -218,8 +195,7 @@ def cmd_ebcheck(config: RunConfig) -> int:
             "acceptance_ratio": samples / attempts,
             "expected_ratio": ebprep.window_mass(params.squeezing, params.alpha),
             "conditional_cov_error": ebprep.conditional_cov_error(cond_cov, params.squeezing),
-            "ks_statistic": float(ks.statistic),
-            "ks_pvalue": float(ks.pvalue),
+            **ks,
         },
     }
     emit(render_json(payload), config.out)

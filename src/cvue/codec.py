@@ -32,22 +32,6 @@ def bits_to_hex(bits: np.ndarray) -> str:
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
 
 
-def hex_to_bits(hexstr: str, length: int) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8)
-    bits = np.unpackbits(raw)[:length]
-    if bits.size != length:
-        raise ValueError("hex string too short for requested bit length")
-    return bits.astype(np.uint8)
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise ValueError("length mismatch")
-    return int(np.count_nonzero(a != b))
-
-
 def check_message_bits(message: np.ndarray) -> None:
     if not np.isin(message, (0, 1)).all():
         raise ValueError("message bits must be 0 or 1")
@@ -153,7 +137,7 @@ class OracleCodec:
         word = np.asarray(word, dtype=np.uint8)
         if word.shape != (self.spec.code_len,):
             raise ValueError(f"word must have length {self.spec.code_len}")
-        if hamming_distance(word, self._codeword) <= self.spec.max_errors:
+        if np.count_nonzero(word != self._codeword) <= self.spec.max_errors:
             return self._message.copy()
         return None
 

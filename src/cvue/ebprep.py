@@ -13,7 +13,8 @@ measurement statistics (the truncation makes the joint state non-Gaussian,
 but every protocol-relevant quantity factors through the challenger's
 homodyne). Everything here works on arrays drawn straight from the
 caller's generator: eb_outcomes samples any number of challenger outcomes
-at once, game_equivalence_test runs its trials in (block, N) arrays, and
+at once (cvue.reference.eb_prepare builds whole cipherstates from them),
+game_equivalence_test runs its trials in (block, N) arrays, and
 eb_rejection_oracle, an independent cross-check built from the unrestricted
 two-mode squeezed state, accepts its samples in vectorised blocks and
 conditions them all with one Schur complement.
@@ -26,9 +27,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .codec import base_encrypt, check_message_bits
-from .protocol import CipherState, ProtocolParams, _mode_arrays
-from .stats import normal_window, truncated_normal, two_proportion_ztest
+from .protocol import ProtocolParams
+from .stats import ks_test, ndtr, normal_window, truncated_normal, two_proportion_ztest
 
 # eb_rejection_oracle refuses a run whose expected number of draws,
 # samples / window_mass, exceeds this (10**8 draws take ~2 s on a 2-vCPU VM)
@@ -59,6 +59,15 @@ def window_mass(squeezing: float, alpha: float) -> float:
     return float(hi - lo)
 
 
+def outcome_ks(outcomes, squeezing: float, alpha: float) -> tuple[float, float]:
+    """One-sample Kolmogorov-Smirnov test, (statistic, p-value), of challenger
+    outcomes for codeword bit 0 against their law: N(alpha, cosh(r)/2)
+    restricted to the window (0, 2 alpha)."""
+    sigma = _challenger_sigma(squeezing)
+    lo, hi = normal_window(sigma, alpha)
+    return ks_test(outcomes, lambda u: (ndtr((u - alpha) / sigma) - lo) / (hi - lo))
+
+
 def eb_outcomes(signs, alpha: float, squeezing: float, rng: np.random.Generator):
     """Challenger outcomes and derived offsets for modes of the given signs.
 
@@ -73,29 +82,6 @@ def eb_outcomes(signs, alpha: float, squeezing: float, rng: np.random.Generator)
         _challenger_sigma(squeezing), alpha, rng, centers.shape
     )
     return outcomes, (outcomes - centers) * math.tanh(squeezing)
-
-
-def eb_prepare(
-    params: ProtocolParams,
-    pad: np.ndarray,
-    directions: np.ndarray,
-    message: np.ndarray,
-    rng: np.random.Generator,
-    codec,
-) -> tuple[np.ndarray, np.ndarray, CipherState]:
-    """Prepare a cipherstate the entanglement-based way.
-
-    Runs the classical layer with the given pad, samples every mode's
-    challenger outcome and derives its offset; the conditional cipherstate
-    has exactly the direct encryption map's per-mode descriptors.
-    Returns (outcomes, offsets, cipher).
-    """
-    check_message_bits(message)
-    codeword = codec.encode(base_encrypt(pad, message))
-    signs = 1.0 - 2.0 * np.asarray(codeword, dtype=float)
-    outcomes, offsets = eb_outcomes(signs, params.alpha, params.squeezing, rng)
-    disp, cov = _mode_arrays(codeword, directions, offsets, params.alpha, params.squeezing)
-    return outcomes, offsets, CipherState(disp, cov)
 
 
 def tmsv_covariance(squeezing: float) -> np.ndarray:

@@ -10,15 +10,13 @@ each mode along the keyed direction and thresholds at the offset.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .bounds import ber_analytic
-from .channel import noisy_ber
+from .channel import MAX_SQUEEZING, SQUEEZING_RANGE, noisy_ber
 from .codec import (
     CodecSpec,
     base_decrypt,
@@ -32,8 +30,6 @@ from .stats import truncated_normal, wilson_interval
 # trials per binomial draw in run_round_trip and the cloning game: caps a count
 # array at 8 MB; draws made in blocks are the very numbers one draw gives
 ROUND_TRIP_BLOCK = 1 << 20
-# largest squeezing r whose cosh(r) is a finite float (about 710.48)
-MAX_SQUEEZING = math.acosh(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,7 @@ class ProtocolParams:
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
         if not 0 <= self.squeezing <= MAX_SQUEEZING:
-            raise ValueError(
-                f"squeezing must lie in [0, {MAX_SQUEEZING}] so that cosh(r) is finite"
-            )
+            raise ValueError(SQUEEZING_RANGE)
         # delegates msg_len/num_modes/max_errors checks, incl. concrete realizability
         self.codec_spec()
 
@@ -107,21 +101,6 @@ class QecmKey:
     @property
     def num_modes(self) -> int:
         return self.directions.size
-
-
-def validate_key(key: QecmKey, params: ProtocolParams) -> None:
-    """Check a key against the parameter set it claims to belong to."""
-    if key.pad.size != params.msg_len:
-        raise ValueError("pad length does not match params")
-    if key.num_modes != params.num_modes:
-        raise ValueError("direction string length does not match params")
-    bound = params.alpha * math.tanh(params.squeezing)
-    if np.any(np.abs(key.offsets) >= bound) and params.squeezing > 0:
-        raise ValueError("offsets must lie strictly inside the truncation interval")
-    if params.squeezing == 0 and np.any(key.offsets != 0):
-        raise ValueError("offsets must be zero at zero squeezing")
-    if balanced_string_rank(key.directions) != key.label:
-        raise ValueError("label does not match the direction string")
 
 
 @dataclass(frozen=True)
@@ -191,28 +170,6 @@ def balanced_string_rank(bits: np.ndarray) -> int:
         i += 1
         rank += value
     return rank
-
-
-def balanced_string_unrank(label: int, length: int, weight: int | None = None) -> np.ndarray:
-    """Inverse of balanced_string_rank for strings of the given length/weight."""
-    if weight is None:
-        weight = length // 2
-    if not 0 <= label < comb(length, weight):
-        raise ValueError("label out of range for this weight class")
-    bits = np.zeros(length, dtype=np.uint8)
-    remaining = label
-    p = length - 1
-    value = comb(p, weight)  # C(p, i) along the walk
-    for i in range(weight, 0, -1):
-        while value > remaining:
-            value = value * (p - i) // p
-            p -= 1
-        bits[p] = 1
-        remaining -= value
-        # move to C(p-1, i-1) for the next, lower one-position
-        value = value * i // p if p else 0
-        p -= 1
-    return bits
 
 
 def key_gen(params: ProtocolParams, rng: np.random.Generator) -> QecmKey:

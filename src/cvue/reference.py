@@ -19,14 +19,24 @@ slow, literal form of something the fast paths compute directly:
   per-mode flip probability;
 * run_round_trip_states, the full key_gen/encrypt/decrypt loop that
   protocol.run_round_trip's flip-count shortcut is checked against;
-* game_equivalence_states, the per-trial key_gen/encrypt/eb_prepare loop
-  that ebprep.game_equivalence_test's array kernel is checked against;
+* eb_prepare, a whole cipherstate prepared the entanglement-based way from
+  ebprep.eb_outcomes, and game_equivalence_states, the per-trial
+  key_gen/encrypt/eb_prepare loop that ebprep.game_equivalence_test's array
+  kernel is checked against;
 * bch_decode_scalar, the per-bit syndrome / Berlekamp-Massey / per-point
   Chien search decoder that bch.BchCode.decode's array kernels are checked
   against;
 * figure_data_scalar, the figure tables built with one scalar closed-form
   call per grid point, which bounds.figure_data's array evaluations must
-  equal bit for bit.
+  equal bit for bit;
+* helpers that only the tests call: load_key and hex_to_bits (reading back
+  a ``cvue keygen`` key file), validate_key and balanced_string_unrank (the
+  key's invariants and the inverse of its label rank), identity_channel, and
+  the monogamy-game bounds monogamy_bound_exact and monogamy_bound_relaxed,
+  paper identities the acceptance tests check.
+
+This module imports scipy, a dependency of the ``test`` extra only; the
+simulator itself needs numpy alone.
 
 An N-mode Gaussian state is parameterized by a displacement vector ``d``
 (quadratures ordered q1, p1, ..., qN, pN) and a covariance matrix ``G``,
@@ -40,10 +50,14 @@ from __future__ import annotations
 
 import enum
 import itertools
+import json
 import math
 from dataclasses import dataclass
+from math import comb
+from pathlib import Path
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from .bch import BchCode
 from .bounds import (
@@ -59,13 +73,15 @@ from .bounds import (
     win_prob_bound,
 )
 from .channel import ChannelParams, displacement_scale, noisy_ber
-from .codec import base_decrypt, base_encrypt, random_bits
-from .ebprep import EquivalenceReport, eb_prepare, tmsv_covariance
+from .codec import base_decrypt, base_encrypt, check_message_bits, random_bits
+from .ebprep import EquivalenceReport, eb_outcomes, tmsv_covariance
 from .protocol import (
     CipherState,
     ProtocolParams,
     QecmKey,
     RoundTripResult,
+    _mode_arrays,
+    balanced_string_rank,
     encrypt,
     key_gen,
     measure_codeword,
@@ -382,6 +398,29 @@ def run_round_trip_states(
     )
 
 
+def eb_prepare(
+    params: ProtocolParams,
+    pad: np.ndarray,
+    directions: np.ndarray,
+    message: np.ndarray,
+    rng: np.random.Generator,
+    codec,
+) -> tuple[np.ndarray, np.ndarray, CipherState]:
+    """Prepare a cipherstate the entanglement-based way.
+
+    Runs the classical layer with the given pad, samples every mode's
+    challenger outcome and derives its offset; the conditional cipherstate
+    has exactly the direct encryption map's per-mode descriptors.
+    Returns (outcomes, offsets, cipher).
+    """
+    check_message_bits(message)
+    codeword = codec.encode(base_encrypt(pad, message))
+    signs = 1.0 - 2.0 * np.asarray(codeword, dtype=float)
+    outcomes, offsets = eb_outcomes(signs, params.alpha, params.squeezing, rng)
+    disp, cov = _mode_arrays(codeword, directions, offsets, params.alpha, params.squeezing)
+    return outcomes, offsets, CipherState(disp, cov)
+
+
 def game_equivalence_states(
     params: ProtocolParams, trials: int, rng: np.random.Generator
 ) -> EquivalenceReport:
@@ -568,3 +607,104 @@ def figure_data_scalar(figure_id: str, grid: dict | None = None):
             )
         return ["msg_len", "ideal", "conjugate_coding", "cv_scheme"], rows
     raise ValueError(f"unknown figure id {figure_id!r}")
+
+
+# --- test-only helpers --------------------------------------------------------
+
+
+def load_key(path) -> tuple[QecmKey, dict]:
+    """Read a key file back into a QecmKey; returns (key, params dict)."""
+    raw = json.loads(Path(path).read_text())
+    params = raw["params"]
+    pad = hex_to_bits(raw["s"], int(params["msg_len"]))
+    directions = hex_to_bits(raw["phi"], int(params["num_modes"]))
+    key = QecmKey(pad, directions, np.array(raw["k"], dtype=float), int(raw["label"]))
+    return key, params
+
+
+def hex_to_bits(hexstr: str, length: int) -> np.ndarray:
+    raw = np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8)
+    bits = np.unpackbits(raw)[:length]
+    if bits.size != length:
+        raise ValueError("hex string too short for requested bit length")
+    return bits.astype(np.uint8)
+
+
+def validate_key(key: QecmKey, params: ProtocolParams) -> None:
+    """Check a key against the parameter set it claims to belong to."""
+    if key.pad.size != params.msg_len:
+        raise ValueError("pad length does not match params")
+    if key.num_modes != params.num_modes:
+        raise ValueError("direction string length does not match params")
+    bound = params.alpha * math.tanh(params.squeezing)
+    if np.any(np.abs(key.offsets) >= bound) and params.squeezing > 0:
+        raise ValueError("offsets must lie strictly inside the truncation interval")
+    if params.squeezing == 0 and np.any(key.offsets != 0):
+        raise ValueError("offsets must be zero at zero squeezing")
+    if balanced_string_rank(key.directions) != key.label:
+        raise ValueError("label does not match the direction string")
+
+
+def balanced_string_unrank(label: int, length: int, weight: int | None = None) -> np.ndarray:
+    """Inverse of balanced_string_rank for strings of the given length/weight."""
+    if weight is None:
+        weight = length // 2
+    if not 0 <= label < comb(length, weight):
+        raise ValueError("label out of range for this weight class")
+    bits = np.zeros(length, dtype=np.uint8)
+    remaining = label
+    p = length - 1
+    value = comb(p, weight)  # C(p, i) along the walk
+    for i in range(weight, 0, -1):
+        while value > remaining:
+            value = value * (p - i) // p
+            p -= 1
+        bits[p] = 1
+        remaining -= value
+        # move to C(p-1, i-1) for the next, lower one-position
+        value = value * i // p if p else 0
+        p -= 1
+    return bits
+
+
+def identity_channel() -> ChannelParams:
+    return ChannelParams(1.0, 0.0)
+
+
+def _log_comb(n, k):
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def _check_monogamy_args(num_modes: int, delta: float, eps: float) -> None:
+    if num_modes < 2 or num_modes % 2 != 0:
+        raise ValueError("num_modes must be a positive even integer")
+    if delta <= 0 or eps <= 0:
+        raise ValueError("error-neighborhood half-widths must be positive")
+
+
+def monogamy_bound_exact(num_modes: int, delta: float, eps: float) -> float:
+    """Winning-probability bound for the restricted monogamy game:
+    sum_k C(M,k)^2 (2 sqrt(delta*eps))^k / C(N, M) with M = N/2.
+
+    Computed in log space; equals 1 exactly at 2 sqrt(delta*eps) = 1 by the
+    Vandermonde identity sum_k C(M,k)^2 = C(2M, M).
+    """
+    _check_monogamy_args(num_modes, delta, eps)
+    x = 2.0 * math.sqrt(delta * eps)
+    if x == 1.0:
+        return 1.0
+    half = num_modes // 2
+    ks = np.arange(half + 1)
+    log_terms = 2.0 * _log_comb(half, ks)
+    if x == 0.0:
+        log_terms = log_terms[:1]
+    else:
+        log_terms = log_terms + ks * math.log(x)
+    return float(math.exp(logsumexp(log_terms) - _log_comb(num_modes, half)))
+
+
+def monogamy_bound_relaxed(num_modes: int, delta: float, eps: float) -> float:
+    """Relaxed closed form sqrt(e) * (1/2 + sqrt(delta*eps))^(N/2)."""
+    _check_monogamy_args(num_modes, delta, eps)
+    half_exponent = (num_modes / 2.0) * math.log(0.5 + math.sqrt(delta * eps))
+    return math.exp(0.5 + half_exponent)

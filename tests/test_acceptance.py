@@ -20,15 +20,14 @@ from cvue.bounds import (
     ber_analytic,
     eps_df,
     exact_failure,
-    monogamy_bound_exact,
-    monogamy_bound_relaxed,
     tau,
 )
 from cvue.channel import ChannelParams, noisy_ber
 from cvue.cli import main
 from cvue.codec import random_bits
-from cvue.ebprep import eb_prepare, eb_rejection_oracle
+from cvue.ebprep import eb_rejection_oracle
 from cvue.protocol import ProtocolParams, key_gen, run_round_trip, sample_key_offset
+from cvue.reference import eb_prepare, monogamy_bound_exact, monogamy_bound_relaxed
 
 REFERENCE = ProtocolParams(892, 1000, 35, 0.4, 3.4)
 

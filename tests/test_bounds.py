@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc, gammaln, logsumexp
+from scipy.special import gammaln, logsumexp
 
 from cvue.bounds import (
     SecurityReport,
@@ -21,13 +21,12 @@ from cvue.bounds import (
     eps_df,
     exact_failure,
     figure_data,
-    monogamy_bound_exact,
-    monogamy_bound_relaxed,
     security_report,
     tau,
     win_prob_bound,
 )
 from cvue.protocol import MAX_SQUEEZING, ProtocolParams
+from cvue.reference import monogamy_bound_exact, monogamy_bound_relaxed
 
 
 class TestBer:
@@ -70,12 +69,12 @@ class TestOverflowFree:
         assert ber_analytic(1e300, MAX_SQUEEZING) == 0.0
         assert ber_analytic(sys.float_info.max, 0.0) == 0.0
         values = ber_analytic(np.array([0.4, 1e300]), 3.4)
-        assert values.tolist() == [0.014233207919441758, 0.0]
+        assert values.tolist() == [0.01423320791944176, 0.0]
 
     @pytest.mark.parametrize("alpha", [26.0, 26.64, 27.0, 27.3, 27.4, 30.0])
     @pytest.mark.parametrize("squeezing", [0.0, 1e-3, 0.1])
     def test_ber_near_erfc_cutoff_is_the_plain_formula(self, alpha, squeezing):
-        want = 0.5 * erfc(alpha * np.sqrt(np.cosh(squeezing)))
+        want = 0.5 * math.erfc(alpha * np.sqrt(np.cosh(squeezing)))
         assert ber_analytic(alpha, squeezing) == want
 
     def test_margin_at_huge_alpha(self):

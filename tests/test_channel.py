@@ -12,13 +12,11 @@ from cvue.channel import (
     CONVENTIONS,
     ChannelParams,
     displacement_scale,
-    fiber_transmittance,
-    identity_channel,
     noisy_ber,
     noisy_variance,
 )
 from cvue.protocol import MAX_SQUEEZING, ProtocolParams, encrypt, key_gen, run_round_trip
-from cvue.reference import apply_channel, run_round_trip_states
+from cvue.reference import apply_channel, identity_channel, run_round_trip_states
 from cvue.codec import random_bits
 
 
@@ -98,7 +96,7 @@ class TestNoisyBer:
         channel = ChannelParams(0.8, 0.001)
         sd = math.sqrt(noisy_variance(3.5, channel))
         alpha = ratio * sd / displacement_scale(channel)
-        want = 0.5 * erfc(displacement_scale(channel) * alpha / sd)
+        want = 0.5 * math.erfc(displacement_scale(channel) * alpha / sd)
         assert noisy_ber(alpha, 3.5, channel) == want
 
 
@@ -175,9 +173,3 @@ class TestMonteCarloAgreement:
         sd = math.sqrt(beta * (1 - beta) / result.modes_total)
         assert abs(result.flip_rate - beta) < 5 * sd
 
-
-def test_fiber_transmittance():
-    assert np.isclose(fiber_transmittance(0.0), 1.0)
-    assert np.isclose(fiber_transmittance(5.0), 10 ** (-0.11))
-    # ~5 km of standard fibre lands near T = 0.8
-    assert abs(fiber_transmittance(5.0) - 0.8) < 0.03

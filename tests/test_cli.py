@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import cvue
-from cvue.cli import COMMANDS, build_parser, load_key, main
+from cvue.adversary import STRATEGY_IDS
+from cvue.cli import COMMANDS, build_parser, main
 from cvue.config import config_hash, load_config
 from cvue.bounds import FIGURE_IDS, chernoff_failure, eps_df, exact_failure, figure_data
+from cvue.reference import load_key
 
 
 BASE = {
@@ -267,6 +269,18 @@ class TestValidation:
         assert out == ""
         assert err.startswith(f"error: grid {key} must")
 
+    @pytest.mark.parametrize(
+        "figure,grid",
+        [("fig1", {"squeezing": [0, 800, 3]}), ("fig2a", {"squeezing": [0, 800, 3]}),
+         ("fig2b", {"squeezing": 800})],
+    )
+    def test_figure_squeezing_past_cosh_overflow(self, figure, grid, config_file, capsys):
+        # cosh(800) overflows a float: refused like ProtocolParams refuses it
+        code, out, err = run(["bounds", config_file(figure=figure, grid=grid)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: squeezing must be nonnegative and at most 710.4")
+
     def test_bad_format_flag_rejected_by_argparse(self, config_file, capsys):
         with pytest.raises(SystemExit):
             main(["bounds", config_file(), "--format", "xml"])
@@ -334,14 +348,52 @@ def test_dropped_protocol_keys_are_ignored(config_file, tmp_path, capsys):
     assert key.pad.size == params["msg_len"] == 16
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "cvue.reference"])
-def test_cli_import_leaves_scipy_stats_unloaded(module):
-    # scipy.stats costs most of a second of start-up and only ebcheck imports
-    # it; cvue.reference holds test oracles that no subcommand may use
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports cvue from this checkout."""
     src = str(Path(cvue.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = f"import cvue.cli, sys; assert {module!r} not in sys.modules"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("module", ["scipy", "scipy.stats", "cvue.reference"])
+def test_cli_import_leaves_scipy_stats_unloaded(module):
+    # scipy takes most of a process's start-up and the runtime needs none of
+    # it; cvue.reference holds test oracles that no subcommand may use
+    done = run_python(f"import cvue.cli, sys; assert {module!r} not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    configs = Path(cvue.__file__).resolve().parents[2] / "configs"
+
+    def derived(base, **updates):
+        raw = json.loads((configs / base).read_text())
+        raw.update(updates)
+        path = tmp_path / f"{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    paper, noisy = str(configs / "paper_point.json"), str(configs / "noisy_link.json")
+    runs = [
+        ["keygen", paper],
+        ["roundtrip", paper, "--trials", "1000"],
+        ["roundtrip", noisy, "--trials", "1000"],
+        ["bounds", paper],
+        *(["bounds", derived("fig2a.json", figure=f, grid={})] for f in FIGURE_IDS),
+        *(["attack", derived("attack_heterodyne.json", strategy=s), "--trials", "100"]
+          for s in STRATEGY_IDS),
+        ["ebcheck", str(configs / "ebcheck.json"), "--trials", "5"],
+    ]
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from cvue.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert main(argv + ['--out', {out!r}]) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    done = run_python(code)
     assert done.returncode == 0, done.stderr
 
 

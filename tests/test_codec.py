@@ -9,11 +9,10 @@ from cvue.codec import (
     base_encrypt,
     bits_to_hex,
     concrete_spec,
-    hamming_distance,
-    hex_to_bits,
     make_codec,
     random_bits,
 )
+from cvue.reference import hex_to_bits
 
 
 class TestBaseCipher:
@@ -54,9 +53,6 @@ class TestBitHelpers:
     def test_hex_too_short(self):
         with pytest.raises(ValueError):
             hex_to_bits("ff", 100)
-
-    def test_hamming(self):
-        assert hamming_distance(np.array([1, 0, 1]), np.array([0, 0, 1])) == 1
 
 
 class TestCodecSpec:

@@ -9,7 +9,6 @@ from cvue.codec import random_bits
 from cvue.ebprep import (
     conditional_cov_error,
     eb_outcomes,
-    eb_prepare,
     eb_rejection_oracle,
     game_equivalence_test,
 )
@@ -24,6 +23,7 @@ from cvue.protocol import (
 from cvue.reference import (
     Quadrature,
     condition_on_homodyne,
+    eb_prepare,
     game_equivalence_states,
     two_mode_squeezed,
 )

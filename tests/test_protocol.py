@@ -17,16 +17,21 @@ from cvue.protocol import (
     ProtocolParams,
     QecmKey,
     balanced_string_rank,
-    balanced_string_unrank,
     decrypt,
     encrypt,
     key_gen,
     measure_codeword,
     run_round_trip,
     sample_key_offset,
+)
+from cvue.reference import (
+    Quadrature,
+    balanced_string_unrank,
+    cipher_modes,
+    homodyne_sample,
+    run_round_trip_states,
     validate_key,
 )
-from cvue.reference import Quadrature, cipher_modes, homodyne_sample, run_round_trip_states
 from cvue.stats import two_proportion_ztest
 
 REFERENCE = ProtocolParams(892, 1000, 35, 0.4, 3.4)
