@@ -6,18 +6,30 @@ with multiplication through exp/log tables of a primitive element alpha.
 
 A designed-distance code correcting t errors has generator polynomial
 g(x) = lcm of the minimal polynomials of alpha^1 ... alpha^2t; the code
-length is 2^m - 1 and the message length is (2^m - 1) - deg(g). Encoding
-is systematic (message bits occupy the high-order coefficients). Decoding
-computes the 2t syndromes and the Chien root search as array gathers over
-the exp table, with a scalar Berlekamp-Massey in between, and reports
-failure when the error locator is inconsistent with any pattern of
-weight <= t.
+length is n = 2^m - 1 and the message length is n - deg(g).
+
+Each code builds three tables once, so that no encode or decode does a
+bigint division, a multiply or a modulo per bit:
+
+* a packed parity table whose row i is x^(deg g + i) mod g; systematic
+  encoding (message bits in the high-order coefficients) XORs the rows of
+  the set message bits;
+* an (n, 2t) table of alpha^(i*j); the syndromes S_1..S_2t of a word are
+  one gather of its set positions' rows and one XOR reduce;
+* a (t+1, n) table of (-k*i) mod n; the Chien search evaluates the error
+  locator at every alpha^-i as one gather from the doubled exp table and
+  one XOR reduce.
+
+Between the two, Berlekamp-Massey runs in its binary form: a binary
+word's syndromes satisfy S_2j = S_j^2, which makes every even-step
+discrepancy zero (Berlekamp 1968; Lin & Costello, Error Control Coding,
+sec. 6.2), so only the t odd steps run, with products in the log domain.
+Decoding fails when the locator fits no error pattern of weight <= t.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -36,14 +48,6 @@ _PRIMITIVE_POLY = {
 SUPPORTED_LENGTHS = tuple(sorted((1 << m) - 1 for m in _PRIMITIVE_POLY))
 
 
-def _poly_mod(a: int, b: int) -> int:
-    # remainder of GF(2)[x] division
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
 def _poly_mul(a: int, b: int) -> int:
     result = 0
     while b:
@@ -56,7 +60,7 @@ def _poly_mul(a: int, b: int) -> int:
 
 @functools.cache
 def _shared_code(m: int, t: int) -> "BchCode":
-    # the field and generator take milliseconds to build; instances are immutable
+    # the field, generator and tables take milliseconds to build; instances are immutable
     return BchCode(m, t)
 
 
@@ -85,6 +89,7 @@ class BchCode:
         self.msg_len = self.length - self.parity_len
         if self.msg_len <= 0:
             raise ValueError(f"t={t} leaves no message bits at length {self.length}")
+        self._build_tables()
 
     @classmethod
     def for_length(cls, length: int, t: int) -> "BchCode":
@@ -102,11 +107,13 @@ class BchCode:
         raise ValueError(f"code length must be at most {SUPPORTED_LENGTHS[-1]}")
 
     def _build_field(self) -> None:
-        # exp[i] = alpha^i for i < 2*length (doubled so log sums need no modulo)
+        # exp[i] = alpha^i for i < 2*length (doubled so log sums need no
+        # modulo), then zeros: log[0] = 2*length, so a log sum with a zero
+        # operand lands in the zeros and a product with 0 needs no branch
         order = self.length
         prim = _PRIMITIVE_POLY[self.m]
-        exp = [0] * (2 * order)
-        log = [0] * (order + 1)
+        exp = [0] * (4 * order + 1)
+        log = [2 * order] * (order + 1)
         x = 1
         for i in range(order):
             exp[i] = exp[i + order] = x
@@ -115,16 +122,35 @@ class BchCode:
             if x & (order + 1):
                 x ^= prim
         self._exp, self._log = tuple(exp), tuple(log)  # scalar lookups
-        self._exp_table = np.array(exp, dtype=np.int64)  # array gathers
+        self._exp_table = np.array(exp[: 2 * order], dtype=np.int64)  # array gathers
         self._exp_table.flags.writeable = False
+
+    def _build_tables(self) -> None:
+        n, t = self.length, self.t
+        points = np.arange(n)
+        # syndrome powers alpha^(i*j), j = 1..2t, and Chien exponents
+        # (-k*i) mod n, k = 0..t; m <= 10, so 16 bits hold every entry
+        exponents = points[:, None] * np.arange(1, 2 * t + 1) % n
+        self._syndrome_table = self._exp_table.astype(np.uint16)[exponents]
+        self._chien_table = (-np.arange(t + 1)[:, None] * points % n).astype(np.int16)
+        # parity rows x^(parity_len + i) mod g, each the last one times x
+        top = 1 << self.parity_len
+        row = self.generator ^ top
+        nbytes = (self.parity_len + 7) // 8
+        rows = []
+        for _ in range(self.msg_len):
+            rows.append(row.to_bytes(nbytes, "little"))
+            row <<= 1
+            if row & top:
+                row ^= self.generator
+        self._parity_table = np.frombuffer(b"".join(rows), np.uint8).reshape(self.msg_len, -1)
+        for table in (self._syndrome_table, self._chien_table):
+            table.flags.writeable = False
 
     def _gf_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
-
-    def _gf_inv(self, a: int) -> int:
-        return self._exp[self.length - self._log[a]]
 
     def _minimal_poly(self, coset: list[int]) -> int:
         # product of (x - alpha^j) over the cyclotomic coset
@@ -160,11 +186,10 @@ class BchCode:
             raise ValueError(f"message must have length {self.msg_len}")
         if not np.isin(message, (0, 1)).all():
             raise ValueError("message bits must be 0 or 1")
-        packed = np.packbits(message.astype(np.uint8), bitorder="little")
-        shifted = int.from_bytes(packed.tobytes(), "little") << self.parity_len
-        word = shifted | _poly_mod(shifted, self.generator)
-        raw = np.frombuffer(word.to_bytes((self.length + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(raw, count=self.length, bitorder="little")
+        bits = message.astype(np.uint8)
+        parity = np.bitwise_xor.reduce(self._parity_table[bits.astype(bool)], axis=0)
+        parity_bits = np.unpackbits(parity, count=self.parity_len, bitorder="little")
+        return np.concatenate([parity_bits, bits])
 
     def decode(self, word: np.ndarray):
         """Return the message bits, or None when decoding fails."""
@@ -189,32 +214,37 @@ class BchCode:
         return corrected[self.parity_len :]
 
     def _syndromes(self, positions: np.ndarray) -> np.ndarray:
-        # S_j = r(alpha^j) = XOR of alpha^(i*j) over the set bits i, j = 1..2t,
-        # as one gather and one XOR reduce
-        exponents = (positions[:, None] * np.arange(1, 2 * self.t + 1)) % self.length
-        return np.bitwise_xor.reduce(self._exp_table[exponents], axis=0)
+        # S_j = r(alpha^j) = XOR of alpha^(i*j) over the set bits i, j = 1..2t
+        return np.bitwise_xor.reduce(np.take(self._syndrome_table, positions, axis=0), axis=0)
 
     def _berlekamp_massey(self, syndromes: list[int]):
-        # returns the error-locator polynomial as a coefficient list, or None
+        # returns the error-locator polynomial as a coefficient list, or None.
+        # Only steps n = 0, 2, 4, ... run: a binary word's syndromes make every
+        # odd-n discrepancy zero, and each skipped step lengthens shift by one.
+        exp, log, order = self._exp, self._log, self.length
+        syndrome_logs = [log[s] for s in syndromes]
         sigma = [1]
         prev = [1]
         length = 0
         shift = 1
-        prev_disc = 1
-        for n, s_n in enumerate(syndromes):
-            disc = s_n
+        prev_log = 0  # log of the discrepancy at the last length change
+        for n in range(0, len(syndromes), 2):
+            disc = syndromes[n]
             for i in range(1, min(length, len(sigma) - 1) + 1):
-                disc ^= self._gf_mul(sigma[i], syndromes[n - i])
+                disc ^= exp[log[sigma[i]] + syndrome_logs[n - i]]
             if disc == 0:
-                shift += 1
+                shift += 2
                 continue
-            coeff = self._gf_mul(disc, self._gf_inv(prev_disc))
-            update = [0] * shift + [self._gf_mul(coeff, c) for c in prev]
-            new = [a ^ b for a, b in itertools.zip_longest(sigma, update, fillvalue=0)]
+            coeff_log = log[disc] - prev_log
+            if coeff_log < 0:
+                coeff_log += order
+            new = sigma + [0] * (shift + len(prev) - len(sigma))
+            for j, c in enumerate(prev, shift):
+                new[j] ^= exp[coeff_log + log[c]]
             if 2 * length <= n:
-                length, prev, prev_disc, shift = n + 1 - length, sigma, disc, 1
+                length, prev, prev_log, shift = n + 1 - length, sigma, log[disc], 2
             else:
-                shift += 1
+                shift += 2
             sigma = new
         while sigma and sigma[-1] == 0:
             sigma.pop()
@@ -227,7 +257,6 @@ class BchCode:
         # once; a root marks an error at position i
         k = np.flatnonzero(sigma)
         logs = np.array([self._log[sigma[j]] for j in k])
-        points = np.arange(self.length)
-        exponents = (logs[:, None] - k[:, None] * points) % self.length
+        exponents = self._chien_table[k] + logs[:, None]
         values = np.bitwise_xor.reduce(self._exp_table[exponents], axis=0)
         return np.flatnonzero(values == 0)

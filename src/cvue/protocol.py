@@ -1,10 +1,10 @@
 """The encryption scheme: key generation, encryption to squeezed modes, decryption.
 
-Key material is a triple (pad, directions, offsets) plus the label that
-indexes the balanced direction string. Each codeword bit is encoded as a
-displaced squeezed state: displacement alpha*(-1)^bit + offset along the
-keyed quadrature, squeezed along that same quadrature. Decryption homodynes
-each mode along the keyed direction and thresholds at the offset.
+Key material is a triple (pad, directions, offsets); the label indexing the
+balanced direction string is derived from it. Each codeword bit is encoded
+as a displaced squeezed state: displacement alpha*(-1)^bit + offset along
+the keyed quadrature, squeezed along that same quadrature. Decryption
+homodynes each mode along the keyed direction and thresholds at the offset.
 """
 
 from __future__ import annotations
@@ -74,17 +74,16 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class QecmKey:
-    """Decryption key: XOR pad, per-mode directions, per-mode threshold offsets, label.
+    """Decryption key: XOR pad, per-mode directions, per-mode threshold offsets.
 
     ``directions`` are bits (0 = Q, 1 = P) with Hamming weight exactly half
-    the length; ``label`` is the colexicographic rank of the direction string
-    among all balanced strings.
+    the length. ``label`` is derived, not stored: the colexicographic rank
+    of the direction string among all balanced strings, computed on read.
     """
 
     pad: np.ndarray
     directions: np.ndarray
     offsets: np.ndarray
-    label: int
 
     def __post_init__(self):
         pad = np.asarray(self.pad, dtype=np.uint8)
@@ -101,6 +100,10 @@ class QecmKey:
     @property
     def num_modes(self) -> int:
         return self.directions.size
+
+    @property
+    def label(self) -> int:
+        return balanced_string_rank(self.directions)
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ def key_gen(params: ProtocolParams, rng: np.random.Generator) -> QecmKey:
     directions = np.zeros(n, dtype=np.uint8)
     directions[ones] = 1
     offsets = sample_key_offset(params.alpha, params.squeezing, rng, size=n)
-    return QecmKey(pad, directions, offsets, balanced_string_rank(directions))
+    return QecmKey(pad, directions, offsets)
 
 
 def _mode_arrays(codeword, directions, offsets, alpha, squeezing):

@@ -23,17 +23,20 @@ slow, literal form of something the fast paths compute directly:
   ebprep.eb_outcomes, and game_equivalence_states, the per-trial
   key_gen/encrypt/eb_prepare loop that ebprep.game_equivalence_test's array
   kernel is checked against;
-* bch_decode_scalar, the per-bit syndrome / Berlekamp-Massey / per-point
-  Chien search decoder that bch.BchCode.decode's array kernels are checked
-  against;
+* bch_encode_scalar, the bigint long-division encoder that
+  bch.BchCode.encode's parity table is checked against, and
+  bch_decode_scalar, the per-bit syndrome / full 2t-step Berlekamp-Massey /
+  per-point Chien search decoder that bch.BchCode.decode's table kernels
+  and t-step Berlekamp-Massey are checked against;
 * figure_data_scalar, the figure tables built with one scalar closed-form
   call per grid point, which bounds.figure_data's array evaluations must
   equal bit for bit;
 * helpers that only the tests call: load_key and hex_to_bits (reading back
-  a ``cvue keygen`` key file), validate_key and balanced_string_unrank (the
-  key's invariants and the inverse of its label rank), identity_channel, and
-  the monogamy-game bounds monogamy_bound_exact and monogamy_bound_relaxed,
-  paper identities the acceptance tests check.
+  a ``cvue keygen`` key file and checking its label), validate_key and
+  balanced_string_unrank (the key's invariants and the inverse of its label
+  rank), identity_channel, and the monogamy-game bounds
+  monogamy_bound_exact and monogamy_bound_relaxed, paper identities the
+  acceptance tests check.
 
 This module imports scipy, a dependency of the ``test`` extra only; the
 simulator itself needs numpy alone.
@@ -81,7 +84,6 @@ from .protocol import (
     QecmKey,
     RoundTripResult,
     _mode_arrays,
-    balanced_string_rank,
     encrypt,
     key_gen,
     measure_codeword,
@@ -448,7 +450,7 @@ def game_equivalence_states(
         outcomes, offsets, eb_cipher = eb_prepare(
             params, key.pad, key.directions, message, child, codec
         )
-        eb_key = QecmKey(key.pad, key.directions, offsets, key.label)
+        eb_key = QecmKey(key.pad, key.directions, offsets)
         est_eb = measure_codeword(eb_key, eb_cipher, child)
         flips_eb += int(np.count_nonzero(est_eb != codeword))
 
@@ -463,7 +465,25 @@ def game_equivalence_states(
     )
 
 
-# --- BCH decoding -----------------------------------------------------------
+# --- BCH encoding and decoding ------------------------------------------------
+
+
+def _poly_mod(a: int, b: int) -> int:
+    # remainder of GF(2)[x] division
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
+def bch_encode_scalar(code: BchCode, message: np.ndarray) -> np.ndarray:
+    """Reference systematic encode by bigint long division: the message bits
+    shifted to positions parity_len..length-1, plus their remainder mod g."""
+    packed = np.packbits(np.asarray(message, dtype=np.uint8), bitorder="little")
+    shifted = int.from_bytes(packed.tobytes(), "little") << code.parity_len
+    word = shifted | _poly_mod(shifted, code.generator)
+    raw = np.frombuffer(word.to_bytes((code.length + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=code.length, bitorder="little")
 
 
 def _bch_syndromes(code: BchCode, positions) -> list[int]:
@@ -492,7 +512,7 @@ def _bch_berlekamp_massey(code: BchCode, syndromes: list[int]):
         if disc == 0:
             shift += 1
             continue
-        coeff = code._gf_mul(disc, code._gf_inv(prev_disc))
+        coeff = code._gf_mul(disc, code._exp[code.length - code._log[prev_disc]])
         update = [0] * shift + [code._gf_mul(coeff, c) for c in prev]
         summed = [a ^ b for a, b in itertools.zip_longest(sigma, update, fillvalue=0)]
         if 2 * length <= n:
@@ -613,12 +633,17 @@ def figure_data_scalar(figure_id: str, grid: dict | None = None):
 
 
 def load_key(path) -> tuple[QecmKey, dict]:
-    """Read a key file back into a QecmKey; returns (key, params dict)."""
+    """Read a key file back into a QecmKey; returns (key, params dict).
+
+    The key is built from the pad, directions and offsets; the file's label
+    must be the rank of its direction string."""
     raw = json.loads(Path(path).read_text())
     params = raw["params"]
     pad = hex_to_bits(raw["s"], int(params["msg_len"]))
     directions = hex_to_bits(raw["phi"], int(params["num_modes"]))
-    key = QecmKey(pad, directions, np.array(raw["k"], dtype=float), int(raw["label"]))
+    key = QecmKey(pad, directions, np.array(raw["k"], dtype=float))
+    if int(raw["label"]) != key.label:
+        raise ValueError("label does not match the direction string")
     return key, params
 
 
@@ -641,8 +666,6 @@ def validate_key(key: QecmKey, params: ProtocolParams) -> None:
         raise ValueError("offsets must lie strictly inside the truncation interval")
     if params.squeezing == 0 and np.any(key.offsets != 0):
         raise ValueError("offsets must be zero at zero squeezing")
-    if balanced_string_rank(key.directions) != key.label:
-        raise ValueError("label does not match the direction string")
 
 
 def balanced_string_unrank(label: int, length: int, weight: int | None = None) -> np.ndarray:

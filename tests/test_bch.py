@@ -7,7 +7,7 @@ from cvue import bch
 from cvue.bch import BchCode, SUPPORTED_LENGTHS
 from cvue.codec import concrete_spec, make_codec
 from cvue.protocol import ProtocolParams
-from cvue.reference import bch_decode_scalar
+from cvue.reference import _bch_berlekamp_massey, bch_decode_scalar, bch_encode_scalar
 
 
 # (length, message bits, t) triples from the standard BCH tables
@@ -135,6 +135,51 @@ def test_systematic_positions():
     assert np.array_equal(word[code.parity_len :], msg)
 
 
+@pytest.mark.parametrize(
+    "m,t", [(3, 1), (4, 2), (5, 3), (6, 3), (7, 4), (8, 10), (9, 20), (10, 35)]
+)
+def test_encode_matches_scalar_oracle(m, t):
+    code = BchCode(m, t)
+    rng = np.random.default_rng(m * 100 + t)
+    messages = [np.zeros(code.msg_len, dtype=np.uint8), np.ones(code.msg_len, dtype=np.uint8)]
+    messages += [rng.integers(0, 2, code.msg_len, dtype=np.uint8) for _ in range(20)]
+    for msg in messages:
+        assert np.array_equal(code.encode(msg), bch_encode_scalar(code, msg))
+
+
+def test_encode_single_bits_match_scalar_oracle():
+    # each parity-table row on its own, and the all-zero message (no rows)
+    code = BchCode(5, 3)
+    zero = np.zeros((1, code.msg_len), dtype=np.uint8)
+    for msg in np.vstack([zero, np.eye(code.msg_len, dtype=np.uint8)]):
+        word = code.encode(msg)
+        assert word.dtype == np.uint8
+        assert np.array_equal(word, bch_encode_scalar(code, msg))
+
+
+def test_berlekamp_massey_matches_full_step_oracle():
+    # the t-step binary form against the 2t-step reference, on the syndromes
+    # of random binary words at 0..3t flips: beyond t the locator may be too
+    # long (None) or a wrong, short one that the decoder may then act on
+    outcomes = {"none": 0, "beyond_t": 0}
+    for m, t in [(6, 3), (8, 10), (10, 35)]:
+        code = BchCode(m, t)
+        rng = np.random.default_rng(m * 1000 + t)
+        for weight in range(3 * t + 1):
+            for _ in range(max(1, 90 // t)):
+                msg = rng.integers(0, 2, code.msg_len, dtype=np.uint8)
+                word = code.encode(msg)
+                word[rng.choice(code.length, size=weight, replace=False)] ^= 1
+                syndromes = code._syndromes(np.flatnonzero(word)).tolist()
+                want = _bch_berlekamp_massey(code, syndromes)
+                assert code._berlekamp_massey(syndromes) == want, (m, t, weight)
+                if want is None:
+                    outcomes["none"] += 1
+                elif weight > t:
+                    outcomes["beyond_t"] += 1
+    assert outcomes["none"] > 0 and outcomes["beyond_t"] > 0
+
+
 def test_encode_length_check():
     code = BchCode(4, 2)
     with pytest.raises(ValueError, match="length"):
@@ -158,8 +203,10 @@ def test_encode_rejects_non_binary_bits():
 def test_codes_are_shared_and_read_only():
     code = BchCode.for_length(63, 3)
     assert BchCode.smallest_for(60, 3) is code
-    with pytest.raises(ValueError):
-        code._exp_table[0] = 0
+    tables = (code._exp_table, code._syndrome_table, code._chien_table, code._parity_table)
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_concrete_params_build_the_code_once(monkeypatch):

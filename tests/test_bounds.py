@@ -78,17 +78,30 @@ class TestOverflowFree:
         assert ber_analytic(alpha, squeezing) == want
 
     def test_margin_at_huge_alpha(self):
-        assert asymptotic_margin(1e308, 3.4) == math.inf
         assert asymptotic_margin(1e300, 3.4) == pytest.approx(498.28921423310436, rel=1e-12)
         values = asymptotic_margin(np.array([0.4, 1e300, 1e308]), 3.4)
         assert values[0] == asymptotic_margin(0.4, 3.4)
         assert values[1] == asymptotic_margin(1e300, 3.4)
-        assert values[2] == math.inf
+        assert values[2] == asymptotic_margin(1e308, 3.4)
+
+    @pytest.mark.parametrize("alpha", [1e308, sys.float_info.max])
+    def test_margin_where_one_plus_two_alpha_overflows(self, alpha):
+        # beta is 0 here, so the margin is (log2(1 + 2 alpha) - 1) / 2
+        try:
+            import mpmath
+        except ImportError:
+            want = 0.5 * math.log2(0.5 + alpha)
+        else:
+            with mpmath.workdps(40):
+                want = float((mpmath.log(1 + 2 * mpmath.mpf(alpha), 2) - 1) / 2)
+        got = asymptotic_margin(alpha, 3.4)
+        assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12)
 
     def test_security_report_at_domain_edge(self):
         report = security_report(ProtocolParams(1, 2, 0, 1e308, MAX_SQUEEZING))
         assert report.beta == 0.0 and report.failure_exact == 0.0
-        assert report.asymptotic_margin == math.inf
+        assert report.asymptotic_margin == asymptotic_margin(1e308, MAX_SQUEEZING)
+        assert 511 < report.asymptotic_margin < 512
 
 
 class TestEntropyAndDivergence:

@@ -91,6 +91,18 @@ class TestKeygen:
 
         assert balanced_string_rank(key.directions) == key.label
 
+    def test_load_key_rejects_tampered_label(self, config_file, tmp_path, capsys):
+        # the key's label is derived from its directions, so only a file can
+        # carry a wrong one, and reading it back refuses it
+        out_path = tmp_path / "key.json"
+        run(["keygen", config_file(), "--out", str(out_path)], capsys)
+        payload = json.loads(out_path.read_text())
+        assert load_key(out_path)[0].label == payload["label"]
+        payload["label"] += 1
+        out_path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="label"):
+            load_key(out_path)
+
 
 class TestRoundtrip:
     def test_report_fields(self, config_file, capsys):

@@ -15,7 +15,6 @@ from cvue.ebprep import (
 from cvue.protocol import (
     ProtocolParams,
     QecmKey,
-    balanced_string_rank,
     encrypt,
     key_gen,
     sample_key_offset,
@@ -92,9 +91,7 @@ class TestEbPrepare:
         key = key_gen(params, rng)
         message = random_bits(16, rng)
         _, offsets, cipher = eb_prepare(params, key.pad, key.directions, message, rng, codec)
-        eb_key = QecmKey(
-            key.pad, key.directions, offsets, balanced_string_rank(key.directions)
-        )
+        eb_key = QecmKey(key.pad, key.directions, offsets)
         direct = encrypt(eb_key, message, params, codec)
         assert np.array_equal(cipher.disp, direct.disp)
         assert np.array_equal(cipher.cov_diag, direct.cov_diag)

@@ -206,33 +206,24 @@ class TestKeyGen:
     def test_unbalanced_key_rejected(self):
         with pytest.raises(ValueError, match="Hamming weight"):
             QecmKey(np.zeros(4, dtype=np.uint8), np.array([1, 1, 1, 0], dtype=np.uint8),
-                    np.zeros(4), 0)
-
-    def test_validate_key_catches_wrong_label(self):
-        rng = np.random.default_rng(12)
-        key = key_gen(SMALL, rng)
-        tampered = QecmKey(key.pad, key.directions, key.offsets, key.label + 1)
-        with pytest.raises(ValueError, match="label"):
-            validate_key(tampered, SMALL)
+                    np.zeros(4))
 
     def test_validate_key_catches_out_of_interval_offsets(self):
         rng = np.random.default_rng(13)
         key = key_gen(SMALL, rng)
         bad = np.array(key.offsets)
         bad[0] = SMALL.alpha  # outside (-a tanh r, a tanh r)
-        tampered = QecmKey(key.pad, key.directions, bad, key.label)
+        tampered = QecmKey(key.pad, key.directions, bad)
         with pytest.raises(ValueError, match="truncation interval"):
             validate_key(tampered, SMALL)
 
 
 def crafted_key(params, codeword_bits, directions, offsets):
     """Key whose oracle-codec codeword equals codeword_bits for message=codeword_bits[:n]."""
-    dirs = np.asarray(directions, dtype=np.uint8)
     return QecmKey(
         np.zeros(params.msg_len, dtype=np.uint8),
-        dirs,
+        np.asarray(directions, dtype=np.uint8),
         np.asarray(offsets, dtype=float),
-        balanced_string_rank(dirs),
     )
 
 
