@@ -48,6 +48,13 @@ _PRIMITIVE_POLY = {
 SUPPORTED_LENGTHS = tuple(sorted((1 << m) - 1 for m in _PRIMITIVE_POLY))
 
 
+def check_message_bits(message: np.ndarray) -> None:
+    """Raise ValueError unless every entry is 0 or 1 (NaN is neither)."""
+    message = np.asarray(message)
+    if not ((message == 0) | (message == 1)).all():
+        raise ValueError("message bits must be 0 or 1")
+
+
 def _poly_mul(a: int, b: int) -> int:
     result = 0
     while b:
@@ -184,8 +191,7 @@ class BchCode:
         message = np.asarray(message)
         if message.shape != (self.msg_len,):
             raise ValueError(f"message must have length {self.msg_len}")
-        if not np.isin(message, (0, 1)).all():
-            raise ValueError("message bits must be 0 or 1")
+        check_message_bits(message)
         bits = message.astype(np.uint8)
         parity = np.bitwise_xor.reduce(self._parity_table[bits.astype(bool)], axis=0)
         parity_bits = np.unpackbits(parity, count=self.parity_len, bitorder="little")

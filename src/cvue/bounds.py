@@ -241,8 +241,9 @@ def figure_data(figure_id: str, grid: dict | None = None):
     are [start, stop, count] triples (or a plain list for fig2a's
     transmittance values, and a number for a fixed parameter), with
     sensible defaults per figure. fig1, fig2a and fig2b are each one array
-    evaluation over the grid; their values equal the scalar calls bit for
-    bit (``cvue.reference.figure_data_scalar`` is the loop they are tested
+    evaluation over the grid, as is fig4's conjugate-coding column; their
+    values equal the scalar calls bit for bit
+    (``cvue.reference.figure_data_scalar`` is the loop they are tested
     against).
 
     * fig1  - asymptotic-security margin over the (alpha, squeezing) plane.
@@ -285,14 +286,13 @@ def figure_data(figure_id: str, grid: dict | None = None):
         squeezing = _grid_number(grid, "squeezing", 3.6)
         error_fraction = _grid_number(grid, "error_fraction", 0.035)
         rate = 1.0 - binary_entropy(ber_analytic(alpha, squeezing))
+        conjugate = conjugate_coding_bound(msg_lens).tolist()
         rows = []
-        for n in msg_lens:
+        for n, conj in zip(msg_lens.tolist(), conjugate):
             num_modes = int(round(n / rate))
             num_modes += num_modes % 2  # balanced direction string needs even N
             errors = int(round(error_fraction * num_modes))
-            bound = win_prob_bound(int(n), tau(num_modes, errors, alpha))
-            rows.append(
-                (int(n), 2.0 ** -int(n), conjugate_coding_bound(int(n)), bound)
-            )
+            bound = win_prob_bound(n, tau(num_modes, errors, alpha))
+            rows.append((n, 2.0 ** -n, conj, bound))
         return ["msg_len", "ideal", "conjugate_coding", "cv_scheme"], rows
     raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchCode
+from .bch import BchCode, check_message_bits
 
 SCHEMES = ("oracle", "concrete")
 
@@ -30,11 +30,6 @@ def random_bits(length: int, rng: np.random.Generator) -> np.ndarray:
 def bits_to_hex(bits: np.ndarray) -> str:
     """Pack a bit array (index 0 first) into a hex string."""
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
-
-
-def check_message_bits(message: np.ndarray) -> None:
-    if not np.isin(message, (0, 1)).all():
-        raise ValueError("message bits must be 0 or 1")
 
 
 def base_encrypt(pad: np.ndarray, message: np.ndarray) -> np.ndarray:

@@ -190,7 +190,8 @@ def test_encode_length_check():
 
 def test_encode_rejects_non_binary_bits():
     code = BchCode(4, 2)
-    for bad in ([2, 0, 0, 0, 0, 0, 1], [0.5, 0, 0, 0, 0, 0, 1], [-1, 0, 0, 0, 0, 0, 1]):
+    for bad in ([2, 0, 0, 0, 0, 0, 1], [0.5, 0, 0, 0, 0, 0, 1], [-1, 0, 0, 0, 0, 0, 1],
+                [np.nan, 0, 0, 0, 0, 0, 1]):
         with pytest.raises(ValueError, match="bits"):
             code.encode(np.array(bad))
     booleans = np.array([True, False, True, True, False, False, True])

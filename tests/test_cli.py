@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -427,6 +428,43 @@ class TestDeterminism:
         assert main([command, path, "--out", str(a)]) == 0
         assert main([command, path, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+SHIPPED_CONFIGS = sorted((Path(cvue.__file__).resolve().parents[2] / "configs").glob("*.json"))
+
+# sha256 of `bounds` stdout on configs/fig2a.json with `figure` set, as the
+# indenting json.dumps wrote it (x86-64 Linux, CPython 3.11, numpy 2.4)
+BOUNDS_SHA256 = {
+    ("report", "json"): "29acb0c271bf6ad2f7029f75d8d7ce897bc74997af0d88901234c3b51a3a335c",
+    ("fig1", "json"): "084ba3fbf2c89645868866a640566f97b160b1690670171cbb28ca44450b23d8",
+    ("fig2a", "json"): "547bad5370f5b7ae8ec14bd80f46175ab1c892abd3b5dcfee7e841e87ed84bca",
+    ("fig2b", "json"): "bd6522c307528a40a008f5f93f2ec02e5313cb59d078484fc5b5a8c710fd4192",
+    ("fig4", "json"): "fb8c249a0b1a515e8cc38ee377a1641a782874ad0ce30680bd9773109e8a9eb7",
+    ("report", "csv"): "772658bd2955c64fa434c2acdfbd6454777c1028f9aa95125d49c5bba79a8552",
+    ("fig1", "csv"): "ca19e365f92d49c88d882961b1e453877934babce9aa7fd414e9260492e4e21a",
+    ("fig2a", "csv"): "49674e51f7d7bfffffa54658487b60a3da788cbb75b5e4bd1011e1f1de8b74a9",
+    ("fig2b", "csv"): "a66f432c687a948843ee729355a48b29ec572ed48487a8b4ff4b3b24f74ea2df",
+    ("fig4", "csv"): "f5f287cfa132d3c2c59f034f8906c7f4fa22f48fd75525f5f30c800bd6c8f66b",
+}
+
+
+class TestJsonOutputBytes:
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_stdout_is_indented_json_dumps(self, command, config, capsys):
+        # --trials keeps ebcheck on the N=1000 configs short; the layout is the same
+        code, out, _ = run([command, str(config), "--format", "json", "--trials", "20"], capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("figure,fmt", sorted(BOUNDS_SHA256))
+    def test_bounds_bytes_unchanged(self, figure, fmt, tmp_path, capsys):
+        raw = json.loads((SHIPPED_CONFIGS[0].parent / "fig2a.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**raw, "figure": figure}))
+        code, out, _ = run(["bounds", str(path), "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_SHA256[figure, fmt]
 
 
 class TestParser:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvue.bounds import FIGURE_IDS, ber_analytic, figure_data
+from cvue.bounds import FIGURE_IDS, ber_analytic, conjugate_coding_bound, figure_data
 from cvue.channel import ChannelParams, noisy_ber, noisy_ber_grid
 from cvue.reference import figure_data_scalar
 
@@ -70,10 +70,22 @@ class TestMatchesScalarLoops:
         assert_same_table("fig2b", grid)
 
     @pytest.mark.parametrize(
-        "grid", [{"msg_len": (100, 1000, 12)}, {"alpha": 1e-9}, {"squeezing": 12.0}]
+        "grid",
+        [
+            {"msg_len": (100, 1000, 12)},
+            {"alpha": 1e-9},
+            {"squeezing": 12.0},
+            {"msg_len": (1, 4999, 4999)},  # every message length up to 4999
+        ],
     )
     def test_fig4_edges(self, grid):
         assert_same_table("fig4", grid)
+
+    def test_conjugate_coding_array_is_the_scalar_calls(self):
+        # fig4 takes its conjugate-coding column from one array call
+        msg_lens = np.arange(1, 5000)
+        values = conjugate_coding_bound(msg_lens).tolist()
+        assert values == [conjugate_coding_bound(int(n)) for n in msg_lens]
 
     @pytest.mark.parametrize("figure_id", ["fig1", "fig2b"])
     def test_empty_axis(self, figure_id):

@@ -263,7 +263,9 @@ class TestEncrypt:
         [ProtocolParams(4, 8, 1, 0.4, 3.4), ProtocolParams(4, 14, 3, 0.4, 3.4, "concrete")],
         ids=["oracle", "concrete"],
     )
-    @pytest.mark.parametrize("bad", [[2, 0, 3, 1], [0.5, 0, 1, 1], [-1, 0, 1, 1]])
+    @pytest.mark.parametrize(
+        "bad", [[2, 0, 3, 1], [0.5, 0, 1, 1], [-1, 0, 1, 1], [math.nan, 0, 1, 1]]
+    )
     def test_non_binary_message_rejected(self, params, bad):
         key = key_gen(params, np.random.default_rng(16))
         with pytest.raises(ValueError, match="bits"):
