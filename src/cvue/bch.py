@@ -1,35 +1,38 @@
-"""Binary primitive BCH encoder/decoder over GF(2^m).
+"""Binary BCH encoder/decoder over GF(2^m), shortened to any length N.
 
 Polynomials over GF(2) are stored as Python ints (bit i = coefficient of
 x^i), so addition is XOR. Field elements of GF(2^m) are ints in [0, 2^m)
 with multiplication through exp/log tables of a primitive element alpha.
 
 A designed-distance code correcting t errors has generator polynomial
-g(x) = lcm of the minimal polynomials of alpha^1 ... alpha^2t; the code
-length is n = 2^m - 1 and the message length is n - deg(g).
+g(x) = lcm of the minimal polynomials of alpha^1 ... alpha^2t over the
+smallest field whose order 2^m - 1 covers N. The primitive code has length
+2^m - 1; the code of length N is it shortened: its top 2^m - 1 - N
+positions are pinned to zero and never sent, so N - deg(g) message bits
+remain.
 
-Each code builds three tables once, so that no encode or decode does a
-bigint division, a multiply or a modulo per bit:
+Each code builds three tables once, over the N sent positions only, so
+that no encode or decode does a bigint division, a multiply or a modulo
+per bit:
 
 * a packed parity table whose row i is x^(deg g + i) mod g; systematic
   encoding (message bits in the high-order coefficients) XORs the rows of
   the set message bits;
-* an (n, 2t) table of alpha^(i*j); the syndromes S_1..S_2t of a word are
+* an (N, 2t) table of alpha^(i*j); the syndromes S_1..S_2t of a word are
   one gather of its set positions' rows and one XOR reduce;
-* a (t+1, n) table of (-k*i) mod n; the Chien search evaluates the error
-  locator at every alpha^-i as one gather from the doubled exp table and
-  one XOR reduce.
+* a (t+1, N) table of (-k*i) mod (2^m - 1); the Chien search evaluates the
+  error locator at every sent alpha^-i as one gather from the doubled exp
+  table and one XOR reduce.
 
 Between the two, Berlekamp-Massey runs in its binary form: a binary
 word's syndromes satisfy S_2j = S_j^2, which makes every even-step
 discrepancy zero (Berlekamp 1968; Lin & Costello, Error Control Coding,
 sec. 6.2), so only the t odd steps run, with products in the log domain.
-Decoding fails when the locator fits no error pattern of weight <= t.
+Decoding fails when the locator fits no error pattern of weight <= t in
+the sent positions; a root in a pinned position is never found.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -44,8 +47,6 @@ _PRIMITIVE_POLY = {
     9: 0b1000010001,
     10: 0b10000001001,
 }
-
-SUPPORTED_LENGTHS = tuple(sorted((1 << m) - 1 for m in _PRIMITIVE_POLY))
 
 
 def check_message_bits(message: np.ndarray) -> None:
@@ -65,59 +66,43 @@ def _poly_mul(a: int, b: int) -> int:
     return result
 
 
-@functools.cache
-def _shared_code(m: int, t: int) -> "BchCode":
-    # the field, generator and tables take milliseconds to build; instances are immutable
-    return BchCode(m, t)
-
-
 class BchCode:
-    """A (2^m - 1, msg_len) binary BCH code correcting ``t`` bit errors.
+    """A binary BCH code of length ``length`` correcting ``t`` bit errors.
 
-    ``for_length`` and ``smallest_for`` return one shared instance per
-    (m, t); an instance holds only read-only tables and no decode state.
+    ``length`` may be anything up to 1023; below the primitive length
+    ``order`` = 2^m - 1 the code is shortened. An instance holds only
+    read-only tables and no decode state.
     """
 
-    def __init__(self, m: int, t: int):
+    def __init__(self, length: int, t: int):
+        m = max(min(_PRIMITIVE_POLY), int(length).bit_length())  # 2^m - 1 >= length
         if m not in _PRIMITIVE_POLY:
-            raise ValueError(f"field degree must be one of {sorted(_PRIMITIVE_POLY)}")
+            raise ValueError(f"code length must be at most {(1 << max(_PRIMITIVE_POLY)) - 1}")
         if t < 1:
             raise ValueError("t must be at least 1")
         self.m = m
         self.t = t
-        self.length = (1 << m) - 1
-        if 2 * t >= self.length:
+        self.length = length
+        self.order = (1 << m) - 1
+        if 2 * t >= self.order:
             raise ValueError(
-                f"designed distance 2t+1 must not exceed the code length {self.length}"
+                f"designed distance 2t+1 must not exceed the code length {self.order}"
             )
         self._build_field()
         self.generator = self._build_generator()
         self.parity_len = self.generator.bit_length() - 1
-        self.msg_len = self.length - self.parity_len
+        self.msg_len = length - self.parity_len
         if self.msg_len <= 0:
-            raise ValueError(f"t={t} leaves no message bits at length {self.length}")
+            raise ValueError(
+                f"BCH shortened to length {length} with t={t} has no message bits"
+            )
         self._build_tables()
 
-    @classmethod
-    def for_length(cls, length: int, t: int) -> "BchCode":
-        m = (length + 1).bit_length() - 1
-        if (1 << m) - 1 != length:
-            raise ValueError(f"code length must be 2^m - 1, one of {SUPPORTED_LENGTHS}")
-        return _shared_code(m, t)
-
-    @classmethod
-    def smallest_for(cls, length: int, t: int) -> "BchCode":
-        """Smallest primitive code whose length covers ``length`` (for shortening)."""
-        for m in sorted(_PRIMITIVE_POLY):
-            if (1 << m) - 1 >= length:
-                return _shared_code(m, t)
-        raise ValueError(f"code length must be at most {SUPPORTED_LENGTHS[-1]}")
-
     def _build_field(self) -> None:
-        # exp[i] = alpha^i for i < 2*length (doubled so log sums need no
-        # modulo), then zeros: log[0] = 2*length, so a log sum with a zero
+        # exp[i] = alpha^i for i < 2*order (doubled so log sums need no
+        # modulo), then zeros: log[0] = 2*order, so a log sum with a zero
         # operand lands in the zeros and a product with 0 needs no branch
-        order = self.length
+        order = self.order
         prim = _PRIMITIVE_POLY[self.m]
         exp = [0] * (4 * order + 1)
         log = [2 * order] * (order + 1)
@@ -133,13 +118,14 @@ class BchCode:
         self._exp_table.flags.writeable = False
 
     def _build_tables(self) -> None:
-        n, t = self.length, self.t
-        points = np.arange(n)
+        order, t = self.order, self.t
+        points = np.arange(self.length)
         # syndrome powers alpha^(i*j), j = 1..2t, and Chien exponents
-        # (-k*i) mod n, k = 0..t; m <= 10, so 16 bits hold every entry
-        exponents = points[:, None] * np.arange(1, 2 * t + 1) % n
+        # (-k*i) mod order, k = 0..t, at the sent positions i; m <= 10, so
+        # 16 bits hold every entry
+        exponents = points[:, None] * np.arange(1, 2 * t + 1) % order
         self._syndrome_table = self._exp_table.astype(np.uint16)[exponents]
-        self._chien_table = (-np.arange(t + 1)[:, None] * points % n).astype(np.int16)
+        self._chien_table = (-np.arange(t + 1)[:, None] * points % order).astype(np.int16)
         # parity rows x^(parity_len + i) mod g, each the last one times x
         top = 1 << self.parity_len
         row = self.generator ^ top
@@ -180,7 +166,7 @@ class BchCode:
             if i in seen:
                 continue
             coset = [i]
-            while (c := coset[-1] * 2 % self.length) != i:
+            while (c := coset[-1] * 2 % self.order) != i:
                 coset.append(c)
             seen.update(coset)
             g = _poly_mul(g, self._minimal_poly(coset))
@@ -209,8 +195,9 @@ class BchCode:
         if locator is None:
             return None
         errors = self._chien_search(locator)
-        # the roots must be distinct field points, one per degree, and flipping
-        # them must clear every syndrome (syndromes are linear in the word)
+        # the roots must be distinct sent positions, one per degree (a root in
+        # a pinned position is not searched), and flipping them must clear
+        # every syndrome (syndromes are linear in the word)
         if errors.size != len(locator) - 1:
             return None
         if np.any(self._syndromes(errors) != syndromes):
@@ -227,7 +214,7 @@ class BchCode:
         # returns the error-locator polynomial as a coefficient list, or None.
         # Only steps n = 0, 2, 4, ... run: a binary word's syndromes make every
         # odd-n discrepancy zero, and each skipped step lengthens shift by one.
-        exp, log, order = self._exp, self._log, self.length
+        exp, log, order = self._exp, self._log, self.order
         syndrome_logs = [log[s] for s in syndromes]
         sigma = [1]
         prev = [1]
@@ -259,8 +246,8 @@ class BchCode:
         return sigma
 
     def _chien_search(self, sigma: list[int]) -> np.ndarray:
-        # sigma(alpha^-i) = XOR_k alpha^(log sigma_k - k*i) at all n points at
-        # once; a root marks an error at position i
+        # sigma(alpha^-i) = XOR_k alpha^(log sigma_k - k*i) at all sent
+        # positions at once; a root marks an error at position i
         k = np.flatnonzero(sigma)
         logs = np.array([self._log[sigma[j]] for j in k])
         exponents = self._chien_table[k] + logs[:, None]

@@ -41,19 +41,10 @@ bounds figure columns (grid coordinates first, value last):
 """
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def render_csv(columns, rows, digest: str) -> str:
+    # every value is a Python int or float, whose repr is its shortest form
     lines = [f"# config={digest}", ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -6,15 +6,14 @@ Two interchangeable codecs sit behind the same encode/decode surface:
   the received word is within ``max_errors`` bit flips of it. Decryption
   then succeeds exactly when the flip count is small enough, which makes
   Monte-Carlo statistics directly comparable to the analytic bounds.
-* ``concrete`` - a binary BCH code for genuine end-to-end runs; lengths
-  below 2^m - 1 (the even ones the protocol needs included) are realized
-  by shortening, i.e. pinning the top data bits to zero and not sending
-  them.
+* ``concrete`` - the binary BCH code of length N itself (``bch.BchCode``),
+  shortened from the next primitive length 2^m - 1; one read-only
+  instance per (N, t) is shared by every caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -47,81 +46,39 @@ def base_decrypt(pad: np.ndarray, ciphertext: np.ndarray) -> np.ndarray:
     return base_encrypt(pad, ciphertext)
 
 
-@dataclass(frozen=True)
-class CodecSpec:
-    """Parameters of the classical code layer.
-
-    Attributes:
-        msg_len: message length n.
-        code_len: codeword length N.
-        max_errors: number of correctable bit errors t.
-        scheme: 'oracle' or 'concrete'.
-    """
-
-    msg_len: int
-    code_len: int
-    max_errors: int
-    scheme: str = "oracle"
-
-    def __post_init__(self):
-        if self.msg_len < 1:
-            raise ValueError("message length must be positive")
-        if self.msg_len > self.code_len:
-            raise ValueError("message length cannot exceed codeword length")
-        if self.max_errors < 0:
-            raise ValueError("correctable error count must be nonnegative")
-        if self.max_errors >= self.code_len / 2:
-            raise ValueError("correctable error count must be below code_len/2")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.scheme == "concrete":
-            carried = _bch_msg_len(self.code_len, self.max_errors)
-            if carried != self.msg_len:
-                raise ValueError(
-                    f"shortened BCH of length {self.code_len} with t={self.max_errors} "
-                    f"carries {carried} message bits, not {self.msg_len}"
-                )
-
-
-def _bch_msg_len(code_len: int, max_errors: int) -> int:
-    code = BchCode.smallest_for(code_len, max_errors)
-    msg_len = code.msg_len - (code.length - code_len)
-    if msg_len < 1:
-        raise ValueError(
-            f"BCH shortened to length {code_len} with t={max_errors} has no message bits"
-        )
-    return msg_len
-
-
-def concrete_spec(code_len: int, max_errors: int) -> CodecSpec:
-    """The realizable concrete CodecSpec for a (possibly shortened) BCH length."""
-    return CodecSpec(
-        _bch_msg_len(code_len, max_errors), code_len, max_errors, scheme="concrete"
-    )
+@functools.cache
+def concrete_spec(code_len: int, max_errors: int) -> BchCode:
+    """The shared BCH code of length N = code_len correcting t = max_errors
+    errors; its ``msg_len`` is the message length the concrete scheme needs.
+    Building the field and tables takes milliseconds, so it happens once."""
+    return BchCode(code_len, max_errors)
 
 
 class OracleCodec:
     """Tracking codec: success is decided by the flip count alone.
 
-    ``encode`` embeds the message in the first ``msg_len`` positions and
-    remembers the true (message, codeword) pair; ``decode`` returns the
-    remembered message iff the received word is within ``max_errors`` flips
-    of the remembered codeword, else None. One instance serves one
+    It has ``BchCode``'s surface: ``msg_len``, ``length``, ``t``, ``encode``
+    and ``decode``. ``encode`` embeds the message in the first ``msg_len``
+    positions and remembers the true (message, codeword) pair; ``decode``
+    returns the remembered message iff the received word is within ``t``
+    flips of the remembered codeword, else None. One instance serves one
     encrypt/decrypt exchange at a time and is not safe to share across
     concurrent trials.
     """
 
-    def __init__(self, spec: CodecSpec):
-        self.spec = spec
+    def __init__(self, msg_len: int, length: int, t: int):
+        self.msg_len = msg_len
+        self.length = length
+        self.t = t
         self._message = None
         self._codeword = None
 
     def encode(self, message: np.ndarray) -> np.ndarray:
         message = np.asarray(message, dtype=np.uint8)
-        if message.shape != (self.spec.msg_len,):
-            raise ValueError(f"message must have length {self.spec.msg_len}")
-        codeword = np.zeros(self.spec.code_len, dtype=np.uint8)
-        codeword[: self.spec.msg_len] = message
+        if message.shape != (self.msg_len,):
+            raise ValueError(f"message must have length {self.msg_len}")
+        codeword = np.zeros(self.length, dtype=np.uint8)
+        codeword[: self.msg_len] = message
         self._message = message.copy()
         self._codeword = codeword.copy()
         return codeword
@@ -130,49 +87,8 @@ class OracleCodec:
         if self._codeword is None:
             raise RuntimeError("oracle codec cannot decode before encoding")
         word = np.asarray(word, dtype=np.uint8)
-        if word.shape != (self.spec.code_len,):
-            raise ValueError(f"word must have length {self.spec.code_len}")
-        if np.count_nonzero(word != self._codeword) <= self.spec.max_errors:
+        if word.shape != (self.length,):
+            raise ValueError(f"word must have length {self.length}")
+        if np.count_nonzero(word != self._codeword) <= self.t:
             return self._message.copy()
         return None
-
-
-class BchCodec:
-    """Stateless BCH-backed codec conforming to the oracle codec's surface.
-
-    Shortening pins the top data bits of the parent primitive code to zero;
-    they are neither transmitted nor counted, and any flip pattern of weight
-    <= max_errors on the shortened word is still corrected.
-    """
-
-    def __init__(self, spec: CodecSpec):
-        if spec.scheme != "concrete":
-            raise ValueError("BchCodec requires a concrete CodecSpec")
-        self.spec = spec
-        self._code = BchCode.smallest_for(spec.code_len, spec.max_errors)
-        self._shorten = self._code.length - spec.code_len
-
-    def encode(self, message: np.ndarray) -> np.ndarray:
-        message = np.asarray(message)  # BchCode.encode checks the bits before any cast
-        if message.shape != (self.spec.msg_len,):
-            raise ValueError(f"message must have length {self.spec.msg_len}")
-        full = np.concatenate([message, np.zeros(self._shorten, dtype=np.uint8)])
-        return self._code.encode(full)[: self.spec.code_len]
-
-    def decode(self, word: np.ndarray):
-        word = np.asarray(word, dtype=np.uint8)
-        if word.shape != (self.spec.code_len,):
-            raise ValueError(f"word must have length {self.spec.code_len}")
-        full = np.concatenate([word, np.zeros(self._shorten, dtype=np.uint8)])
-        decoded = self._code.decode(full)
-        if decoded is None:
-            return None
-        if np.any(decoded[self._code.msg_len - self._shorten :]):
-            return None  # correction landed outside the shortened code
-        return decoded[: self.spec.msg_len]
-
-
-def make_codec(spec: CodecSpec):
-    if spec.scheme == "oracle":
-        return OracleCodec(spec)
-    return BchCodec(spec)

@@ -67,18 +67,32 @@ def config_hash(config: RunConfig) -> str:
 
 
 def _integer(raw: dict, key: str, default=None) -> int:
-    """``raw[key]`` as an int; NaN, infinities and non-integral numbers fail
-    with a message naming the key."""
+    """``raw[key]`` as an int; booleans, NaN, infinities and non-integral
+    numbers fail with a message naming the key."""
     value = raw.get(key, default)
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
-def _build_protocol(raw: dict) -> ProtocolParams:
+def _number(raw: dict, key: str, default=None) -> float:
+    """``raw[key]`` as a float; null, booleans, lists and objects fail with a
+    message naming the key (NaN and infinities are left to the validators)."""
+    value = raw.get(key, default)
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _build_protocol(raw) -> ProtocolParams:
+    if not isinstance(raw, dict):
+        raise ValueError("protocol must be a JSON object")
     required = ("msg_len", "num_modes", "max_errors", "alpha", "squeezing")
     missing = [k for k in required if k not in raw]
     if missing:
@@ -87,20 +101,22 @@ def _build_protocol(raw: dict) -> ProtocolParams:
         msg_len=_integer(raw, "msg_len"),
         num_modes=_integer(raw, "num_modes"),
         max_errors=_integer(raw, "max_errors"),
-        alpha=float(raw["alpha"]),
-        squeezing=float(raw["squeezing"]),
+        alpha=_number(raw, "alpha"),
+        squeezing=_number(raw, "squeezing"),
         codec_scheme=str(raw.get("codec_scheme", "oracle")),
     )
 
 
-def _build_channel(raw: dict | None) -> ChannelParams | None:
+def _build_channel(raw) -> ChannelParams | None:
     if raw is None:
         return None
+    if not isinstance(raw, dict):
+        raise ValueError("channel must be a JSON object")
     if "transmittance" not in raw:
         raise ValueError("channel config needs a transmittance")
     return ChannelParams(
-        transmittance=float(raw["transmittance"]),
-        excess_noise=float(raw.get("excess_noise", 0.0)),
+        transmittance=_number(raw, "transmittance"),
+        excess_noise=_number(raw, "excess_noise", 0.0),
         convention=str(raw.get("convention", "paper")),
     )
 
@@ -125,13 +141,16 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     grid = merged.get("grid", {})
     if not isinstance(grid, dict):
         raise ValueError("grid must be a JSON object mapping names to value ranges")
+    out = merged.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"out must be a file path string, got {out!r}")
     return RunConfig(
         protocol=_build_protocol(merged["protocol"]),
         channel=_build_channel(merged.get("channel")),
         seed=_integer(merged, "seed"),
         trials=_integer(merged, "trials", 10000),
         fmt=str(merged.get("format", "csv")),
-        out=merged.get("out"),
+        out=out,
         figure=str(merged.get("figure", "report")),
         strategy=str(merged.get("strategy", "heterodyne_split")),
         grid=grid,

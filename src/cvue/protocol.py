@@ -18,11 +18,12 @@ import numpy as np
 from .bounds import ber_analytic
 from .channel import MAX_SQUEEZING, SQUEEZING_RANGE, noisy_ber
 from .codec import (
-    CodecSpec,
+    SCHEMES,
+    OracleCodec,
     base_decrypt,
     base_encrypt,
     check_message_bits,
-    make_codec,
+    concrete_spec,
     random_bits,
 )
 from .stats import truncated_normal, wilson_interval
@@ -62,14 +63,29 @@ class ProtocolParams:
             raise ValueError("alpha must be positive and finite")
         if not 0 <= self.squeezing <= MAX_SQUEEZING:
             raise ValueError(SQUEEZING_RANGE)
-        # delegates msg_len/num_modes/max_errors checks, incl. concrete realizability
-        self.codec_spec()
-
-    def codec_spec(self) -> CodecSpec:
-        return CodecSpec(self.msg_len, self.num_modes, self.max_errors, self.codec_scheme)
+        if self.msg_len < 1:
+            raise ValueError("message length must be positive")
+        if self.msg_len > self.num_modes:
+            raise ValueError("message length cannot exceed codeword length")
+        if self.max_errors < 0:
+            raise ValueError("correctable error count must be nonnegative")
+        if self.max_errors >= self.num_modes / 2:
+            raise ValueError("correctable error count must be below code_len/2")
+        if self.codec_scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
+        if self.codec_scheme == "concrete":
+            carried = concrete_spec(self.num_modes, self.max_errors).msg_len
+            if carried != self.msg_len:
+                raise ValueError(
+                    f"shortened BCH of length {self.num_modes} with t={self.max_errors} "
+                    f"carries {carried} message bits, not {self.msg_len}"
+                )
 
     def make_codec(self):
-        return make_codec(self.codec_spec())
+        """A fresh oracle codec, or the shared concrete BCH code."""
+        if self.codec_scheme == "oracle":
+            return OracleCodec(self.msg_len, self.num_modes, self.max_errors)
+        return concrete_spec(self.num_modes, self.max_errors)
 
 
 @dataclass(frozen=True)

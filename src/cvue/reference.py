@@ -26,8 +26,9 @@ slow, literal form of something the fast paths compute directly:
 * bch_encode_scalar, the bigint long-division encoder that
   bch.BchCode.encode's parity table is checked against, and
   bch_decode_scalar, the per-bit syndrome / full 2t-step Berlekamp-Massey /
-  per-point Chien search decoder that bch.BchCode.decode's table kernels
-  and t-step Berlekamp-Massey are checked against;
+  per-point Chien search decoder, shortened by zero-padding to the
+  primitive length, that bch.BchCode.decode's table kernels, t-step
+  Berlekamp-Massey and sent-positions-only Chien search are checked against;
 * figure_data_scalar, the figure tables built with one scalar closed-form
   call per grid point, which bounds.figure_data's array evaluations must
   equal bit for bit;
@@ -492,7 +493,7 @@ def _bch_syndromes(code: BchCode, positions) -> list[int]:
     for j in range(1, 2 * code.t + 1):
         s = 0
         for i in positions:
-            s ^= code._exp[(int(i) * j) % code.length]
+            s ^= code._exp[(int(i) * j) % code.order]
         out.append(s)
     return out
 
@@ -512,7 +513,7 @@ def _bch_berlekamp_massey(code: BchCode, syndromes: list[int]):
         if disc == 0:
             shift += 1
             continue
-        coeff = code._gf_mul(disc, code._exp[code.length - code._log[prev_disc]])
+        coeff = code._gf_mul(disc, code._exp[code.order - code._log[prev_disc]])
         update = [0] * shift + [code._gf_mul(coeff, c) for c in prev]
         summed = [a ^ b for a, b in itertools.zip_longest(sigma, update, fillvalue=0)]
         if 2 * length <= n:
@@ -535,12 +536,12 @@ def _bch_chien_search(code: BchCode, sigma: list[int]):
     if degree == 0:
         return None
     errors = []
-    for i in range(code.length):
+    for i in range(code.order):
         # evaluate sigma at alpha^{-i}; a root marks an error at position i
         val = 0
         for k, coeff in enumerate(sigma):
             if coeff:
-                val ^= code._exp[(code._log[coeff] + k * (code.length - i)) % code.length]
+                val ^= code._exp[(code._log[coeff] + k * (code.order - i)) % code.order]
         if val == 0:
             errors.append(i)
     if len(errors) != degree:
@@ -549,13 +550,16 @@ def _bch_chien_search(code: BchCode, sigma: list[int]):
 
 
 def bch_decode_scalar(code: BchCode, word: np.ndarray):
-    """Reference bounded-distance decode of a full-length word with scalar
-    loops: the message bits, or None when decoding fails. The corrected word
-    must have all-zero syndromes."""
+    """Reference bounded-distance decode with scalar loops: the message bits,
+    or None when decoding fails. Shortening by its definition: the word is
+    padded with zeros to the primitive length ``order`` and decoded there;
+    the corrected word must have all-zero syndromes, and a correction in a
+    padded position fails the decode."""
     word = np.asarray(word, dtype=np.uint8)
     if word.shape != (code.length,):
         raise ValueError(f"word must have length {code.length}")
-    syndromes = _bch_syndromes(code, np.flatnonzero(word))
+    full = np.concatenate([word, np.zeros(code.order - code.length, dtype=np.uint8)])
+    syndromes = _bch_syndromes(code, np.flatnonzero(full))
     if not any(syndromes):
         return word[code.parity_len :].copy()
     locator = _bch_berlekamp_massey(code, syndromes)
@@ -564,11 +568,10 @@ def bch_decode_scalar(code: BchCode, word: np.ndarray):
     errors = _bch_chien_search(code, locator)
     if errors is None:
         return None
-    corrected = word.copy()
-    corrected[errors] ^= 1
-    if any(_bch_syndromes(code, np.flatnonzero(corrected))):
+    full[errors] ^= 1
+    if any(_bch_syndromes(code, np.flatnonzero(full))) or full[code.length :].any():
         return None
-    return corrected[code.parity_len :]
+    return full[code.parity_len : code.length]
 
 
 # --- figure tables ------------------------------------------------------------

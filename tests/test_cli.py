@@ -37,7 +37,7 @@ def config_file(tmp_path):
     def write(**updates):
         raw = json.loads(json.dumps(BASE))
         for key, value in updates.items():
-            if key == "protocol":
+            if key == "protocol" and isinstance(value, dict):
                 raw["protocol"].update(value)
             else:
                 raw[key] = value
@@ -322,6 +322,16 @@ class TestValidation:
                 ("top", "trials", 10.5),
                 # cosh(r) overflows a float past r ~ 710.48
                 ("protocol", "squeezing", 800.0),
+                # values of the wrong JSON type
+                ("protocol", "alpha", None),
+                ("protocol", "alpha", [1]),
+                ("protocol", "squeezing", None),
+                ("channel", "transmittance", None),
+                ("channel", "excess_noise", None),
+                ("top", "protocol", 5),
+                ("top", "channel", 5),
+                ("top", "out", 5),
+                ("top", "seed", True),
             ]
         ]
         + [
@@ -447,6 +457,14 @@ BOUNDS_SHA256 = {
     ("fig4", "csv"): "f5f287cfa132d3c2c59f034f8906c7f4fa22f48fd75525f5f30c800bd6c8f66b",
 }
 
+# roundtrip CSV records of two shipped configs: config -> (sha256, extra flags)
+ROUNDTRIP_CSV_SHA256 = {
+    "paper_point": (
+        "c51ee325635de93dd20b65a1f458318497f307ad0d548af8429f38e8bf0345e1", ["--trials", "1000"]
+    ),
+    "noisy_link": ("2bdcd1256038c09617f32469e3a4cbe28f96ef93bba095a24b43b30a62ef8032", []),
+}
+
 
 class TestJsonOutputBytes:
     @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.stem)
@@ -465,6 +483,14 @@ class TestJsonOutputBytes:
         code, out, _ = run(["bounds", str(path), "--format", fmt], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_SHA256[figure, fmt]
+
+    @pytest.mark.parametrize("config", sorted(ROUNDTRIP_CSV_SHA256))
+    def test_roundtrip_csv_bytes_unchanged(self, config, capsys):
+        digest, flags = ROUNDTRIP_CSV_SHA256[config]
+        path = SHIPPED_CONFIGS[0].parent / f"{config}.json"
+        code, out, _ = run(["roundtrip", str(path), "--format", "csv", *flags], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestParser:

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+from cvue.bch import BchCode
 from cvue.codec import (
-    BchCodec,
-    CodecSpec,
     OracleCodec,
     base_decrypt,
     base_encrypt,
     bits_to_hex,
     concrete_spec,
-    make_codec,
     random_bits,
 )
+from cvue.protocol import ProtocolParams
 from cvue.reference import hex_to_bits
+
+
+def params(msg_len, num_modes, max_errors, scheme="oracle"):
+    return ProtocolParams(msg_len, num_modes, max_errors, 0.4, 3.4, scheme)
 
 
 class TestBaseCipher:
@@ -56,54 +59,58 @@ class TestBitHelpers:
 
 
 class TestCodecSpec:
+    # the code-layer checks (n, N, t, scheme) that ProtocolParams makes
+
     def test_valid_oracle_spec(self):
-        spec = CodecSpec(892, 1000, 35, "oracle")
-        assert spec.msg_len == 892
+        assert params(892, 1000, 35, "oracle").msg_len == 892
 
     def test_message_longer_than_code(self):
         with pytest.raises(ValueError, match="exceed"):
-            CodecSpec(20, 10, 1)
+            params(20, 10, 1)
 
     def test_too_many_errors(self):
         with pytest.raises(ValueError, match="code_len/2"):
-            CodecSpec(4, 10, 5)
+            params(4, 10, 5)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
-            CodecSpec(4, 10, 1, "magic")
+            params(4, 10, 1, "magic")
 
     def test_concrete_realizability(self):
-        assert CodecSpec(7, 15, 2, "concrete").max_errors == 2
-        with pytest.raises(ValueError, match="message bits"):
-            CodecSpec(6, 15, 2, "concrete")
+        assert params(6, 16, 2, "concrete").max_errors == 2
+        with pytest.raises(ValueError, match="carries 6 message bits, not 5"):
+            params(5, 16, 2, "concrete")
+        # odd lengths are codes too, just not protocol mode counts
+        assert BchCode(15, 2).msg_len == 7
         # even lengths come from shortening the next primitive code
-        assert CodecSpec(6, 16, 2, "concrete").msg_len == 6
-        with pytest.raises(ValueError, match="at most"):
+        assert BchCode(16, 2).order == 31
+        with pytest.raises(ValueError, match="at most 1023"):
             concrete_spec(2000, 3)
+        with pytest.raises(ValueError, match="no message bits"):
+            params(4, 16, 7, "concrete")
 
     def test_concrete_spec_helper(self):
-        spec = concrete_spec(31, 3)
-        assert (spec.msg_len, spec.code_len) == (16, 31)
+        code = concrete_spec(31, 3)
+        assert (code.msg_len, code.length) == (16, 31)
         shortened = concrete_spec(30, 3)
-        assert (shortened.msg_len, shortened.code_len) == (15, 30)
+        assert (shortened.msg_len, shortened.length) == (15, 30)
 
 
 class TestOracleCodec:
     def test_round_trip_many(self):
-        spec = CodecSpec(20, 40, 3)
         rng = np.random.default_rng(4)
-        codec = OracleCodec(spec)
+        codec = OracleCodec(20, 40, 3)
         for _ in range(1000):
             m = random_bits(20, rng)
             assert np.array_equal(codec.decode(codec.encode(m)), m)
 
     def test_decode_before_encode(self):
-        codec = OracleCodec(CodecSpec(4, 8, 1))
+        codec = OracleCodec(4, 8, 1)
         with pytest.raises(RuntimeError):
             codec.decode(np.zeros(8, dtype=np.uint8))
 
     def test_kilobit_parameters_accepted(self):
-        codec = OracleCodec(CodecSpec(892, 1000, 35))
+        codec = OracleCodec(892, 1000, 35)
         rng = np.random.default_rng(6)
         m = random_bits(892, rng)
         word = codec.encode(m)
@@ -113,49 +120,49 @@ class TestOracleCodec:
 
 class TestBchCodec:
     def test_round_trip_with_errors(self):
-        spec = concrete_spec(63, 3)
-        codec = make_codec(spec)
-        assert isinstance(codec, BchCodec)
+        code = concrete_spec(63, 3)
         rng = np.random.default_rng(7)
         for _ in range(30):
-            m = random_bits(spec.msg_len, rng)
-            word = codec.encode(m)
+            m = random_bits(code.msg_len, rng)
+            word = code.encode(m)
             word[rng.choice(63, size=3, replace=False)] ^= 1
-            assert np.array_equal(codec.decode(word), m)
+            assert np.array_equal(code.decode(word), m)
 
     def test_shortened_round_trip_with_errors(self):
-        spec = concrete_spec(30, 3)
-        codec = make_codec(spec)
+        code = concrete_spec(30, 3)
         rng = np.random.default_rng(8)
         for _ in range(100):
-            m = random_bits(spec.msg_len, rng)
-            word = codec.encode(m)
+            m = random_bits(code.msg_len, rng)
+            word = code.encode(m)
             assert word.size == 30
             flips = int(rng.integers(0, 4))
             word[rng.choice(30, size=flips, replace=False)] ^= 1
-            assert np.array_equal(codec.decode(word), m)
+            assert np.array_equal(code.decode(word), m)
 
     def test_make_codec_dispatch(self):
-        assert isinstance(make_codec(CodecSpec(4, 8, 1)), OracleCodec)
+        oracle = params(4, 8, 1)
+        assert isinstance(oracle.make_codec(), OracleCodec)
+        assert oracle.make_codec() is not oracle.make_codec()  # stateful, one per exchange
+        assert params(15, 30, 3, "concrete").make_codec() is concrete_spec(30, 3)
 
 
 @pytest.mark.parametrize(
-    "spec", [CodecSpec(8, 16, 3), concrete_spec(30, 3)], ids=["oracle", "bch-shortened"]
+    "spec", [params(8, 16, 3), params(15, 30, 3, "concrete")], ids=["oracle", "bch-shortened"]
 )
 def test_success_iff_flip_count_at_most_t(spec):
     # the property the flip-count kernels in cvue.adversary rely on: a
     # bounded-distance decoder returns the sent message iff <= t bits flipped
     rng = np.random.default_rng(5)
-    codec = make_codec(spec)
-    for flips in range(spec.code_len + 1):
+    codec = spec.make_codec()
+    for flips in range(spec.num_modes + 1):
         for _ in range(20):
             m = random_bits(spec.msg_len, rng)
             corrupted = codec.encode(m)
-            corrupted[rng.choice(spec.code_len, size=flips, replace=False)] ^= 1
+            corrupted[rng.choice(spec.num_modes, size=flips, replace=False)] ^= 1
             decoded = codec.decode(corrupted)
             if flips <= spec.max_errors:
                 assert np.array_equal(decoded, m)
-            elif spec.scheme == "oracle":
+            elif spec.codec_scheme == "oracle":
                 assert decoded is None
             else:
                 # beyond t a BCH decoder may land on another codeword
