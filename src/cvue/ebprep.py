@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .bounds import ber_analytic
 from .protocol import ProtocolParams
 from .stats import ks_test, ndtr, normal_window, truncated_normal, two_proportion_ztest
 
@@ -35,8 +36,8 @@ from .stats import ks_test, ndtr, normal_window, truncated_normal, two_proportio
 MAX_EXPECTED_DRAWS = 10**8
 # rejection-oracle draws per vectorised block; bounds the block arrays
 REJECTION_BLOCK = 1 << 16
-# modes (trials * N) per game_equivalence_test block: 4 MB per float64 array
-EQUIVALENCE_BLOCK_MODES = 1 << 19
+# modes (trials * N) per game_equivalence_test block: 256 KB per float64 array, L2-sized
+EQUIVALENCE_BLOCK_MODES = 1 << 15
 
 
 def _challenger_sigma(squeezing: float) -> float:
@@ -77,11 +78,12 @@ def eb_outcomes(signs, alpha: float, squeezing: float, rng: np.random.Generator)
     Returns (outcomes, offsets), both shaped like ``signs``.
     """
     _check_squeezing(squeezing)
+    outcomes = truncated_normal(_challenger_sigma(squeezing), alpha, rng, np.shape(signs))
     centers = alpha * np.asarray(signs, dtype=float)
-    outcomes = centers + truncated_normal(
-        _challenger_sigma(squeezing), alpha, rng, centers.shape
-    )
-    return outcomes, (outcomes - centers) * math.tanh(squeezing)
+    outcomes += centers
+    offsets = outcomes - centers
+    offsets *= math.tanh(squeezing)
+    return outcomes, offsets
 
 
 def tmsv_covariance(squeezing: float) -> np.ndarray:
@@ -195,11 +197,6 @@ class EquivalenceReport:
         return asdict(self)
 
 
-def _noise_flips(shape, alpha, std, rng) -> int:
-    """Flips of one arm: modes whose keyed-axis noise falls below -alpha."""
-    return int(np.count_nonzero(rng.normal(0.0, std, size=shape) < -alpha))
-
-
 def game_equivalence_test(
     params: ProtocolParams, trials: int, rng: np.random.Generator
 ) -> EquivalenceReport:
@@ -213,24 +210,25 @@ def game_equivalence_test(
     comparison holds by construction: measure_codeword thresholds the
     keyed-axis outcome alpha*s + k + noise at the same k that displaced it,
     so a 0 flips iff noise < -alpha (a 1 iff noise > alpha, the same law)
-    whatever the offset or its law, and each arm just counts its own
-    N(0, 1/(2 cosh r)) noise draws. No direct offsets are drawn: the offset
-    law the two preparations must share is invisible to this comparison.
+    whatever the offset or its law, with noise N(0, 1/(2 cosh r)): each arm's
+    count is one Binomial(trials * N, ber_analytic(alpha, r)) draw, the sum of
+    its per-mode flips. No direct offsets are drawn: the offset law is
+    invisible to this comparison.
 
-    Trials run in (block, N) arrays of at most EQUIVALENCE_BLOCK_MODES
-    modes, drawn straight from ``rng``. As in cvue.adversary, the direction
-    string is not sampled: it only picks which quadrature is the keyed
-    axis. Nor is the codec: every codec's codeword is laid out as the oracle
-    codec's, pad xor message (uniform under the one-time pad) in the first
-    msg_len positions, zeros after, and its bits set the window centres.
+    Trials run in (block, N) arrays of at most EQUIVALENCE_BLOCK_MODES modes,
+    drawn straight from ``rng``, and both checks run in place on them. As in
+    cvue.adversary, the direction string is not sampled: it only picks which
+    quadrature is the keyed axis. Nor is the codec: every codeword is laid
+    out as the oracle codec's, pad xor message (uniform under the one-time
+    pad) in the first msg_len positions, zeros after; its bits set the
+    window centres.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     n, big_n, alpha = params.msg_len, params.num_modes, params.alpha
     tanh_r = math.tanh(params.squeezing)
-    std = math.sqrt(0.5 / math.cosh(params.squeezing))
+    beta = ber_analytic(alpha, params.squeezing)
     step = max(1, EQUIVALENCE_BLOCK_MODES // big_n)
-    flips_direct = flips_eb = 0
     max_candidate_err = 0.0
     range_ok = True
     for start in range(0, trials, step):
@@ -238,14 +236,13 @@ def game_equivalence_test(
         signs = np.ones((block, big_n))
         signs[:, :n] -= 2.0 * rng.integers(0, 2, size=(block, n))
         outcomes, offsets = eb_outcomes(signs, alpha, params.squeezing, rng)
-        flips_direct += _noise_flips(signs.shape, alpha, std, rng)
-        flips_eb += _noise_flips(signs.shape, alpha, std, rng)
-        reconstructed = offsets / tanh_r + signs * alpha
-        max_candidate_err = max(
-            max_candidate_err, float(np.max(np.abs(reconstructed - outcomes)))
-        )
-        sided = signs * outcomes
-        range_ok = range_ok and bool(np.all((0.0 < sided) & (sided < 2.0 * alpha)))
-    return EquivalenceReport.from_counts(
-        params, trials, flips_direct, flips_eb, max_candidate_err, range_ok
-    )
+        # in the sided frame u' = s u, k' = s k (exact, s = +-1): 0 < u' < 2a, u' = k'/tanh r + a
+        outcomes *= signs
+        range_ok = range_ok and bool(outcomes.min() > 0.0 and outcomes.max() < 2.0 * alpha)
+        offsets /= tanh_r
+        offsets *= signs
+        offsets += alpha
+        offsets -= outcomes
+        max_candidate_err = max(max_candidate_err, float(np.abs(offsets, out=offsets).max()))
+    direct, eb = (int(rng.binomial(trials * big_n, beta)) for _arm in range(2))
+    return EquivalenceReport.from_counts(params, trials, direct, eb, max_candidate_err, range_ok)

@@ -70,7 +70,7 @@ class ProtocolParams:
         if self.max_errors < 0:
             raise ValueError("correctable error count must be nonnegative")
         if self.max_errors >= self.num_modes / 2:
-            raise ValueError("correctable error count must be below code_len/2")
+            raise ValueError("correctable error count must be below num_modes/2")
         if self.codec_scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.codec_scheme == "concrete":

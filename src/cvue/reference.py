@@ -23,6 +23,9 @@ slow, literal form of something the fast paths compute directly:
   ebprep.eb_outcomes, and game_equivalence_states, the per-trial
   key_gen/encrypt/eb_prepare loop that ebprep.game_equivalence_test's array
   kernel is checked against;
+* noise_flips, one equivalence arm counted mode by mode from homodyne noise,
+  which the arm's one Binomial draw in game_equivalence_test is checked
+  against;
 * bch_encode_scalar, the bigint long-division encoder that
   bch.BchCode.encode's parity table is checked against, and
   bch_decode_scalar, the per-bit syndrome / full 2t-step Berlekamp-Massey /
@@ -331,6 +334,13 @@ def _game_signal(params: ProtocolParams, block: int, rng: np.random.Generator) -
     N(alpha, 1/(2 cosh r)) per mode; an outcome below 0 is a flip."""
     std = math.sqrt(0.5 / math.cosh(params.squeezing))
     return rng.normal(params.alpha, std, size=(block, params.num_modes))
+
+
+def noise_flips(params: ProtocolParams, modes: int, rng: np.random.Generator) -> int:
+    """One game_equivalence_test flip arm over ``modes`` modes, mode by mode:
+    the count of keyed-axis noise draws N(0, 1/(2 cosh r)) below -alpha."""
+    std = math.sqrt(0.5 / math.cosh(params.squeezing))
+    return int(np.count_nonzero(rng.normal(0.0, std, size=modes) < -params.alpha))
 
 
 def noise_heterodyne_split(params: ProtocolParams, block: int, rng: np.random.Generator):

@@ -47,9 +47,11 @@ def ndtr(x):
 
 
 def _rational(coefs, x) -> np.ndarray:
-    # in-place Horner steps on the numerator and the denominator
-    (num, den), (a, b) = coefs, (np.full_like(x, c[0]) for c in coefs)
-    for c, d in zip(num[1:], den[1:]):
+    """AS241's rational function at x: Horner from x * c0 + c1, in place."""
+    (num, den), (a, b) = coefs, (x * c[0] for c in coefs)
+    a += num[1]
+    b += den[1]
+    for c, d in zip(num[2:], den[2:]):
         a *= x
         a += c
         b *= x
@@ -61,19 +63,21 @@ def _rational(coefs, x) -> np.ndarray:
 def ndtri(p) -> np.ndarray:
     """Inverse of the standard normal CDF over an array of p in (0, 1) (AS241,
     within 2e-15 relative of scipy's ndtri down to p = 1e-300). When every p
-    lies in the central branch no tail is masked out."""
+    is central no tail is masked out, and the branch works in three arrays."""
     p = np.asarray(p, dtype=float)
-    q = p - 0.5
-    r = 0.180625 - q * q
+    r = np.subtract(p, 0.5, out=np.empty_like(p))  # q, an array even for a 0-d p
+    np.subtract(0.180625, np.square(r, out=r), out=r)
     central = r >= 0.0
     if central.all():
-        return q * _rational(_AS241[0], r)
+        out = _rational(_AS241[0], r)
+        out *= np.subtract(p, 0.5, out=r)
+        return out
     out = np.empty_like(p)
-    out[central] = q[central] * _rational(_AS241[0], r[central])
+    out[central] = (p[central] - 0.5) * _rational(_AS241[0], r[central])
     tail = ~central
     s = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
     x = np.where(s <= 5.0, _rational(_AS241[1], s - 1.6), _rational(_AS241[2], s - 5.0))
-    out[tail] = np.copysign(x, q[tail])
+    out[tail] = np.copysign(x, p[tail] - 0.5)
     return out
 
 
@@ -110,20 +114,46 @@ def normal_window(sigma: float, bound: float):
 
 
 def truncated_normal(sigma: float, bound: float, rng: np.random.Generator, size=None):
-    """N(0, sigma^2) restricted to the open window (-bound, bound).
-
-    Sampling is by inverse CDF, exact to floating precision; rejection would
-    accept only ~10% of draws at the working parameters.
-    """
+    """N(0, sigma^2) restricted to the open window (-bound, bound), by inverse
+    CDF, exact to floating precision (rejection would accept only ~10% of
+    draws at the working parameters), scaled in place in ndtri's array."""
     lo, hi = normal_window(sigma, bound)
-    return sigma * ndtri(rng.uniform(lo, hi, size=size))
+    out = ndtri(rng.uniform(lo, hi, size=size))
+    out *= sigma
+    return out
+
+
+def _ks_sf_exact(n: int, d: float) -> float:
+    """P[D_n >= d] for the one-sample KS statistic of n samples, from the
+    Marsaglia-Tsang-Wang matrix form (J. Stat. Softw. 8(18), 2003): with
+    n d = k - h, 0 <= h < 1, P[D_n < d] = n!/n^n (H^n)_kk for an m x m
+    matrix H, m = 2k - 1 (at most 2n - 1). At n = 1 it is 2(1 - d)."""
+    if d >= 1.0:
+        return 0.0
+    if n * d <= 0.5:  # D_n >= 1/(2n) always
+        return 1.0
+    k = math.ceil(n * d)
+    h = k - n * d
+    m = 2 * k - 1
+    i = np.arange(m)
+    fact = np.array([math.factorial(j) for j in range(m + 1)], dtype=float)
+    # H_ij = 1/(i - j + 1)! on and below the superdiagonal, less h^(i+1)/(i+1)!
+    # down the first column and h^(m-j)/(m-j)! along the last row
+    lag = i[:, None] - i[None, :] + 1
+    hmat = np.where(lag >= 0, 1.0 / fact[np.maximum(lag, 0)], 0.0)
+    hmat[:, 0] -= h ** (i + 1) / fact[i + 1]
+    hmat[-1, :] -= h ** (m - i) / fact[m - i]
+    hmat[-1, 0] += max(0.0, 2.0 * h - 1.0) ** m / fact[m]
+    below = math.factorial(n) / n**n * np.linalg.matrix_power(hmat, n)[k - 1, k - 1]
+    return min(max(1.0 - float(below), 0.0), 1.0)
 
 
 def ks_test(samples, cdf) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov test of ``samples`` against the continuous
     CDF ``cdf`` (called on the sorted samples): (statistic D, p-value).
 
-    The p-value is the Kolmogorov limit law P[K > lam] = 2 sum_k (-1)^(k-1)
+    Below 5 samples the p-value is the exact finite-n law (_ks_sf_exact).
+    From 5 up it is the Kolmogorov limit law P[K > lam] = 2 sum_k (-1)^(k-1)
     exp(-2 k^2 lam^2) at Stephens' lam = (sqrt n + 0.12 + 0.11 / sqrt n) D
     (Stephens, JRSS B 32, 1970), within 0.023 of the exact p-value for
     n >= 5. A hundred terms are exact in double precision for lam >= 0.2;
@@ -137,6 +167,8 @@ def ks_test(samples, cdf) -> tuple[float, float]:
     d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
     d_minus = (cdfvals - np.arange(0.0, n) / n).max()
     statistic = float(max(d_plus, d_minus))
+    if n < 5:
+        return statistic, _ks_sf_exact(n, statistic)
     lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * statistic
     if lam < 0.2:
         return statistic, 1.0

@@ -457,6 +457,20 @@ BOUNDS_SHA256 = {
     ("fig4", "csv"): "f5f287cfa132d3c2c59f034f8906c7f4fa22f48fd75525f5f30c800bd6c8f66b",
 }
 
+# `keygen` stdout of every shipped config, in the config's own format: the key
+# offsets pin the bits of stats.ndtri and stats.truncated_normal
+KEYGEN_SHA256 = {
+    "attack_heterodyne": "384000e2f1ae449a3b106b97c98cb1e1cea976ddd554cb57bd781c47ce1076e9",
+    "ebcheck": "776d88f044fcf025d5f6f837cc880ebd040607a27abe8e93e2005a1062c97b12",
+    "fig2a": "b62c90dac0dc8b92ba9def02db18f8c86b1e5117af7920824af51ced29cdf970",
+    "noisy_link": "ef8f39815bc3d8dd41d4279ef665eec4c4232676e484f2c9fb17ca53ceacc9bb",
+    "paper_point": "268d050d732f15834225345627c50d1fc426ef1c7d950d8a45264e2591ce1d9d",
+}
+
+# `ebcheck configs/ebcheck.json --trials 20 --format json`: a change to the
+# order or the laws of its draws shows here
+EBCHECK_SHA256 = "cea08d91ca417b8e526f2f3b108d2368eeaf17c280af9f8b2ebd79c812bd2b4f"
+
 # roundtrip CSV records of two shipped configs: config -> (sha256, extra flags)
 ROUNDTRIP_CSV_SHA256 = {
     "paper_point": (
@@ -483,6 +497,22 @@ class TestJsonOutputBytes:
         code, out, _ = run(["bounds", str(path), "--format", fmt], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_SHA256[figure, fmt]
+
+    def test_keygen_pins_cover_every_shipped_config(self):
+        assert sorted(KEYGEN_SHA256) == [p.stem for p in SHIPPED_CONFIGS]
+
+    @pytest.mark.parametrize("config", sorted(KEYGEN_SHA256))
+    def test_keygen_bytes_unchanged(self, config, capsys):
+        path = SHIPPED_CONFIGS[0].parent / f"{config}.json"
+        code, out, _ = run(["keygen", str(path)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == KEYGEN_SHA256[config]
+
+    def test_ebcheck_bytes_pinned(self, capsys):
+        path = SHIPPED_CONFIGS[0].parent / "ebcheck.json"
+        code, out, _ = run(["ebcheck", str(path), "--trials", "20", "--format", "json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EBCHECK_SHA256
 
     @pytest.mark.parametrize("config", sorted(ROUNDTRIP_CSV_SHA256))
     def test_roundtrip_csv_bytes_unchanged(self, config, capsys):

@@ -69,7 +69,7 @@ class TestCodecSpec:
             params(20, 10, 1)
 
     def test_too_many_errors(self):
-        with pytest.raises(ValueError, match="code_len/2"):
+        with pytest.raises(ValueError, match="num_modes/2"):
             params(4, 10, 5)
 
     def test_unknown_scheme(self):

@@ -5,8 +5,11 @@ import pytest
 from scipy.special import erf
 from scipy.stats import ks_2samp
 
+from cvue import ebprep
+from cvue.bounds import ber_analytic
 from cvue.codec import random_bits
 from cvue.ebprep import (
+    EQUIVALENCE_BLOCK_MODES,
     conditional_cov_error,
     eb_outcomes,
     eb_rejection_oracle,
@@ -24,6 +27,7 @@ from cvue.reference import (
     condition_on_homodyne,
     eb_prepare,
     game_equivalence_states,
+    noise_flips,
     two_mode_squeezed,
 )
 from cvue.stats import two_proportion_ztest
@@ -229,6 +233,91 @@ class TestGameEquivalence:
             assert abs(z) < 5, arm
         assert slow.max_candidate_error < 1e-9 * params.alpha
         assert slow.outcome_range_ok
+
+    @pytest.mark.parametrize("squeezing", [2.0, 3.4])
+    def test_arms_match_the_per_mode_noise_count(self, squeezing):
+        # the Binomial arms against noise_flips' per-mode count, 1.2e6 modes each
+        params = ProtocolParams(892, 1000, 35, 0.4, squeezing)
+        report = game_equivalence_test(params, 1200, np.random.default_rng(22))
+        modes = report.trials * report.modes_per_trial
+        oracle = noise_flips(params, modes, np.random.default_rng(23))
+        for arm in ("flip_rate_direct", "flip_rate_eb"):
+            flips = round(getattr(report, arm) * modes)
+            z, _ = two_proportion_ztest(flips, modes, oracle, modes)
+            assert abs(z) < 5, arm
+
+    def test_reference_run_spans_several_blocks(self, monkeypatch):
+        # 100 trials of 1000 modes are at least 3 blocks of at most 2^15 modes
+        shapes = []
+
+        def counted(signs, alpha, squeezing, rng):
+            shapes.append(signs.shape)
+            return eb_outcomes(signs, alpha, squeezing, rng)
+
+        monkeypatch.setattr(ebprep, "eb_outcomes", counted)
+        report = game_equivalence_test(REFERENCE, 100, np.random.default_rng(24))
+        assert len(shapes) >= 3
+        assert all(rows * cols <= EQUIVALENCE_BLOCK_MODES for rows, cols in shapes)
+        assert sum(rows for rows, _ in shapes) == report.trials == 100
+        assert report.modes_per_trial == 1000
+        # each arm is Binomial(trials * N, ber_analytic): within 5 sigma of beta
+        beta = ber_analytic(REFERENCE.alpha, REFERENCE.squeezing)
+        sigma = math.sqrt(beta * (1.0 - beta) / (100 * 1000))
+        for arm in ("flip_rate_direct", "flip_rate_eb"):
+            assert abs(getattr(report, arm) - beta) < 5.0 * sigma, arm
+        assert report.outcome_range_ok
+        assert report.max_candidate_error < 1e-9 * REFERENCE.alpha
+
+    @staticmethod
+    def run_with_first_or_last_block_changed(params, which, change, seed):
+        """game_equivalence_test over three blocks (the last one short), with
+        ``change(signs, outcomes, offsets)`` applied to the first or the last."""
+        step = EQUIVALENCE_BLOCK_MODES // params.num_modes
+        calls = []
+
+        def changed(signs, alpha, squeezing, rng):
+            outcomes, offsets = eb_outcomes(signs, alpha, squeezing, rng)
+            calls.append(signs.shape[0])
+            if (which == "first" and len(calls) == 1) or (which == "last" and calls[-1] < step):
+                change(signs, outcomes, offsets)
+            return outcomes, offsets
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ebprep, "eb_outcomes", changed)
+            report = game_equivalence_test(params, 2 * step + 3, np.random.default_rng(seed))
+        assert calls == [step, step, 3]
+        return report
+
+    @pytest.mark.parametrize("which", ["first", "last"])
+    def test_misderived_offsets_are_seen(self, which):
+        # offsets 1e-6 off, relative, in one block: u = k/tanh(r) +- alpha fails
+        def skew(signs, outcomes, offsets):
+            offsets *= 1.0 + 1e-6
+
+        params = ProtocolParams(16, 64, 3, 0.4, 3.4)
+        report = self.run_with_first_or_last_block_changed(params, which, skew, 19)
+        assert report.max_candidate_error > 1e-9
+        assert report.outcome_range_ok
+
+    @pytest.mark.parametrize("edge", ["near", "far"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("which", ["first", "last"])
+    def test_outcome_outside_its_window_is_seen(self, which, sign, edge):
+        # one outcome just past an edge of its window, (0, 2 alpha) for a +1
+        # sign and (-2 alpha, 0) for a -1, with a consistent offset: the range
+        # check fails, the candidate check does not
+        params = ProtocolParams(16, 64, 3, 0.4, 3.4)
+        alpha, tanh_r = params.alpha, math.tanh(params.squeezing)
+
+        def move(signs, outcomes, offsets):
+            mode = np.flatnonzero(signs[-1] == sign)[0]
+            sided = -1e-3 if edge == "near" else 2.0 * alpha * (1.0 + 1e-3)
+            outcomes[-1, mode] = sign * sided
+            offsets[-1, mode] = (outcomes[-1, mode] - sign * alpha) * tanh_r
+
+        report = self.run_with_first_or_last_block_changed(params, which, move, 20)
+        assert not report.outcome_range_ok
+        assert report.max_candidate_error < 1e-9 * alpha
 
     def test_report_serializes(self):
         params = ProtocolParams(8, 16, 1, 0.4, 3.4)

@@ -68,7 +68,7 @@ class TestParams:
             ProtocolParams(8, 16, 2, 0.4, -1.0)
 
     def test_codec_errors_propagate(self):
-        with pytest.raises(ValueError, match="code_len/2"):
+        with pytest.raises(ValueError, match="num_modes/2"):
             ProtocolParams(8, 16, 8, 0.4, 3.4)
 
 

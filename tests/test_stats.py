@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import special
-from scipy.stats import kstest
+from scipy.stats import kstest, kstwo
 
 from cvue import ebprep, stats
 from cvue.adversary import split_flip_probs
@@ -147,6 +147,28 @@ class TestKsTest:
             x = centres + delta
             _, pvalue = stats.ks_test(x, uniform_cdf)
             assert abs(pvalue - kstest(x, uniform_cdf).pvalue) <= tolerance
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_exact_law_matches_scipy_kstwo(self, n):
+        grid = np.linspace(0.0, 1.0, 2001).tolist() + [1 / (2 * n), 1 / n, 1 - 1e-12, 1.0]
+        for d in grid:
+            assert abs(stats._ks_sf_exact(n, d) - kstwo.sf(d, n)) <= 1e-12, d
+
+    def test_one_sample_law_is_linear(self):
+        # D_1 = max(x, 1 - x) for one uniform x, so P[D_1 >= d] = 2(1 - d) on [1/2, 1]
+        for x in (0.0, 0.1, 0.37, 0.5, 0.8, 0.999):
+            statistic, pvalue = stats.ks_test([x], uniform_cdf)
+            assert statistic == max(x, 1 - x)
+            assert pvalue == pytest.approx(2 * (1 - statistic), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pvalue_below_five_samples_is_the_exact_law(self, n):
+        # Stephens' limit law was 0.156 off at n = 1 and 0.024-0.034 at n = 2-4
+        centres = (np.arange(n) + 0.5) / n
+        for delta in np.linspace(0.0, 0.6, 241):
+            x = centres + delta
+            _, pvalue = stats.ks_test(x, uniform_cdf)
+            assert abs(pvalue - kstest(x, uniform_cdf, method="exact").pvalue) <= 1e-12
 
     def test_needs_a_sample(self):
         with pytest.raises(ValueError):
