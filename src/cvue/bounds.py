@@ -111,14 +111,10 @@ def asymptotic_margin(alpha: float, squeezing: float):
     beta = ber_analytic(alpha, squeezing)
     # above alpha ~ 8.99e307, 1 + 2 alpha overflows; log2(1 + 2 alpha) is
     # then 1 + log2(0.5 + alpha), used only there so other values keep their bits
-    if np.ndim(alpha) == 0:  # Python floats overflow to inf without a warning
-        gain = 1.0 + 2.0 * float(alpha)
-        log_gain = np.log2(gain) if gain < math.inf else 1.0 + np.log2(0.5 + float(alpha))
-    else:
-        alpha = np.asarray(alpha, dtype=float)
-        with np.errstate(over="ignore"):
-            gain = 1.0 + 2.0 * alpha
-        log_gain = np.where(gain < math.inf, np.log2(gain), 1.0 + np.log2(0.5 + alpha))
+    alpha = np.asarray(alpha, dtype=float)
+    with np.errstate(over="ignore"):
+        gain = 1.0 + 2.0 * alpha
+    log_gain = np.where(gain < math.inf, np.log2(gain), 1.0 + np.log2(0.5 + alpha))
     out = binary_entropy(beta) - (0.5 - beta) * (1.0 - log_gain)
     return float(out) if np.ndim(out) == 0 else out
 

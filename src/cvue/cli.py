@@ -2,7 +2,8 @@
 
 Every subcommand loads one JSON config file, applies the shared flag
 overrides (--seed, --trials, --out, --format), runs deterministically from
-the seed, and writes CSV or JSON to the output path (stdout by default).
+the seed, and writes to the output path (stdout by default): CSV or JSON for
+roundtrip and bounds, JSON for the others.
 Tables carry a comment row echoing the config hash. Exit code 0 on
 success, 2 on validation or I/O failure.
 """
@@ -222,8 +223,7 @@ def cmd_ebcheck(config: RunConfig) -> int:
     accepted, _, cond_cov, attempts = ebprep.eb_rejection_oracle(
         params.squeezing, params.alpha, samples, rng
     )
-    report = ebprep.game_equivalence_test(params, config.trials, rng)
-    direct, _ = ebprep.eb_outcomes(np.ones(samples), params.alpha, params.squeezing, rng)
+    report, direct = ebprep.game_equivalence_test(params, config.trials, samples, rng)
     # each arm against the closed-form law, so that an arm that is wrong fails
     # even when the other is wrong the same way
     ks = {}

@@ -14,10 +14,10 @@ but every protocol-relevant quantity factors through the challenger's
 homodyne). Everything here works on arrays drawn straight from the
 caller's generator: eb_outcomes samples any number of challenger outcomes
 at once (cvue.reference.eb_prepare builds whole cipherstates from them),
-game_equivalence_test runs its trials in (block, N) arrays, and
-eb_rejection_oracle, an independent cross-check built from the unrestricted
-two-mode squeezed state, accepts its samples in vectorised blocks and
-conditions them all with one Schur complement.
+game_equivalence_test checks one such draw of signed outcomes and their
+offsets, and eb_rejection_oracle, an independent cross-check built from the
+unrestricted two-mode squeezed state, accepts its samples in vectorised
+blocks and conditions them all with one Schur complement.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .stats import ks_test, ndtr, normal_window, truncated_normal, two_proportio
 MAX_EXPECTED_DRAWS = 10**8
 # rejection-oracle draws per vectorised block; bounds the block arrays
 REJECTION_BLOCK = 1 << 16
-# modes (trials * N) per game_equivalence_test block: 256 KB per float64 array, L2-sized
-EQUIVALENCE_BLOCK_MODES = 1 << 15
 
 
 def _challenger_sigma(squeezing: float) -> float:
@@ -198,51 +196,43 @@ class EquivalenceReport:
 
 
 def game_equivalence_test(
-    params: ProtocolParams, trials: int, rng: np.random.Generator
-) -> EquivalenceReport:
+    params: ProtocolParams, trials: int, samples: int, rng: np.random.Generator
+) -> tuple[EquivalenceReport, np.ndarray]:
     """Check the two preparations agree where the protocol can see.
 
-    Per trial and mode, the entanglement-based arm derives its offset k from
-    a challenger outcome and verifies algebraically that the outcome is
-    k/tanh(r) +- alpha and lies in its codeword bit's window: (0, 2 alpha)
-    for a 0, (-2 alpha, 0) for a 1. Both arms then count their flips, and
-    the flip rates are compared with a two-proportion z-test. That
-    comparison holds by construction: measure_codeword thresholds the
-    keyed-axis outcome alpha*s + k + noise at the same k that displaced it,
-    so a 0 flips iff noise < -alpha (a 1 iff noise > alpha, the same law)
-    whatever the offset or its law, with noise N(0, 1/(2 cosh r)): each arm's
-    count is one Binomial(trials * N, ber_analytic(alpha, r)) draw, the sum of
-    its per-mode flips. No direct offsets are drawn: the offset law is
-    invisible to this comparison.
+    The entanglement-based arm draws ``samples`` challenger outcomes u with
+    uniform signs s = +-1 (the codeword bits, uniform under the one-time
+    pad), derives each offset k, and verifies algebraically that u is
+    k/tanh(r) + s alpha and lies in its bit's window: (0, 2 alpha) for a 0,
+    (-2 alpha, 0) for a 1. Both checks run in the sided frame u' = s u,
+    k' = s k (exact for s = +-1), where they read 0 < u' < 2 alpha and
+    k'/tanh r + alpha - u' = 0. The sided outcomes follow the bit-0 law,
+    N(alpha, cosh(r)/2) on (0, 2 alpha), and are returned with the report
+    for a KS test against it.
 
-    Trials run in (block, N) arrays of at most EQUIVALENCE_BLOCK_MODES modes,
-    drawn straight from ``rng``, and both checks run in place on them. As in
-    cvue.adversary, the direction string is not sampled: it only picks which
-    quadrature is the keyed axis. Nor is the codec: every codeword is laid
-    out as the oracle codec's, pad xor message (uniform under the one-time
-    pad) in the first msg_len positions, zeros after; its bits set the
-    window centres.
+    The two flip arms compare ``trials`` N modes each with a two-proportion
+    z-test. That comparison holds by construction: measure_codeword
+    thresholds the keyed-axis outcome alpha*s + k + noise at the same k that
+    displaced it, so a 0 flips iff noise < -alpha (a 1 iff noise > alpha,
+    the same law) whatever the offset or its law, with noise
+    N(0, 1/(2 cosh r)): each arm's count is one
+    Binomial(trials * N, ber_analytic(alpha, r)) draw. As in cvue.adversary,
+    the direction string is not sampled: it only picks which quadrature is
+    the keyed axis.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    n, big_n, alpha = params.msg_len, params.num_modes, params.alpha
-    tanh_r = math.tanh(params.squeezing)
+    if trials < 1 or samples < 1:
+        raise ValueError("need at least one trial and one sample")
+    alpha = params.alpha
     beta = ber_analytic(alpha, params.squeezing)
-    step = max(1, EQUIVALENCE_BLOCK_MODES // big_n)
-    max_candidate_err = 0.0
-    range_ok = True
-    for start in range(0, trials, step):
-        block = min(step, trials - start)
-        signs = np.ones((block, big_n))
-        signs[:, :n] -= 2.0 * rng.integers(0, 2, size=(block, n))
-        outcomes, offsets = eb_outcomes(signs, alpha, params.squeezing, rng)
-        # in the sided frame u' = s u, k' = s k (exact, s = +-1): 0 < u' < 2a, u' = k'/tanh r + a
-        outcomes *= signs
-        range_ok = range_ok and bool(outcomes.min() > 0.0 and outcomes.max() < 2.0 * alpha)
-        offsets /= tanh_r
-        offsets *= signs
-        offsets += alpha
-        offsets -= outcomes
-        max_candidate_err = max(max_candidate_err, float(np.abs(offsets, out=offsets).max()))
-    direct, eb = (int(rng.binomial(trials * big_n, beta)) for _arm in range(2))
-    return EquivalenceReport.from_counts(params, trials, direct, eb, max_candidate_err, range_ok)
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=samples)
+    outcomes, offsets = eb_outcomes(signs, alpha, params.squeezing, rng)
+    outcomes *= signs
+    range_ok = bool(outcomes.min() > 0.0 and outcomes.max() < 2.0 * alpha)
+    offsets /= math.tanh(params.squeezing)
+    offsets *= signs
+    offsets += alpha
+    offsets -= outcomes
+    max_candidate_err = float(np.abs(offsets, out=offsets).max())
+    direct, eb = (int(rng.binomial(trials * params.num_modes, beta)) for _arm in range(2))
+    report = EquivalenceReport.from_counts(params, trials, direct, eb, max_candidate_err, range_ok)
+    return report, outcomes

@@ -260,16 +260,11 @@ def decrypt(
     params: ProtocolParams,
     codec,
     rng: np.random.Generator,
-    threshold_scale: float = 1.0,
 ):
-    """Decrypt a cipherstate; returns the plaintext bits or None on decode failure.
-
-    ``threshold_scale`` rescales the offset thresholds, matching how a lossy
-    channel rescales the displacement (see the channel module).
-    """
+    """Decrypt a cipherstate; returns the plaintext bits or None on decode failure."""
     if cipher.num_modes != params.num_modes:
         raise ValueError("cipherstate size does not match params")
-    estimate = measure_codeword(key, cipher, rng, threshold_scale)
+    estimate = measure_codeword(key, cipher, rng)
     decoded = codec.decode(estimate)
     if decoded is None:
         return None

@@ -21,8 +21,8 @@ slow, literal form of something the fast paths compute directly:
   protocol.run_round_trip's flip-count shortcut is checked against;
 * eb_prepare, a whole cipherstate prepared the entanglement-based way from
   ebprep.eb_outcomes, and game_equivalence_states, the per-trial
-  key_gen/encrypt/eb_prepare loop that ebprep.game_equivalence_test's array
-  kernel is checked against;
+  key_gen/encrypt/eb_prepare loop that ebprep.game_equivalence_test's flip
+  arms and checks are compared with;
 * noise_flips, one equivalence arm counted mode by mode from homodyne noise,
   which the arm's one Binomial draw in game_equivalence_test is checked
   against;

@@ -62,23 +62,22 @@ def _rational(coefs, x) -> np.ndarray:
 
 def ndtri(p) -> np.ndarray:
     """Inverse of the standard normal CDF over an array of p in (0, 1) (AS241,
-    within 2e-15 relative of scipy's ndtri down to p = 1e-300). When every p
-    is central no tail is masked out, and the branch works in three arrays."""
+    within 2e-15 relative of scipy's ndtri down to p = 1e-300), shaped like
+    p (a 0-d array for a scalar). The central branch runs on every p, in
+    place; the tail branch overwrites the p past |p - 1/2| = 0.425, if any."""
     p = np.asarray(p, dtype=float)
-    r = np.subtract(p, 0.5, out=np.empty_like(p))  # q, an array even for a 0-d p
+    flat = p.reshape(-1)
+    r = np.subtract(flat, 0.5)
     np.subtract(0.180625, np.square(r, out=r), out=r)
-    central = r >= 0.0
-    if central.all():
-        out = _rational(_AS241[0], r)
-        out *= np.subtract(p, 0.5, out=r)
-        return out
-    out = np.empty_like(p)
-    out[central] = (p[central] - 0.5) * _rational(_AS241[0], r[central])
-    tail = ~central
-    s = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
-    x = np.where(s <= 5.0, _rational(_AS241[1], s - 1.6), _rational(_AS241[2], s - 5.0))
-    out[tail] = np.copysign(x, p[tail] - 0.5)
-    return out
+    tail = np.flatnonzero(r < 0.0)
+    out = _rational(_AS241[0], r)
+    out *= np.subtract(flat, 0.5, out=r)
+    if tail.size:
+        pt = flat[tail]
+        s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        x = np.where(s <= 5.0, _rational(_AS241[1], s - 1.6), _rational(_AS241[2], s - 5.0))
+        out[tail] = np.copysign(x, pt - 0.5)
+    return out.reshape(p.shape)
 
 
 def binomial_sf(k: int, n: int, p: float) -> float:

@@ -469,7 +469,7 @@ KEYGEN_SHA256 = {
 
 # `ebcheck configs/ebcheck.json --trials 20 --format json`: a change to the
 # order or the laws of its draws shows here
-EBCHECK_SHA256 = "cea08d91ca417b8e526f2f3b108d2368eeaf17c280af9f8b2ebd79c812bd2b4f"
+EBCHECK_SHA256 = "b4e70deecd2319a8ed32974c38c1bcdd54f9c3610c22e91026eb4e18d3c55244"
 
 # roundtrip CSV records of two shipped configs: config -> (sha256, extra flags)
 ROUNDTRIP_CSV_SHA256 = {

@@ -6,10 +6,8 @@ from scipy.special import erf
 from scipy.stats import ks_2samp
 
 from cvue import ebprep
-from cvue.bounds import ber_analytic
 from cvue.codec import random_bits
 from cvue.ebprep import (
-    EQUIVALENCE_BLOCK_MODES,
     conditional_cov_error,
     eb_outcomes,
     eb_rejection_oracle,
@@ -201,20 +199,21 @@ class TestRejectionOracle:
 class TestGameEquivalence:
     def test_candidate_reconstruction_and_range(self):
         params = ProtocolParams(16, 64, 3, 0.4, 3.4)
-        report = game_equivalence_test(params, 200, np.random.default_rng(10))
+        report, _ = game_equivalence_test(params, 200, 2000, np.random.default_rng(10))
         # u = k/tanh(r) +- alpha holds to floating precision
         assert report.max_candidate_error < 1e-9 * params.alpha
         assert report.outcome_range_ok
 
     def test_flip_rates_agree(self):
-        report = game_equivalence_test(REFERENCE, 1000, np.random.default_rng(11))
+        report, _ = game_equivalence_test(REFERENCE, 1000, 2000, np.random.default_rng(11))
         assert abs(report.z_statistic) < 5
         assert report.modes_per_trial == 1000
         assert report.trials == 1000
 
     def test_needs_trials(self):
-        with pytest.raises(ValueError):
-            game_equivalence_test(REFERENCE, 0, np.random.default_rng(12))
+        for trials, samples in ((0, 10), (10, 0)):
+            with pytest.raises(ValueError):
+                game_equivalence_test(REFERENCE, trials, samples, np.random.default_rng(12))
 
     @pytest.mark.parametrize(
         "params",
@@ -222,7 +221,7 @@ class TestGameEquivalence:
         ids=["oracle", "concrete"],
     )
     def test_matches_object_loop(self, params):
-        fast = game_equivalence_test(params, 4000, np.random.default_rng(16))
+        fast, _ = game_equivalence_test(params, 4000, 2000, np.random.default_rng(16))
         slow = game_equivalence_states(params, 1000, np.random.default_rng(17))
         fast_modes = fast.trials * fast.modes_per_trial
         slow_modes = slow.trials * slow.modes_per_trial
@@ -238,7 +237,7 @@ class TestGameEquivalence:
     def test_arms_match_the_per_mode_noise_count(self, squeezing):
         # the Binomial arms against noise_flips' per-mode count, 1.2e6 modes each
         params = ProtocolParams(892, 1000, 35, 0.4, squeezing)
-        report = game_equivalence_test(params, 1200, np.random.default_rng(22))
+        report, _ = game_equivalence_test(params, 1200, 10, np.random.default_rng(22))
         modes = report.trials * report.modes_per_trial
         oracle = noise_flips(params, modes, np.random.default_rng(23))
         for arm in ("flip_rate_direct", "flip_rate_eb"):
@@ -246,8 +245,9 @@ class TestGameEquivalence:
             z, _ = two_proportion_ztest(flips, modes, oracle, modes)
             assert abs(z) < 5, arm
 
-    def test_reference_run_spans_several_blocks(self, monkeypatch):
-        # 100 trials of 1000 modes are at least 3 blocks of at most 2^15 modes
+    @pytest.mark.parametrize("trials", [1, 10**5])
+    def test_one_draw_of_samples_modes(self, trials, monkeypatch):
+        # the checks cost O(samples) whatever trials is: trials only sizes the flip arms
         shapes = []
 
         def counted(signs, alpha, squeezing, rng):
@@ -255,47 +255,48 @@ class TestGameEquivalence:
             return eb_outcomes(signs, alpha, squeezing, rng)
 
         monkeypatch.setattr(ebprep, "eb_outcomes", counted)
-        report = game_equivalence_test(REFERENCE, 100, np.random.default_rng(24))
-        assert len(shapes) >= 3
-        assert all(rows * cols <= EQUIVALENCE_BLOCK_MODES for rows, cols in shapes)
-        assert sum(rows for rows, _ in shapes) == report.trials == 100
-        assert report.modes_per_trial == 1000
-        # each arm is Binomial(trials * N, ber_analytic): within 5 sigma of beta
-        beta = ber_analytic(REFERENCE.alpha, REFERENCE.squeezing)
-        sigma = math.sqrt(beta * (1.0 - beta) / (100 * 1000))
-        for arm in ("flip_rate_direct", "flip_rate_eb"):
-            assert abs(getattr(report, arm) - beta) < 5.0 * sigma, arm
-        assert report.outcome_range_ok
-        assert report.max_candidate_error < 1e-9 * REFERENCE.alpha
+        report, sided = game_equivalence_test(REFERENCE, trials, 300, np.random.default_rng(24))
+        assert shapes == [(300,)] and sided.shape == (300,)
+        assert report.trials == trials and report.modes_per_trial == 1000
+
+    def test_sided_outcomes_follow_the_bit_0_law(self, monkeypatch):
+        # s u for uniform signs s, checked against the (0, 2 alpha) law that
+        # cmd_ebcheck tests them on; both signs are drawn
+        drawn = []
+
+        def kept(signs, alpha, squeezing, rng):
+            drawn.append(signs.copy())
+            return eb_outcomes(signs, alpha, squeezing, rng)
+
+        monkeypatch.setattr(ebprep, "eb_outcomes", kept)
+        _, sided = game_equivalence_test(REFERENCE, 1, 5000, np.random.default_rng(25))
+        assert set(drawn[0].tolist()) == {1.0, -1.0}
+        assert np.all((0.0 < sided) & (sided < 2.0 * REFERENCE.alpha))
+        assert ebprep.outcome_ks(sided, REFERENCE.squeezing, REFERENCE.alpha)[1] > 0.01
 
     @staticmethod
-    def run_with_first_or_last_block_changed(params, which, change, seed):
-        """game_equivalence_test over three blocks (the last one short), with
-        ``change(signs, outcomes, offsets)`` applied to the first or the last."""
-        step = EQUIVALENCE_BLOCK_MODES // params.num_modes
-        calls = []
+    def run_with_draw_changed(params, change, seed):
+        """game_equivalence_test on one draw of 64 outcomes, with
+        ``change(signs, outcomes, offsets)`` applied to it before the checks."""
 
         def changed(signs, alpha, squeezing, rng):
             outcomes, offsets = eb_outcomes(signs, alpha, squeezing, rng)
-            calls.append(signs.shape[0])
-            if (which == "first" and len(calls) == 1) or (which == "last" and calls[-1] < step):
-                change(signs, outcomes, offsets)
+            change(signs, outcomes, offsets)
             return outcomes, offsets
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ebprep, "eb_outcomes", changed)
-            report = game_equivalence_test(params, 2 * step + 3, np.random.default_rng(seed))
-        assert calls == [step, step, 3]
+            report, _ = game_equivalence_test(params, 10, 64, np.random.default_rng(seed))
         return report
 
     @pytest.mark.parametrize("which", ["first", "last"])
     def test_misderived_offsets_are_seen(self, which):
-        # offsets 1e-6 off, relative, in one block: u = k/tanh(r) +- alpha fails
+        # the first or the last offset 1e-6 off: u = k/tanh(r) +- alpha fails
         def skew(signs, outcomes, offsets):
-            offsets *= 1.0 + 1e-6
+            offsets[0 if which == "first" else -1] += 1e-6
 
         params = ProtocolParams(16, 64, 3, 0.4, 3.4)
-        report = self.run_with_first_or_last_block_changed(params, which, skew, 19)
+        report = self.run_with_draw_changed(params, skew, 19)
         assert report.max_candidate_error > 1e-9
         assert report.outcome_range_ok
 
@@ -303,24 +304,24 @@ class TestGameEquivalence:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("which", ["first", "last"])
     def test_outcome_outside_its_window_is_seen(self, which, sign, edge):
-        # one outcome just past an edge of its window, (0, 2 alpha) for a +1
-        # sign and (-2 alpha, 0) for a -1, with a consistent offset: the range
-        # check fails, the candidate check does not
+        # the first or the last outcome of one sign just past an edge of its
+        # window, (0, 2 alpha) for a +1 sign and (-2 alpha, 0) for a -1, with a
+        # consistent offset: the range check fails, the candidate check does not
         params = ProtocolParams(16, 64, 3, 0.4, 3.4)
         alpha, tanh_r = params.alpha, math.tanh(params.squeezing)
 
         def move(signs, outcomes, offsets):
-            mode = np.flatnonzero(signs[-1] == sign)[0]
+            mode = np.flatnonzero(signs == sign)[0 if which == "first" else -1]
             sided = -1e-3 if edge == "near" else 2.0 * alpha * (1.0 + 1e-3)
-            outcomes[-1, mode] = sign * sided
-            offsets[-1, mode] = (outcomes[-1, mode] - sign * alpha) * tanh_r
+            outcomes[mode] = sign * sided
+            offsets[mode] = (outcomes[mode] - sign * alpha) * tanh_r
 
-        report = self.run_with_first_or_last_block_changed(params, which, move, 20)
+        report = self.run_with_draw_changed(params, move, 20)
         assert not report.outcome_range_ok
         assert report.max_candidate_error < 1e-9 * alpha
 
     def test_report_serializes(self):
         params = ProtocolParams(8, 16, 1, 0.4, 3.4)
-        report = game_equivalence_test(params, 20, np.random.default_rng(13))
+        report, _ = game_equivalence_test(params, 20, 50, np.random.default_rng(13))
         d = report.as_dict()
         assert set(d) >= {"flip_rate_direct", "flip_rate_eb", "p_value"}

@@ -60,6 +60,20 @@ class TestNdtri:
         mixed = stats.ndtri(np.append(central, 1e-5))
         assert stats.ndtri(central).tolist() == mixed[:-1].tolist()
 
+    @pytest.mark.parametrize("p", [0.3, 1e-5, 1 - 1e-5], ids=["central", "lower", "upper"])
+    def test_result_kind_does_not_depend_on_the_branch(self, p):
+        for arg, shape in ((p, ()), (np.float64(p), ()), (np.full((2, 3), p), (2, 3))):
+            out = stats.ndtri(arg)
+            assert type(out) is np.ndarray and out.dtype == float and out.shape == shape
+        assert stats.ndtri(np.array([[0.3, p], [0.6, 0.5]])).shape == (2, 2)
+
+    def test_mixed_array_equals_the_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        lower = 10.0 ** -rng.uniform(0.0, 300.0, 50)
+        upper = 1.0 - 10.0 ** -rng.uniform(0.0, 15.0, 50)
+        p = np.concatenate([lower, upper, rng.uniform(0.0, 1.0, 50)]).reshape(5, 30)
+        assert stats.ndtri(p).ravel().tolist() == [float(stats.ndtri(v)) for v in p.ravel()]
+
 
 class TestBinomialTail:
     @pytest.mark.parametrize(
