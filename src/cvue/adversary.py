@@ -19,6 +19,8 @@ probability p and both with p11 (``split_flip_probs``): Bob's count is
 Bin(N, p) and, given it is b, Charlie's is Bin(b, p11/p) + Bin(N - b,
 (p - p11)/(1 - p)). cvue.reference keeps the kernels that threshold
 (block, N) Gaussian homodyne noise as the oracles for these draws.
+run_cloning_game tallies the blocks with protocol.play, the block loop of
+the honest round trip too, and forward_to_bob's Bob flips at protocol.trial_ber.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import ber_analytic, tau, win_prob_bound
+from .bounds import tau, win_prob_bound
 from .channel import flip_probability
-from .protocol import ROUND_TRIP_BLOCK, ProtocolParams
+from .protocol import ProtocolParams, play, trial_ber
 from .stats import wilson_interval
 
 
@@ -84,7 +86,7 @@ def forward_to_bob(params: ProtocolParams, block: int, rng: np.random.Generator)
     """Bob receives the entire cipherstate and flips like an honest receiver,
     Bin(N, ber_analytic); Charlie guesses the message blind, so Charlie's
     count is Bin(msg_len, 1/2) wrong bits and wins only at 0."""
-    bob = rng.binomial(params.num_modes, ber_analytic(params.alpha, params.squeezing), size=block)
+    bob = rng.binomial(params.num_modes, trial_ber(params), size=block)
     return bob, rng.binomial(params.msg_len, 0.5, size=block)
 
 
@@ -141,25 +143,16 @@ class GameOutcome:
 def run_cloning_game(
     params: ProtocolParams, strategy, trials: int, rng: np.random.Generator
 ) -> GameOutcome:
-    """Play the cloning game ``trials`` times, in blocks of ROUND_TRIP_BLOCK
-    trials drawn from ``rng``; a win needs both players to succeed."""
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    t = params.max_errors
+    """Play the cloning game ``trials`` times: protocol.play tallies the
+    (Bob, Charlie) counts ``strategy`` draws from ``rng`` in blocks (Bob flips
+    at protocol.trial_ber under forward_to_bob); a win needs both to succeed."""
     if strategy is forward_to_bob:
         charlie_budget, charlie_bits = 0, params.msg_len
     else:
-        charlie_budget, charlie_bits = t, params.num_modes
-    wins = ok_bob = ok_charlie = err_bob = err_charlie = 0
-    for start in range(0, trials, ROUND_TRIP_BLOCK):
-        block = min(ROUND_TRIP_BLOCK, trials - start)
-        bob, charlie = strategy(params, block, rng)
-        bob_ok, charlie_ok = bob <= t, charlie <= charlie_budget
-        ok_bob += int(bob_ok.sum())
-        ok_charlie += int(charlie_ok.sum())
-        wins += int((bob_ok & charlie_ok).sum())
-        err_bob += int(bob.sum())
-        err_charlie += int(charlie.sum())
+        charlie_budget, charlie_bits = params.max_errors, params.num_modes
+    wins, (ok_bob, ok_charlie), (err_bob, err_charlie) = play(
+        lambda block: strategy(params, block, rng), (params.max_errors, charlie_budget), trials
+    )
     return GameOutcome(
         strategy_id=strategy.__name__,
         trials=trials,

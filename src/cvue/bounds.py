@@ -91,7 +91,7 @@ def tau(num_modes: int, max_errors: int, alpha: float) -> float:
     """Security exponent N/2 + (N/2 - t) log2(1 + 2 alpha) + t + log2(e)/2."""
     if max_errors > num_modes / 2:
         raise ValueError("need max_errors <= num_modes / 2")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     half = num_modes / 2.0
     return half + (half - max_errors) * math.log2(1.0 + 2.0 * alpha) + max_errors + 0.5 * LOG2_E

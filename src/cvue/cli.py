@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, bounds, ebprep, protocol
-from .channel import noisy_ber, noisy_variance
+from .channel import noisy_variance
 from .codec import bits_to_hex
 from .config import RunConfig, config_hash, load_config
 
@@ -160,15 +160,11 @@ def cmd_keygen(config: RunConfig) -> int:
 
 def cmd_roundtrip(config: RunConfig) -> int:
     params = config.protocol
-    beta = bounds.ber_analytic(params.alpha, params.squeezing)
     # the flip probability the trials draw with, so both failure bounds are taken at it
-    trial_beta = (
-        beta if config.channel is None
-        else noisy_ber(params.alpha, params.squeezing, config.channel)
-    )
+    trial_beta = protocol.trial_ber(params, config.channel)
     record = {
         "trials": config.trials,
-        "beta_analytic": beta,
+        "beta_analytic": bounds.ber_analytic(params.alpha, params.squeezing),
         "eps_df": bounds.chernoff_failure(params.num_modes, params.max_errors, trial_beta),
         "failure_exact": bounds.exact_failure(params.num_modes, params.max_errors, trial_beta),
     }

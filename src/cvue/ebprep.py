@@ -27,8 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import ber_analytic
-from .protocol import ProtocolParams
+from .protocol import ProtocolParams, trial_ber
 from .stats import ks_test, ndtr, normal_window, truncated_normal, two_proportion_ztest
 
 # eb_rejection_oracle refuses a run whose expected number of draws,
@@ -44,7 +43,7 @@ def _challenger_sigma(squeezing: float) -> float:
 
 
 def _check_squeezing(squeezing: float) -> None:
-    if squeezing <= 0:
+    if not squeezing > 0:
         raise ValueError(
             "entanglement-based preparation needs positive squeezing "
             "(tanh r = 0 collapses the offsets)"
@@ -124,7 +123,7 @@ def eb_rejection_oracle(
     MAX_EXPECTED_DRAWS draws.
     """
     _check_squeezing(squeezing)
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     mass = window_mass(squeezing, alpha)
     if not samples <= mass * MAX_EXPECTED_DRAWS:
@@ -164,7 +163,9 @@ def conditional_cov_error(cond_cov: np.ndarray, squeezing: float) -> float:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Statistical comparison of prepare-and-send vs entanglement-based runs."""
+    """Statistical comparison of prepare-and-send vs entanglement-based runs.
+    ``max_candidate_error`` and ``outcome_range_ok`` cover the ``samples``
+    direct draws; ``trials`` x ``modes_per_trial`` only sizes the flip arms."""
 
     trials: int
     modes_per_trial: int
@@ -223,7 +224,7 @@ def game_equivalence_test(
     if trials < 1 or samples < 1:
         raise ValueError("need at least one trial and one sample")
     alpha = params.alpha
-    beta = ber_analytic(alpha, params.squeezing)
+    beta = trial_ber(params)
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=samples)
     outcomes, offsets = eb_outcomes(signs, alpha, params.squeezing, rng)
     outcomes *= signs

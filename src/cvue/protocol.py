@@ -5,6 +5,8 @@ balanced direction string is derived from it. Each codeword bit is encoded
 as a displaced squeezed state: displacement alpha*(-1)^bit + offset along
 the keyed quadrature, squeezed along that same quadrature. Decryption
 homodynes each mode along the keyed direction and thresholds at the offset.
+``play`` is the one Monte-Carlo block loop, behind run_round_trip and
+adversary.run_cloning_game; ``trial_ber`` picks an honest trial's flip rate.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .codec import (
 )
 from .stats import truncated_normal, wilson_interval
 
-# trials per binomial draw in run_round_trip and the cloning game: caps a count
-# array at 8 MB; draws made in blocks are the very numbers one draw gives
+# trials per draw in play: caps a count array at 8 MB; draws made in blocks
+# are the very numbers one draw gives
 ROUND_TRIP_BLOCK = 1 << 20
 
 
@@ -156,9 +158,9 @@ def sample_key_offset(
 
     Zero squeezing collapses the interval to {0} and returns zeros.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if squeezing < 0:
+    if not squeezing >= 0:
         raise ValueError("squeezing must be nonnegative")
     if squeezing == 0:
         return 0.0 if size is None else np.zeros(size)
@@ -237,21 +239,16 @@ def encrypt(key: QecmKey, message: np.ndarray, params: ProtocolParams, codec) ->
     return CipherState(disp, cov)
 
 
-def measure_codeword(
-    key: QecmKey,
-    cipher: CipherState,
-    rng: np.random.Generator,
-    threshold_scale: float = 1.0,
-) -> np.ndarray:
+def measure_codeword(key: QecmKey, cipher: CipherState, rng: np.random.Generator) -> np.ndarray:
     """Homodyne every mode along its keyed direction and threshold at the
-    (scaled) offset; outcome exactly at threshold decodes to bit 0."""
+    offset; outcome exactly at threshold decodes to bit 0."""
     n = cipher.num_modes
     idx = np.arange(n)
     dirs = key.directions
     mean = cipher.disp[idx, dirs]
     std = np.sqrt(cipher.cov_diag[idx, dirs] / 2.0)
     outcomes = rng.normal(mean, std)
-    return (outcomes - threshold_scale * key.offsets < 0).astype(np.uint8)
+    return (outcomes - key.offsets < 0).astype(np.uint8)
 
 
 def decrypt(
@@ -296,6 +293,37 @@ class RoundTripResult:
         )
 
 
+def trial_ber(params: ProtocolParams, channel=None) -> float:
+    """An honest trial's per-mode flip probability: ber_analytic, or noisy_ber on a channel."""
+    if channel is None:
+        return ber_analytic(params.alpha, params.squeezing)
+    return noisy_ber(params.alpha, params.squeezing, channel)
+
+
+def play(draw, budgets, trials: int) -> tuple[int, list[int], list[int]]:
+    """Tally ``trials`` trials drawn in blocks of ROUND_TRIP_BLOCK: ``draw(block)``
+    gives per player an array of per-trial flip counts, a player succeeds iff
+    its count is <= its budget, and a trial is won iff every player succeeds.
+    Returns (wins, per-player successes, per-player summed flip counts)."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    wins = 0
+    successes = [0] * len(budgets)
+    flips = [0] * len(budgets)
+    for start in range(0, trials, ROUND_TRIP_BLOCK):
+        counts = draw(min(ROUND_TRIP_BLOCK, trials - start))
+        won = None
+        for i, (count, budget) in enumerate(zip(counts, budgets)):
+            ok = count <= budget
+            succeeded = int(np.count_nonzero(ok))
+            successes[i] += succeeded
+            flips[i] += int(count.sum())
+            won = ok if won is None else won & ok
+        # one player's won trials are its successes, already counted
+        wins += succeeded if won is ok else int(np.count_nonzero(won))
+    return wins, successes, flips
+
+
 def run_round_trip(
     params: ProtocolParams,
     trials: int,
@@ -309,24 +337,17 @@ def run_round_trip(
     and of the threshold offset (the offset cancels against the threshold),
     and its law is symmetric in the codeword bit (a 1 flips on the mirror
     image of the noise that flips a 0), so every mode flips independently
-    with probability beta, the honest bit error rate (bounds.ber_analytic, or
-    channel.noisy_ber on a channel), and a trial's flip count is one
-    Binomial(num_modes, beta) draw; cvue.reference.run_round_trip_states is
-    the object-level reference for this shortcut.
+    with probability beta, the honest bit error rate ``trial_ber`` picks,
+    and a trial's flip count is one Binomial(num_modes, beta) draw, which
+    ``play`` tallies; cvue.reference.run_round_trip_states is the
+    object-level reference for this shortcut.
     """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    if channel is None:
-        beta = ber_analytic(params.alpha, params.squeezing)
-    else:
-        beta = noisy_ber(params.alpha, params.squeezing, channel)
-    failures = 0
-    mode_flips = 0
-    for start in range(0, trials, ROUND_TRIP_BLOCK):
-        block = min(ROUND_TRIP_BLOCK, trials - start)
-        per_trial = rng.binomial(params.num_modes, beta, size=block)
-        failures += int(np.count_nonzero(per_trial > params.max_errors))
-        mode_flips += int(per_trial.sum())
+    beta = trial_ber(params, channel)
+    decoded, _, (mode_flips,) = play(
+        lambda block: (rng.binomial(params.num_modes, beta, size=block),),
+        (params.max_errors,),
+        trials,
+    )
     return RoundTripResult.from_counts(
-        trials, failures, trials * params.num_modes, mode_flips
+        trials, trials - decoded, trials * params.num_modes, mode_flips
     )

@@ -322,7 +322,8 @@ def decode_half(
 ):
     """Decode one beamsplitter port with full key knowledge: homodyne along the
     keyed directions, threshold at offsets/sqrt2, decode, unpad."""
-    estimate = measure_codeword(key, half, rng, threshold_scale=_SQRT_HALF)
+    port_key = QecmKey(key.pad, key.directions, key.offsets * _SQRT_HALF)
+    estimate = measure_codeword(port_key, half, rng)
     decoded = codec.decode(estimate)
     if decoded is None:
         return None
@@ -387,8 +388,9 @@ def run_round_trip_states(
     rng: np.random.Generator,
     channel=None,
 ) -> RoundTripResult:
-    """Object-level reference round trip: full key_gen/encrypt/decrypt per trial."""
-    threshold_scale = 1.0
+    """Object-level reference round trip: full key_gen/encrypt/decrypt per
+    trial; on a channel the receiver thresholds at the offsets scaled as the
+    displacements are."""
     failures = 0
     mode_flips = 0
     for _ in range(trials):
@@ -399,8 +401,8 @@ def run_round_trip_states(
         truth = codec.encode(base_encrypt(key.pad, message))
         if channel is not None:
             cipher = apply_channel(cipher, channel)
-            threshold_scale = displacement_scale(channel)
-        estimate = measure_codeword(key, cipher, rng, threshold_scale)
+            key = QecmKey(key.pad, key.directions, key.offsets * displacement_scale(channel))
+        estimate = measure_codeword(key, cipher, rng)
         mode_flips += int(np.count_nonzero(estimate != truth))
         decoded = codec.decode(estimate)
         recovered = None if decoded is None else base_decrypt(key.pad, decoded)

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import binom, chi2_contingency, multivariate_normal, norm
 
+from cvue import protocol
 from cvue.adversary import (
     STRATEGY_IDS,
     check_against_bound,
@@ -247,7 +248,7 @@ class TestDecodeHalf:
     def test_port_marginal_statistics(self):
         # the per-port sampling path (independent of the joint game path)
         # reproduces the same per-bit error law
-        from cvue.protocol import measure_codeword
+        from cvue.protocol import QecmKey, measure_codeword
 
         alpha, r = 0.4, 3.4
         params = ProtocolParams(250, 500, 20, alpha, r)
@@ -261,7 +262,8 @@ class TestDecodeHalf:
             cipher = encrypt(key, message, params, codec)
             truth = codec.encode(key.pad ^ message)
             bob, _ = heterodyne_split(cipher)
-            est = measure_codeword(key, bob, rng, threshold_scale=math.sqrt(0.5))
+            port_key = QecmKey(key.pad, key.directions, key.offsets * math.sqrt(0.5))
+            est = measure_codeword(port_key, bob, rng)
             flips += int(np.count_nonzero(est != truth))
             modes += params.num_modes
         want = heterodyne_bit_error(alpha, r)
@@ -367,6 +369,29 @@ class TestCloningGame:
                                    np.random.default_rng(15))
         assert outcome.trials == 0 and outcome.wins == 0
         assert outcome.interval == (0.0, 1.0)
+
+    @pytest.mark.parametrize("strategy_id", STRATEGY_IDS)
+    def test_blocks_tally_the_strategy_draws(self, strategy_id, monkeypatch):
+        # 50 trials in blocks of 7, ..., 7, 1 tally the counts the strategy
+        # draws for those blocks, in order, from the same seed
+        strategy = make_strategy(strategy_id)
+        monkeypatch.setattr(protocol, "ROUND_TRIP_BLOCK", 7)
+        outcome = run_cloning_game(TINY, strategy, 50, np.random.default_rng(16))
+        rng = np.random.default_rng(16)
+        blocks = [strategy(TINY, b, rng) for b in [7] * 7 + [1]]
+        bob, charlie = (np.concatenate(player) for player in zip(*blocks))
+        if strategy_id == "forward_to_bob":
+            charlie_budget, charlie_bits = 0, TINY.msg_len
+        else:
+            charlie_budget, charlie_bits = TINY.max_errors, TINY.num_modes
+        bob_ok, charlie_ok = bob <= TINY.max_errors, charlie <= charlie_budget
+        assert outcome.wins == np.count_nonzero(bob_ok & charlie_ok)
+        assert outcome.per_player_successes == (
+            np.count_nonzero(bob_ok), np.count_nonzero(charlie_ok)
+        )
+        assert outcome.per_bit_error_rates == (
+            bob.sum() / (50 * TINY.num_modes), charlie.sum() / (50 * charlie_bits)
+        )
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):

@@ -479,6 +479,21 @@ ROUNDTRIP_CSV_SHA256 = {
     "noisy_link": ("2bdcd1256038c09617f32469e3a4cbe28f96ef93bba095a24b43b30a62ef8032", []),
 }
 
+# `attack` stdout for each strategy: config -> (extra flags, {strategy: sha256});
+# the game's block loop and every strategy's draws show here
+ATTACK_SHA256 = {
+    "attack_heterodyne": ([], {
+        "heterodyne_split": "1e18c0790262aaa2d6cae79e6474b61b6da3c26b9cc35ba173372534e378aaaa",
+        "forward_to_bob": "5924143f568fd7220755e91f2309a24404abd56e670d0588043cffc2d3d40a5b",
+        "measure_guess_basis": "03447077dd5e7a56df40dab336da399568d3b33bf63e6ecb193d3171a2fff63b",
+    }),
+    "paper_point": (["--trials", "45"], {
+        "heterodyne_split": "db7625a556b9e4e27d76c2da32ee2e110d1bb77b03c80f8dcb08c7334ef78c66",
+        "forward_to_bob": "c8e32cfac986dff1100cd68eeac7a800c10750575440e9a7889955365b3c635c",
+        "measure_guess_basis": "988d8748d21beb9db301530c13b59aba8b1c73257fb49242e0125d42fc53fe64",
+    }),
+}
+
 
 class TestJsonOutputBytes:
     @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.stem)
@@ -521,6 +536,17 @@ class TestJsonOutputBytes:
         code, out, _ = run(["roundtrip", str(path), "--format", "csv", *flags], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("strategy", STRATEGY_IDS)
+    @pytest.mark.parametrize("config", sorted(ATTACK_SHA256))
+    def test_attack_bytes_unchanged(self, config, strategy, tmp_path, capsys):
+        flags, digests = ATTACK_SHA256[config]
+        raw = json.loads((SHIPPED_CONFIGS[0].parent / f"{config}.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**raw, "strategy": strategy}))
+        code, out, _ = run(["attack", str(path), *flags], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[strategy]
 
 
 class TestParser:

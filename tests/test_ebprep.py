@@ -6,6 +6,7 @@ from scipy.special import erf
 from scipy.stats import ks_2samp
 
 from cvue import ebprep
+from cvue.bounds import tau
 from cvue.codec import random_bits
 from cvue.ebprep import (
     conditional_cov_error,
@@ -325,3 +326,22 @@ class TestGameEquivalence:
         report, _ = game_equivalence_test(params, 20, 50, np.random.default_rng(13))
         d = report.as_dict()
         assert set(d) >= {"flip_rate_direct", "flip_rate_eb", "p_value"}
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda rng: sample_key_offset(math.nan, 3.4, rng, size=3), "alpha"),
+        (lambda rng: sample_key_offset(0.4, math.nan, rng, size=3), "squeezing"),
+        (lambda rng: eb_rejection_oracle(3.4, math.nan, 5, rng), "alpha"),
+        (lambda rng: eb_rejection_oracle(math.nan, 0.4, 5, rng), "squeezing"),
+        (lambda rng: eb_outcomes(np.ones(3), 0.4, math.nan, rng), "squeezing"),
+        (lambda rng: tau(1000, 35, math.nan), "alpha"),
+    ],
+    ids=["key_offset-alpha", "key_offset-squeezing", "oracle-alpha", "oracle-squeezing",
+         "eb_outcomes-squeezing", "tau-alpha"],
+)
+def test_nan_argument_is_named(call, name):
+    # NaN fails every comparison, so a guard written `x <= 0` lets it through
+    with pytest.raises(ValueError, match=name):
+        call(np.random.default_rng(0))
