@@ -19,8 +19,8 @@ probability p and both with p11 (``split_flip_probs``): Bob's count is
 Bin(N, p) and, given it is b, Charlie's is Bin(b, p11/p) + Bin(N - b,
 (p - p11)/(1 - p)). cvue.reference keeps the kernels that threshold
 (block, N) Gaussian homodyne noise as the oracles for these draws.
-run_cloning_game tallies the blocks with protocol.play, the block loop of
-the honest round trip too, and forward_to_bob's Bob flips at protocol.trial_ber.
+run_cloning_game tallies the blocks with protocol.play, and forward_to_bob's
+Bob flips at protocol.trial_ber, the honest round trip's flip rate.
 """
 
 from __future__ import annotations

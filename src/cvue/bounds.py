@@ -18,7 +18,16 @@ LOG2_E = math.log2(math.e)
 
 
 def ber_analytic(alpha: float, squeezing: float):
-    """Bit error rate of honest decryption: erfc(alpha * sqrt(cosh r)) / 2."""
+    """Bit error rate of honest decryption: erfc(alpha * sqrt(cosh r)) / 2.
+
+    Two floats (or ints) take a scalar path with the array path's bits: it
+    too takes cosh from np.cosh, which can differ from math.cosh by an ulp."""
+    if isinstance(alpha, (float, int)) and isinstance(squeezing, (float, int)):
+        if not alpha > 0:
+            raise ValueError("alpha must be positive")
+        if not 0 <= squeezing <= MAX_SQUEEZING:
+            raise ValueError(SQUEEZING_RANGE)
+        return 0.5 * math.erfc(min(alpha, ERFC_ZERO) * math.sqrt(np.cosh(squeezing)))
     alpha = np.asarray(alpha, dtype=float)
     squeezing = np.asarray(squeezing, dtype=float)
     # written so that NaN fails the checks

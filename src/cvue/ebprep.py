@@ -74,6 +74,9 @@ def eb_outcomes(signs, alpha: float, squeezing: float, rng: np.random.Generator)
     sign*alpha + alpha), and its offset is (u - sign*alpha) * tanh(r).
     Returns (outcomes, offsets), both shaped like ``signs``.
     """
+    # written so that NaN fails the comparison
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     _check_squeezing(squeezing)
     outcomes = truncated_normal(_challenger_sigma(squeezing), alpha, rng, np.shape(signs))
     centers = alpha * np.asarray(signs, dtype=float)

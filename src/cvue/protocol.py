@@ -5,12 +5,15 @@ balanced direction string is derived from it. Each codeword bit is encoded
 as a displaced squeezed state: displacement alpha*(-1)^bit + offset along
 the keyed quadrature, squeezed along that same quadrature. Decryption
 homodynes each mode along the keyed direction and thresholds at the offset.
-``play`` is the one Monte-Carlo block loop, behind run_round_trip and
-adversary.run_cloning_game; ``trial_ber`` picks an honest trial's flip rate.
+``trial_ber`` picks an honest trial's flip rate; run_round_trip draws the
+histogram of its trials' flip counts at it in one multinomial over the
+cells of ``flip_count_cells``. ``play`` is the cloning game's block loop,
+behind adversary.run_cloning_game.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +36,8 @@ from .stats import truncated_normal, wilson_interval
 # trials per draw in play: caps a count array at 8 MB; draws made in blocks
 # are the very numbers one draw gives
 ROUND_TRIP_BLOCK = 1 << 20
+# flip counts less likely than this are left out of run_round_trip's histogram
+FLIP_CELL_MASS = 1e-60
 
 
 @dataclass(frozen=True)
@@ -315,13 +320,42 @@ def play(draw, budgets, trials: int) -> tuple[int, list[int], list[int]]:
         won = None
         for i, (count, budget) in enumerate(zip(counts, budgets)):
             ok = count <= budget
-            succeeded = int(np.count_nonzero(ok))
-            successes[i] += succeeded
+            successes[i] += int(np.count_nonzero(ok))
             flips[i] += int(count.sum())
             won = ok if won is None else won & ok
-        # one player's won trials are its successes, already counted
-        wins += succeeded if won is ok else int(np.count_nonzero(won))
+        wins += int(np.count_nonzero(won))
     return wins, successes, flips
+
+
+@functools.lru_cache(maxsize=64)
+def flip_count_cells(num_modes: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cells run_round_trip draws its histogram over: (flip counts k,
+    masses P[Bin(num_modes, beta) = k]) for every k of mass at least
+    FLIP_CELL_MASS, ascending but with the mode last. numpy's multinomial
+    draws each cell at its mass over the mass left, formed by subtraction
+    from 1; with the mode last that is never below 1/(N + 1), so even a
+    1e-60 cell keeps its relative accuracy. The masses come from log space
+    (log C(N, k) as a running sum of log((N - i) / (i + 1))), within about
+    1e-13 relative of the pmf, and apart from stats.binomial_sf, which
+    bounds.exact_failure sums. Cached per (N, beta) and read-only; at
+    beta = 0 the one cell is k = 0.
+    """
+    if beta == 0.0:
+        counts, masses = np.zeros(1, dtype=np.int64), np.ones(1)
+    else:
+        k = np.arange(num_modes + 1)
+        steps = np.log((num_modes - k[:-1]) / k[1:])
+        steps += math.log(beta) - math.log1p(-beta)
+        log_mass = np.empty(num_modes + 1)
+        log_mass[0] = num_modes * math.log1p(-beta)
+        np.cumsum(steps, out=log_mass[1:])
+        log_mass[1:] += log_mass[0]
+        mode = int(np.argmax(log_mass))
+        kept = np.flatnonzero(log_mass >= math.log(FLIP_CELL_MASS))
+        counts = np.concatenate((k[kept[0]:mode], k[mode + 1:kept[-1] + 1], k[mode:mode + 1]))
+        masses = np.exp(log_mass[counts])
+    counts.flags.writeable = masses.flags.writeable = False
+    return counts, masses
 
 
 def run_round_trip(
@@ -338,16 +372,27 @@ def run_round_trip(
     and its law is symmetric in the codeword bit (a 1 flips on the mirror
     image of the noise that flips a 0), so every mode flips independently
     with probability beta, the honest bit error rate ``trial_ber`` picks,
-    and a trial's flip count is one Binomial(num_modes, beta) draw, which
-    ``play`` tallies; cvue.reference.run_round_trip_states is the
-    object-level reference for this shortcut.
+    and a trial's flip count is Bin(num_modes, beta);
+    cvue.reference.run_round_trip_states is the object-level reference for
+    this shortcut.
+
+    The histogram h of the ``trials`` counts is exactly Multinomial(trials,
+    pmf) (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X), one
+    draw over ``flip_count_cells``, so the cost grows with the support, not
+    with ``trials``: failures = sum_{k > t} h_k, mode_flips = sum_k k h_k.
+    The cells left out pass their mass, under (N + 1) * FLIP_CELL_MASS, to
+    the mode, so h's law is within trials * (N + 1) * 1e-60 < 2e-41 of the
+    exact one in total variation: trials * N must stay below 2**63, where
+    the flip total is exact. cvue.reference.run_round_trip_binomial draws
+    one count per trial.
     """
-    beta = trial_ber(params, channel)
-    decoded, _, (mode_flips,) = play(
-        lambda block: (rng.binomial(params.num_modes, beta, size=block),),
-        (params.max_errors,),
-        trials,
-    )
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    if trials * params.num_modes >= 2**63:
+        raise ValueError("trials * num_modes must be below 2**63")
+    counts, masses = flip_count_cells(params.num_modes, trial_ber(params, channel))
+    hist = rng.multinomial(trials, masses)
+    failures = int(hist[counts > params.max_errors].sum())
     return RoundTripResult.from_counts(
-        trials, trials - decoded, trials * params.num_modes, mode_flips
+        trials, failures, trials * params.num_modes, int(hist @ counts)
     )

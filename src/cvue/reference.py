@@ -18,7 +18,9 @@ slow, literal form of something the fast paths compute directly:
   channel.noisy_ber and run_round_trip's channel branch reduce to one
   per-mode flip probability;
 * run_round_trip_states, the full key_gen/encrypt/decrypt loop that
-  protocol.run_round_trip's flip-count shortcut is checked against;
+  protocol.run_round_trip's flip-count shortcut is checked against, and
+  run_round_trip_binomial, one Binomial(N, beta) flip count per trial,
+  the per-trial kernel its histogram draw is checked against;
 * eb_prepare, a whole cipherstate prepared the entanglement-based way from
   ebprep.eb_outcomes, and game_equivalence_states, the per-trial
   key_gen/encrypt/eb_prepare loop that ebprep.game_equivalence_test's flip
@@ -91,6 +93,7 @@ from .protocol import (
     encrypt,
     key_gen,
     measure_codeword,
+    trial_ber,
 )
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -410,6 +413,24 @@ def run_round_trip_states(
             failures += 1
     return RoundTripResult.from_counts(
         trials, failures, trials * params.num_modes, mode_flips
+    )
+
+
+def run_round_trip_binomial(
+    params: ProtocolParams,
+    trials: int,
+    rng: np.random.Generator,
+    channel=None,
+) -> RoundTripResult:
+    """Round trip with one Binomial(num_modes, beta) flip count drawn per
+    trial at protocol.trial_ber: the law protocol.run_round_trip draws the
+    histogram of, one trial at a time."""
+    counts = rng.binomial(params.num_modes, trial_ber(params, channel), size=trials)
+    return RoundTripResult.from_counts(
+        trials,
+        np.count_nonzero(counts > params.max_errors),
+        trials * params.num_modes,
+        counts.sum(),
     )
 
 

@@ -25,6 +25,7 @@ from cvue.bounds import (
     tau,
     win_prob_bound,
 )
+from cvue.channel import ERFC_ZERO
 from cvue.protocol import MAX_SQUEEZING, ProtocolParams
 from cvue.reference import monogamy_bound_exact, monogamy_bound_relaxed
 
@@ -52,6 +53,39 @@ class TestBer:
             ber_analytic(0.0, 1.0)
         with pytest.raises(ValueError):
             ber_analytic(0.4, -0.5)
+
+    def test_scalar_path_has_the_array_paths_bits(self):
+        # np.cosh and math.cosh differ by an ulp on some of these r
+        alphas = [5e-324, 1e-9, 0.1, 0.4, 1.0, 3.0, 26.64, ERFC_ZERO, 27.4, 1e300, math.inf]
+        squeezings = np.concatenate(
+            ([0.0, 5e-324, MAX_SQUEEZING], np.linspace(0.0, 12.0, 601),
+             np.linspace(0.0, MAX_SQUEEZING, 601))
+        )
+        grid = ber_analytic(np.array(alphas)[:, None], squeezings[None, :])
+        for i, alpha in enumerate(alphas):
+            scalar = [ber_analytic(alpha, float(r)) for r in squeezings]
+            assert all(type(v) is float for v in scalar)
+            assert scalar == grid[i].tolist()
+
+    @pytest.mark.parametrize(
+        "alpha, squeezing, name",
+        [
+            (math.nan, 3.4, "alpha"),
+            (-0.4, 3.4, "alpha"),
+            (-math.inf, 3.4, "alpha"),
+            (0.4, math.nan, "squeezing"),
+            (0.4, math.inf, "squeezing"),
+            (0.4, -1.0, "squeezing"),
+            (0.4, MAX_SQUEEZING * (1 + 1e-15), "squeezing"),
+        ],
+    )
+    def test_scalar_and_array_reject_alike(self, alpha, squeezing, name):
+        messages = []
+        for args in ((alpha, squeezing), (np.array([alpha]), np.array([squeezing]))):
+            with pytest.raises(ValueError, match=name) as info:
+                ber_analytic(*args)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestOverflowFree:

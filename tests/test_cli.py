@@ -474,9 +474,9 @@ EBCHECK_SHA256 = "b4e70deecd2319a8ed32974c38c1bcdd54f9c3610c22e91026eb4e18d3c552
 # roundtrip CSV records of two shipped configs: config -> (sha256, extra flags)
 ROUNDTRIP_CSV_SHA256 = {
     "paper_point": (
-        "c51ee325635de93dd20b65a1f458318497f307ad0d548af8429f38e8bf0345e1", ["--trials", "1000"]
+        "28eef812269804c36fba2492249dee32ad3317a55773040261c9bc73bc37599f", ["--trials", "1000"]
     ),
-    "noisy_link": ("2bdcd1256038c09617f32469e3a4cbe28f96ef93bba095a24b43b30a62ef8032", []),
+    "noisy_link": ("33cd41dd915b6aef3c87cbcd94b4acecc788e3a52d644665cc791a865bc87134", []),
 }
 
 # `attack` stdout for each strategy: config -> (extra flags, {strategy: sha256});

@@ -345,3 +345,12 @@ def test_nan_argument_is_named(call, name):
     # NaN fails every comparison, so a guard written `x <= 0` lets it through
     with pytest.raises(ValueError, match=name):
         call(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan, math.inf])
+def test_eb_outcomes_rejects_alpha_before_drawing(alpha):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="alpha"):
+        eb_outcomes(np.ones(3), alpha, 3.4, rng)
+    assert rng.bit_generator.state == state

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom, chisquare, norm
+from scipy.stats import binom, chi2_contingency, chisquare, norm
 
 from cvue import protocol
 from cvue.bounds import ber_analytic, exact_failure
@@ -29,6 +29,7 @@ from cvue.reference import (
     balanced_string_unrank,
     cipher_modes,
     homodyne_sample,
+    run_round_trip_binomial,
     run_round_trip_states,
     validate_key,
 )
@@ -385,9 +386,11 @@ class TestRoundTrip:
 
     def test_strong_squeezing_never_flips(self):
         params = ProtocolParams(500, 1000, 35, 0.4, 10.0)
-        result = run_round_trip(params, 1000, np.random.default_rng(23))
-        assert result.mode_flips == 0
-        assert result.failures == 0
+        assert protocol.trial_ber(params) == 0.0
+        for trials in (1000, 10**12):
+            result = run_round_trip(params, trials, np.random.default_rng(23))
+            assert result.mode_flips == 0
+            assert result.failures == 0
 
     def test_failure_rate_below_chernoff_bound(self):
         # moderate regime where failures actually occur
@@ -414,13 +417,71 @@ class TestRoundTrip:
         beta = ber_analytic(0.4, 2.2) if channel is None else noisy_ber(0.4, 2.2, channel)
         assert_count_fits(result.failures, result.trials, exact_failure(30, 3, beta))
 
-    def test_counts_are_binomial_draws_in_any_block_size(self, monkeypatch):
-        whole = run_round_trip(SMALL, 1000, np.random.default_rng(34))
-        counts = np.random.default_rng(34).binomial(32, ber_analytic(0.4, 3.4), size=1000)
-        assert whole.failures == np.count_nonzero(counts > 2)
-        assert whole.mode_flips == counts.sum()
-        monkeypatch.setattr(protocol, "ROUND_TRIP_BLOCK", 7)
-        assert run_round_trip(SMALL, 1000, np.random.default_rng(34)) == whole
+    @pytest.mark.parametrize("total", ["failures", "mode_flips"])
+    def test_histogram_matches_per_trial_kernel(self, total):
+        # about 29 % of the trials fail here; both samplers' totals over seeds
+        # fall in the same bins, cut at the quantiles of the exact law
+        params = ProtocolParams(15, 30, 3, 0.4, 2.4)
+        trials, seeds = 500, 400
+        fast = [getattr(run_round_trip(params, trials, np.random.default_rng(s)), total)
+                for s in range(seeds)]
+        slow = [getattr(run_round_trip_binomial(params, trials, np.random.default_rng(s)), total)
+                for s in range(seeds, 2 * seeds)]
+        beta = ber_analytic(0.4, 2.4)
+        law = (binom(trials, exact_failure(30, 3, beta)) if total == "failures"
+               else binom(trials * 30, beta))
+        edges = np.unique(law.ppf(np.linspace(0.0, 1.0, 9)[1:-1]))
+        table = [np.bincount(np.searchsorted(edges, x, side="right"), minlength=edges.size + 1)
+                 for x in (fast, slow)]
+        assert chi2_contingency(table).pvalue > 1e-3
+
+    def test_deep_tail_point_in_1e12_trials(self):
+        # the exact tail is ~2e-83: no failure in 1e12 trials, and the flip rate
+        # resolves beta to 5 sigma of 1e15 modes; one draw per trial would take
+        # about 35 hours
+        params = ProtocolParams(892, 1000, 35, 0.4, 4.5)
+        beta = ber_analytic(0.4, 4.5)
+        assert exact_failure(1000, 35, beta) < 1e-30
+        result = run_round_trip(params, 10**12, np.random.default_rng(35))
+        assert result.failures == 0
+        assert abs(result.flip_rate - beta) < 5 * math.sqrt(beta * (1 - beta) / result.modes_total)
+
+    def test_tail_cells_keep_their_mass_at_the_largest_trial_count(self):
+        # 9.2e15 trials expect 6.8e9 failures, resolved to 1.2e-5 relative: a
+        # tail mass lost to rounding in the multinomial would show here
+        trials = (2**63 - 1) // 1000
+        result = run_round_trip(REFERENCE, trials, np.random.default_rng(36))
+        assert_count_fits(result.failures, trials, exact_failure(1000, 35, ber_analytic(0.4, 3.4)))
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            run_round_trip(REFERENCE, trials + 1, np.random.default_rng(36))
+
+    @pytest.mark.parametrize("num_modes, alpha, r", [(1000, 0.4, 3.4), (1000, 0.4, 0.0),
+                                                     (32, 0.4, 3.4), (2, 0.4, 1.0),
+                                                     (1000, 0.4, 8.0)])
+    def test_flip_count_cells_are_the_binomial_pmf(self, num_modes, alpha, r):
+        beta = ber_analytic(alpha, r)
+        counts, masses = protocol.flip_count_cells(num_modes, beta)
+        # ascending flip counts with the mode moved last, and no gap
+        kept = np.sort(counts)
+        assert np.all(np.diff(kept) == 1)
+        assert masses[-1] == masses.max()
+        assert np.array_equal(counts[:-1], kept[kept != counts[-1]])
+        assert masses.min() >= protocol.FLIP_CELL_MASS
+        np.testing.assert_allclose(masses, binom.pmf(counts, num_modes, beta), rtol=1e-11)
+        dropped = binom.cdf(kept[0] - 1, num_modes, beta) + binom.sf(kept[-1], num_modes, beta)
+        assert dropped <= (num_modes + 1) * protocol.FLIP_CELL_MASS
+        assert not counts.flags.writeable and not masses.flags.writeable
+        # numpy's multinomial draws cell j at masses[j] / (1 - masses[:j].sum()),
+        # the mass left formed by subtraction; with the mode last it stays within
+        # 1e-9 of the mass left summed from the last cell back, even for a cell
+        # of 1e-60
+        by_subtraction = 1.0 - np.concatenate(([0.0], np.cumsum(masses[:-1])))
+        summed = np.cumsum(masses[::-1])[::-1]
+        np.testing.assert_allclose(masses / by_subtraction, masses / summed, rtol=1e-9)
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_round_trip(SMALL, -1, np.random.default_rng(37))
 
     def test_generous_error_budget_never_fails(self):
         params = ProtocolParams(8, 32, 15, 0.4, 3.4)
@@ -428,10 +489,14 @@ class TestRoundTrip:
         assert result.failures == 0
 
     def test_zero_trials(self):
-        result = run_round_trip(SMALL, 0, np.random.default_rng(26))
+        rng = np.random.default_rng(26)
+        state = rng.bit_generator.state
+        result = run_round_trip(SMALL, 0, rng)
         assert result.trials == 0
         assert result.failure_rate == 0.0
         assert result.interval == (0.0, 1.0)
+        assert result.mode_flips == result.failures == 0
+        assert rng.bit_generator.state == state
 
     def test_oracle_and_bch_failure_rates_agree(self):
         # a bounded-distance decoder can never return the true message once
