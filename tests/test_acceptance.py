@@ -28,7 +28,12 @@ from cvue.cli import main
 from cvue.codec import random_bits
 from cvue.ebprep import eb_rejection_oracle
 from cvue.protocol import ProtocolParams, key_gen, run_round_trip, sample_key_offset
-from cvue.reference import eb_prepare, monogamy_bound_exact, monogamy_bound_relaxed
+from cvue.reference import (
+    eb_prepare,
+    monogamy_bound_exact,
+    monogamy_bound_relaxed,
+    run_round_trip_binomial,
+)
 
 REFERENCE = ProtocolParams(892, 1000, 35, 0.4, 3.4)
 
@@ -91,6 +96,17 @@ def test_criterion_3_monte_carlo_vs_analytic():
         f"modes; {result.failures} failures in 1e5 trials, interval {result.interval} "
         f"consistent with eps_df {bound:.2e}",
     )
+
+
+@pytest.mark.parametrize("seed", [26, 31, 32])
+def test_criterion_3_failure_count_on_seeds_with_failures(seed):
+    # these seeds see failures under the per-trial binomial kernel: a failure
+    # rate above eps_df, but a count that refutes neither eps_df nor the exact
+    # tail; the histogram sampler's count at the same seed must pass as well
+    result = run_round_trip_binomial(REFERENCE, 100_000, np.random.default_rng(seed))
+    assert result.failure_rate > eps_df(1000, 35, 0.4, 3.4)
+    check_failure_count(result)
+    check_failure_count(run_round_trip(REFERENCE, 100_000, np.random.default_rng(seed)))
 
 
 def test_criterion_3_failure_count_resolves_exact_tail():
