@@ -19,8 +19,8 @@ probability p and both with p11 (``split_flip_probs``): Bob's count is
 Bin(N, p) and, given it is b, Charlie's is Bin(b, p11/p) + Bin(N - b,
 (p - p11)/(1 - p)). cvue.reference keeps the kernels that threshold
 (block, N) Gaussian homodyne noise as the oracles for these draws.
-run_cloning_game tallies the blocks with protocol.play, and forward_to_bob's
-Bob flips at protocol.trial_ber, the honest round trip's flip rate.
+forward_to_bob's Bob flips at protocol.trial_ber, the honest round trip's
+flip rate.
 """
 
 from __future__ import annotations
@@ -33,8 +33,12 @@ import numpy as np
 
 from .bounds import tau, win_prob_bound
 from .channel import flip_probability
-from .protocol import ProtocolParams, play, trial_ber
+from .protocol import ProtocolParams, trial_ber
 from .stats import wilson_interval
+
+# trials per strategy draw in run_cloning_game: caps a count array at 8 MB;
+# draws made in blocks are the very numbers one draw gives
+GAME_BLOCK = 1 << 20
 
 
 @functools.cache
@@ -143,16 +147,25 @@ class GameOutcome:
 def run_cloning_game(
     params: ProtocolParams, strategy, trials: int, rng: np.random.Generator
 ) -> GameOutcome:
-    """Play the cloning game ``trials`` times: protocol.play tallies the
-    (Bob, Charlie) counts ``strategy`` draws from ``rng`` in blocks (Bob flips
-    at protocol.trial_ber under forward_to_bob); a win needs both to succeed."""
+    """Play the cloning game ``trials`` times, tallying the (Bob, Charlie)
+    counts ``strategy`` draws from ``rng`` in blocks of GAME_BLOCK (Bob flips
+    at protocol.trial_ber under forward_to_bob). A player succeeds iff its
+    count is within its budget; a win needs both to succeed."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     if strategy is forward_to_bob:
         charlie_budget, charlie_bits = 0, params.msg_len
     else:
         charlie_budget, charlie_bits = params.max_errors, params.num_modes
-    wins, (ok_bob, ok_charlie), (err_bob, err_charlie) = play(
-        lambda block: strategy(params, block, rng), (params.max_errors, charlie_budget), trials
-    )
+    wins = ok_bob = ok_charlie = err_bob = err_charlie = 0
+    for start in range(0, trials, GAME_BLOCK):
+        bob, charlie = strategy(params, min(GAME_BLOCK, trials - start), rng)
+        bob_ok, charlie_ok = bob <= params.max_errors, charlie <= charlie_budget
+        wins += int(np.count_nonzero(bob_ok & charlie_ok))
+        ok_bob += int(np.count_nonzero(bob_ok))
+        ok_charlie += int(np.count_nonzero(charlie_ok))
+        err_bob += int(bob.sum())
+        err_charlie += int(charlie.sum())
     return GameOutcome(
         strategy_id=strategy.__name__,
         trials=trials,

@@ -77,21 +77,24 @@ def flip_probability(mean, sd):
     return 0.5 * erfc(np.minimum(mean, ERFC_ZERO * sd) / sd)
 
 
-def noisy_ber(alpha: float, squeezing: float, channel: ChannelParams):
+def noisy_ber(alpha: float, squeezing: float, channel: ChannelParams) -> float:
     """Per-mode bit error rate after the channel.
 
     Under the ``paper`` convention this is
     erfc(T*alpha / sqrt(T/cosh r + (1-T) + T*xi)) / 2; the ``symplectic``
     convention replaces T*alpha by sqrt(T)*alpha.
     """
+    if isinstance(alpha, np.ndarray):
+        raise ValueError("alpha must be a scalar; noisy_ber_grid takes arrays")
     # written so that NaN fails the checks
-    if not (np.asarray(alpha) > 0).all():
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     if not 0 <= squeezing <= MAX_SQUEEZING:
         raise ValueError(SQUEEZING_RANGE)
-    mean = displacement_scale(channel) * np.asarray(alpha, dtype=float)
-    out = flip_probability(mean, math.sqrt(noisy_variance(squeezing, channel)))
-    return float(out) if np.isscalar(alpha) else out
+    # flip_probability on floats: math.erfc gives the bits stats.erfc does
+    mean = displacement_scale(channel) * alpha
+    sd = math.sqrt(noisy_variance(squeezing, channel))
+    return 0.5 * math.erfc(min(mean, ERFC_ZERO * sd) / sd)
 
 
 def noisy_ber_grid(alpha: float, squeezing, transmittance, excess_noise) -> np.ndarray:

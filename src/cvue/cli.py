@@ -1,10 +1,12 @@
 """Command-line surface: keygen, roundtrip, bounds, attack, ebcheck.
 
-Every subcommand loads one JSON config file, applies the shared flag
-overrides (--seed, --trials, --out, --format), runs deterministically from
-the seed, and writes to the output path (stdout by default): CSV or JSON for
-roundtrip and bounds, JSON for the others.
-Tables carry a comment row echoing the config hash. Exit code 0 on
+Every subcommand loads one JSON config file and applies the shared flag
+overrides (--seed, --trials, --out, --format). A command is a function from
+the config to its result, run deterministically from the seed: a record
+dict, or (columns, rows) for a figure table. ``main`` renders the result
+once, stamped with the config hash, and writes it to the output path
+(stdout by default): CSV or JSON for roundtrip and bounds, JSON for the
+others. Tables carry a comment row echoing the config hash. Exit code 0 on
 success, 2 on validation or I/O failure.
 """
 
@@ -22,7 +24,7 @@ import numpy as np
 from . import adversary, bounds, ebprep, protocol
 from .channel import noisy_variance
 from .codec import bits_to_hex
-from .config import RunConfig, config_hash, load_config
+from .config import FORMATS, RunConfig, config_hash, load_config
 
 EPILOG = """\
 commands:
@@ -106,33 +108,19 @@ def render_json(payload) -> str:
     return template % tuple(tokens) + "\n"
 
 
-def emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def write_table(columns, rows, config: RunConfig) -> None:
+def render(result, config: RunConfig, fmt: str) -> str:
+    """A command's result as output text in ``fmt``, stamped with the config
+    hash: a record dict is one CSV row or a JSON object, a (columns, rows)
+    table is CSV or a JSON object of columns and rows."""
     digest = config_hash(config)
-    if config.fmt == "csv":
-        emit(render_csv(columns, rows, digest), config.out)
-    else:
-        payload = {
-            "config_hash": digest,
-            "columns": list(columns),
-            "rows": rows,
-        }
-        emit(render_json(payload), config.out)
-
-
-def write_record(record: dict, config: RunConfig) -> None:
-    if config.fmt == "csv":
-        columns = list(record)
-        write_table(columns, [[record[c] for c in columns]], config)
-    else:
-        payload = {"config_hash": config_hash(config), **record}
-        emit(render_json(payload), config.out)
+    if isinstance(result, dict):
+        if fmt == "json":
+            return render_json({"config_hash": digest, **result})
+        result = list(result), [list(result.values())]
+    columns, rows = result
+    if fmt == "json":
+        return render_json({"config_hash": digest, "columns": list(columns), "rows": rows})
+    return render_csv(columns, rows, digest)
 
 
 # --- key serialization ----------------------------------------------------
@@ -150,15 +138,12 @@ def key_to_dict(key: protocol.QecmKey, config: RunConfig) -> dict:
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_keygen(config: RunConfig) -> int:
+def cmd_keygen(config: RunConfig) -> dict:
     rng = np.random.default_rng(config.seed)
-    key = protocol.key_gen(config.protocol, rng)
-    payload = {"config_hash": config_hash(config), **key_to_dict(key, config)}
-    emit(render_json(payload), config.out)
-    return 0
+    return key_to_dict(protocol.key_gen(config.protocol, rng), config)
 
 
-def cmd_roundtrip(config: RunConfig) -> int:
+def cmd_roundtrip(config: RunConfig) -> dict:
     params = config.protocol
     # the flip probability the trials draw with, so both failure bounds are taken at it
     trial_beta = protocol.trial_ber(params, config.channel)
@@ -182,36 +167,25 @@ def cmd_roundtrip(config: RunConfig) -> int:
             flip_rate=result.flip_rate,
             modes_total=result.modes_total,
         )
-    write_record(record, config)
-    return 0
+    return record
 
 
-def cmd_bounds(config: RunConfig) -> int:
+def cmd_bounds(config: RunConfig):
+    """The security report as a record, or a figure's (columns, rows) table."""
     if config.figure == "report":
-        report = bounds.security_report(config.protocol)
-        record = report.as_dict()
-        write_record(record, config)
-        return 0
-    columns, rows = bounds.figure_data(config.figure, config.grid)
-    write_table(columns, rows, config)
-    return 0
+        return bounds.security_report(config.protocol).as_dict()
+    return bounds.figure_data(config.figure, config.grid)
 
 
-def cmd_attack(config: RunConfig) -> int:
+def cmd_attack(config: RunConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     strategy = adversary.make_strategy(config.strategy)
     outcome = adversary.run_cloning_game(config.protocol, strategy, config.trials, rng)
     check = adversary.check_against_bound(outcome, config.protocol)
-    payload = {
-        "config_hash": config_hash(config),
-        "outcome": outcome.as_dict(),
-        "bound_check": check.as_dict(),
-    }
-    emit(render_json(payload), config.out)
-    return 0
+    return {"outcome": outcome.as_dict(), "bound_check": check.as_dict()}
 
 
-def cmd_ebcheck(config: RunConfig) -> int:
+def cmd_ebcheck(config: RunConfig) -> dict:
     params = config.protocol
     samples = config.rejection_samples
     rng = np.random.default_rng(config.seed)
@@ -227,8 +201,7 @@ def cmd_ebcheck(config: RunConfig) -> int:
         ks[f"ks_statistic_{arm}"], ks[f"ks_pvalue_{arm}"] = ebprep.outcome_ks(
             outcomes, params.squeezing, params.alpha
         )
-    payload = {
-        "config_hash": config_hash(config),
+    return {
         "equivalence": report.as_dict(),
         "rejection_oracle": {
             "samples": samples,
@@ -239,8 +212,6 @@ def cmd_ebcheck(config: RunConfig) -> int:
             **ks,
         },
     }
-    emit(render_json(payload), config.out)
-    return 0
 
 
 COMMANDS = {
@@ -267,24 +238,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--trials", type=int, default=None, help="override the trial count")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", default=None, choices=["csv", "json"], help="output format")
+    parser.add_argument("--format", default=None, choices=FORMATS, help="output format")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "out": args.out,
-        "format": args.format,
-    }
+    overrides = {key: getattr(args, key) for key in ("seed", "trials", "out", "format")}
     try:
         config = load_config(args.config, overrides)
-        return COMMANDS[args.command](config)
+        result = COMMANDS[args.command](config)
+        # --format applies to roundtrip and bounds; keygen, attack and ebcheck write JSON
+        fmt = config.fmt if args.command in ("roundtrip", "bounds") else "json"
+        text = render(result, config, fmt)
+        if config.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(config.out).write_text(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

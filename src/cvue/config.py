@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .adversary import STRATEGY_IDS
@@ -48,8 +48,8 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "protocol": asdict(self.protocol),
-            "channel": None if self.channel is None else asdict(self.channel),
+            "protocol": _flat_dict(self.protocol),
+            "channel": None if self.channel is None else _flat_dict(self.channel),
             "seed": self.seed,
             "trials": self.trials,
             "format": self.fmt,
@@ -60,16 +60,22 @@ class RunConfig:
         }
 
 
+def _flat_dict(params) -> dict:
+    """A dataclass of scalars as a dict: what dataclasses.asdict gives it,
+    without asdict's deep copy of every field."""
+    return {f.name: getattr(params, f.name) for f in fields(params)}
+
+
 def config_hash(config: RunConfig) -> str:
     """Short digest of the canonical configuration (output path excluded)."""
     canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _integer(raw: dict, key: str, default=None) -> int:
+def _integer(raw: dict, key: str) -> int:
     """``raw[key]`` as an int; booleans, NaN, infinities and non-integral
     numbers fail with a message naming the key."""
-    value = raw.get(key, default)
+    value = raw[key]
     try:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
@@ -138,21 +144,24 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             merged[key] = value
     if "seed" not in merged:
         raise ValueError("config must define a seed (or pass --seed)")
-    grid = merged.get("grid", {})
-    if not isinstance(grid, dict):
+    if "grid" in merged and not isinstance(merged["grid"], dict):
         raise ValueError("grid must be a JSON object mapping names to value ranges")
     out = merged.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"out must be a file path string, got {out!r}")
-    return RunConfig(
-        protocol=_build_protocol(merged["protocol"]),
-        channel=_build_channel(merged.get("channel")),
-        seed=_integer(merged, "seed"),
-        trials=_integer(merged, "trials", 10000),
-        fmt=str(merged.get("format", "csv")),
-        out=out,
-        figure=str(merged.get("figure", "report")),
-        strategy=str(merged.get("strategy", "heterodyne_split")),
-        grid=grid,
-        rejection_samples=_integer(merged, "rejection_samples", 2000),
-    )
+    chosen = {
+        "protocol": _build_protocol(merged["protocol"]),
+        "channel": _build_channel(merged.get("channel")),
+        "seed": _integer(merged, "seed"),
+        "out": out,
+    }
+    # a key the config leaves out takes RunConfig's default
+    for key in ("trials", "rejection_samples"):
+        if key in merged:
+            chosen[key] = _integer(merged, key)
+    for key, name in (("format", "fmt"), ("figure", "figure"), ("strategy", "strategy")):
+        if key in merged:
+            chosen[name] = str(merged[key])
+    if "grid" in merged:
+        chosen["grid"] = merged["grid"]
+    return RunConfig(**chosen)

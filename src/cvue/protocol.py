@@ -7,8 +7,7 @@ the keyed quadrature, squeezed along that same quadrature. Decryption
 homodynes each mode along the keyed direction and thresholds at the offset.
 ``trial_ber`` picks an honest trial's flip rate; run_round_trip draws the
 histogram of its trials' flip counts at it in one multinomial over the
-cells of ``flip_count_cells``. ``play`` is the cloning game's block loop,
-behind adversary.run_cloning_game.
+cells of ``flip_count_cells``.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ from .codec import (
 )
 from .stats import truncated_normal, wilson_interval
 
-# trials per draw in play: caps a count array at 8 MB; draws made in blocks
-# are the very numbers one draw gives
-ROUND_TRIP_BLOCK = 1 << 20
 # flip counts less likely than this are left out of run_round_trip's histogram
 FLIP_CELL_MASS = 1e-60
 
@@ -303,28 +299,6 @@ def trial_ber(params: ProtocolParams, channel=None) -> float:
     if channel is None:
         return ber_analytic(params.alpha, params.squeezing)
     return noisy_ber(params.alpha, params.squeezing, channel)
-
-
-def play(draw, budgets, trials: int) -> tuple[int, list[int], list[int]]:
-    """Tally ``trials`` trials drawn in blocks of ROUND_TRIP_BLOCK: ``draw(block)``
-    gives per player an array of per-trial flip counts, a player succeeds iff
-    its count is <= its budget, and a trial is won iff every player succeeds.
-    Returns (wins, per-player successes, per-player summed flip counts)."""
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    wins = 0
-    successes = [0] * len(budgets)
-    flips = [0] * len(budgets)
-    for start in range(0, trials, ROUND_TRIP_BLOCK):
-        counts = draw(min(ROUND_TRIP_BLOCK, trials - start))
-        won = None
-        for i, (count, budget) in enumerate(zip(counts, budgets)):
-            ok = count <= budget
-            successes[i] += int(np.count_nonzero(ok))
-            flips[i] += int(count.sum())
-            won = ok if won is None else won & ok
-        wins += int(np.count_nonzero(won))
-    return wins, successes, flips
 
 
 @functools.lru_cache(maxsize=64)

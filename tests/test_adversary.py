@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import binom, chi2_contingency, multivariate_normal, norm
 
-from cvue import protocol
+from cvue import adversary
 from cvue.adversary import (
     STRATEGY_IDS,
     check_against_bound,
@@ -375,7 +375,7 @@ class TestCloningGame:
         # 50 trials in blocks of 7, ..., 7, 1 tally the counts the strategy
         # draws for those blocks, in order, from the same seed
         strategy = make_strategy(strategy_id)
-        monkeypatch.setattr(protocol, "ROUND_TRIP_BLOCK", 7)
+        monkeypatch.setattr(adversary, "GAME_BLOCK", 7)
         outcome = run_cloning_game(TINY, strategy, 50, np.random.default_rng(16))
         rng = np.random.default_rng(16)
         blocks = [strategy(TINY, b, rng) for b in [7] * 7 + [1]]

@@ -12,6 +12,7 @@ from cvue.channel import (
     CONVENTIONS,
     ChannelParams,
     displacement_scale,
+    flip_probability,
     noisy_ber,
     noisy_variance,
 )
@@ -87,9 +88,11 @@ class TestNoisyBer:
             warnings.simplefilter("error")
             assert noisy_ber(1e300, MAX_SQUEEZING, ChannelParams(1.0, 0.0, convention)) == 0.0
             assert noisy_ber(1e300, 3.5, ChannelParams(0.5, 1e300, convention)) == 0.0
-            values = noisy_ber(np.array([0.4, 1e300]), 3.5, ChannelParams(0.8, 0.001, convention))
-        assert values[0] == noisy_ber(0.4, 3.5, ChannelParams(0.8, 0.001, convention))
-        assert values[1] == 0.0
+            channel = ChannelParams(0.8, 0.001, convention)
+            small, huge = noisy_ber(0.4, 3.5, channel), noisy_ber(1e300, 3.5, channel)
+        sd = math.sqrt(noisy_variance(3.5, channel))
+        assert small == flip_probability(displacement_scale(channel) * 0.4, sd)
+        assert huge == 0.0
 
     @pytest.mark.parametrize("ratio", [26.0, 26.64, 27.0, 27.29, 27.31, 28.0])
     def test_near_erfc_cutoff_is_the_plain_formula(self, ratio):
@@ -98,6 +101,27 @@ class TestNoisyBer:
         alpha = ratio * sd / displacement_scale(channel)
         want = 0.5 * math.erfc(displacement_scale(channel) * alpha / sd)
         assert noisy_ber(alpha, 3.5, channel) == want
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("transmittance,excess_noise", [
+        (1.0, 0.0), (0.8, 0.001), (0.3, 0.2), (0.5, 1e300), (1e-300, 0.0),
+    ])
+    @pytest.mark.parametrize("squeezing", [0.0, 0.7, 3.5, 40.0, MAX_SQUEEZING])
+    def test_scalar_path_is_flip_probability(
+        self, squeezing, transmittance, excess_noise, convention
+    ):
+        # the float path gives the array kernel's bits, past ERFC_ZERO too
+        channel = ChannelParams(transmittance, excess_noise, convention)
+        sd = math.sqrt(noisy_variance(squeezing, channel))
+        for alpha in (1e-300, 0.05, 0.4, 3.0, 30.0, 1e300):
+            want = flip_probability(displacement_scale(channel) * alpha, sd)
+            got = noisy_ber(alpha, squeezing, channel)
+            assert type(got) is float
+            assert got == want, alpha
+
+    def test_array_alpha_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="alpha must be a scalar"):
+            noisy_ber(np.array([0.4, 0.5]), 3.5, ChannelParams(0.8, 0.001))
 
 
 class TestApplyChannel:

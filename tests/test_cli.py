@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,8 +13,8 @@ import pytest
 
 import cvue
 from cvue.adversary import STRATEGY_IDS
-from cvue.cli import COMMANDS, build_parser, main
-from cvue.config import config_hash, load_config
+from cvue.cli import COMMANDS, build_parser, main, render
+from cvue.config import FORMATS, RunConfig, config_hash, load_config
 from cvue.bounds import FIGURE_IDS, chernoff_failure, eps_df, exact_failure, figure_data
 from cvue.reference import load_key
 
@@ -420,18 +421,57 @@ def test_no_subcommand_loads_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+# one small config per command: command -> config updates
+COMMAND_CASES = {
+    "keygen": {},
+    "roundtrip": {"trials": 300},
+    "bounds": {"figure": "fig2b", "grid": {"transmittance": [0.6, 1.0, 4],
+                                           "excess_noise": [0.0, 0.01, 3]}},
+    "attack": {"strategy": "heterodyne_split", "trials": 100},
+    "ebcheck": {"trials": 20, "rejection_samples": 100},
+}
+
+
+class TestRunPath:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", list(COMMAND_CASES))
+    def test_command_returns_what_main_writes(self, command, fmt, config_file, capsys):
+        path = config_file(**COMMAND_CASES[command], format=fmt)
+        config = load_config(path)
+        result = COMMANDS[command](config)
+        assert capsys.readouterr() == ("", "")
+        code, out, _ = run([command, path], capsys)
+        assert code == 0
+        written = fmt if command in ("roundtrip", "bounds") else "json"
+        assert out == render(result, config, written)
+
+    @pytest.mark.parametrize("command", ["keygen", "attack", "ebcheck"])
+    def test_format_flag_leaves_json_commands_alone(self, command, config_file, capsys):
+        # the config hash covers the format, so only the stamped digest differs
+        path = config_file(**COMMAND_CASES[command])
+        outs, digests = {}, {}
+        for fmt in FORMATS:
+            code, outs[fmt], _ = run([command, path, "--format", fmt], capsys)
+            assert code == 0
+            digests[fmt] = config_hash(load_config(path, {"format": fmt}))
+            assert json.loads(outs[fmt])["config_hash"] == digests[fmt]
+        assert outs["csv"].replace(digests["csv"], digests["json"]) == outs["json"]
+        assert outs["json"] == json.dumps(json.loads(outs["json"]), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", list(COMMAND_CASES))
+    def test_out_file_is_the_stdout_bytes(self, command, fmt, config_file, tmp_path, capsys):
+        path = config_file(**COMMAND_CASES[command], format=fmt)
+        code, out, _ = run([command, path], capsys)
+        assert code == 0
+        target = tmp_path / "run.out"
+        code, quiet, _ = run([command, path, "--out", str(target)], capsys)
+        assert (code, quiet) == (0, "")
+        assert target.read_bytes() == out.encode()
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "command,extra",
-        [
-            ("keygen", {}),
-            ("roundtrip", {"trials": 300}),
-            ("bounds", {"figure": "fig2b", "grid": {"transmittance": [0.6, 1.0, 4],
-                                                    "excess_noise": [0.0, 0.01, 3]}}),
-            ("attack", {"strategy": "heterodyne_split", "trials": 100}),
-            ("ebcheck", {"trials": 20, "rejection_samples": 100}),
-        ],
-    )
+    @pytest.mark.parametrize("command,extra", list(COMMAND_CASES.items()))
     def test_byte_identical_reruns(self, command, extra, config_file, tmp_path, capsys):
         path = config_file(**extra)
         a, b = tmp_path / "a.out", tmp_path / "b.out"
@@ -594,6 +634,34 @@ def test_config_hash_ignores_out_path(tmp_path):
     a = load_config(path, {"out": "/tmp/x"})
     b = load_config(path, {"out": "/tmp/y"})
     assert config_hash(a) == config_hash(b)
+
+
+@pytest.mark.parametrize(
+    "channel", [None, {"transmittance": 0.8, "excess_noise": 0.001, "convention": "symplectic"}]
+)
+def test_to_dict_is_the_asdict_form(channel, config_file):
+    # the config hash is taken over this dict, so it must not drift
+    config = load_config(config_file(channel=channel))
+    expected = {
+        "protocol": dataclasses.asdict(config.protocol),
+        "channel": None if channel is None else dataclasses.asdict(config.channel),
+        "seed": config.seed,
+        "trials": config.trials,
+        "format": config.fmt,
+        "figure": config.figure,
+        "strategy": config.strategy,
+        "grid": config.grid,
+        "rejection_samples": config.rejection_samples,
+    }
+    assert config.to_dict() == expected
+    assert json.dumps(config.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_defaults_come_from_run_config(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"protocol": BASE["protocol"], "seed": 3}))
+    config = load_config(path)
+    assert config == RunConfig(protocol=config.protocol, seed=3)
 
 
 def test_flag_overrides(tmp_path):
