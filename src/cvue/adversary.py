@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import tau, win_prob_bound
-from .channel import flip_probability
+from .channel import MAX_SQUEEZING, SQUEEZING_RANGE, flip_probability
 from .protocol import ProtocolParams, trial_ber
 from .stats import wilson_interval
 
@@ -63,6 +63,11 @@ def split_flip_probs(alpha: float, squeezing: float) -> tuple[float, float]:
     it decays over about sqrt2 sigma_x min(1, sigma_x / alpha), and a
     64-node Gauss-Legendre rule on 32 such lengths (at most 12) gives p11
     to about 1e-14."""
+    # written so that NaN fails the comparisons
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not 0 <= squeezing <= MAX_SQUEEZING:
+        raise ValueError(SQUEEZING_RANGE)
     cosh_r = math.cosh(squeezing)
     sd = math.sqrt(1.0 / cosh_r)  # sqrt2 sigma_x
     length = min(12.0, 32.0 * sd * min(1.0, sd / (math.sqrt(2.0) * alpha)))

@@ -110,9 +110,9 @@ def render_json(payload) -> str:
 
 def render(result, config: RunConfig, fmt: str) -> str:
     """A command's result as output text in ``fmt``, stamped with the config
-    hash: a record dict is one CSV row or a JSON object, a (columns, rows)
-    table is CSV or a JSON object of columns and rows."""
-    digest = config_hash(config)
+    hash taken in ``fmt``: a record dict is one CSV row or a JSON object, a
+    (columns, rows) table is CSV or a JSON object of columns and rows."""
+    digest = config_hash(config, fmt)
     if isinstance(result, dict):
         if fmt == "json":
             return render_json({"config_hash": digest, **result})

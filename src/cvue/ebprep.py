@@ -11,13 +11,14 @@ collapses to exactly the encryption map's squeezed coherent state.
 The restricted entangled state is represented procedurally through these
 measurement statistics (the truncation makes the joint state non-Gaussian,
 but every protocol-relevant quantity factors through the challenger's
-homodyne). Everything here works on arrays drawn straight from the
-caller's generator: eb_outcomes samples any number of challenger outcomes
-at once (cvue.reference.eb_prepare builds whole cipherstates from them),
+homodyne). eb_outcomes draws any number of challenger outcomes at once from
+the caller's generator with stats.truncated_normal, the key offsets' sampler
+(cvue.reference.eb_prepare builds whole cipherstates from them);
 game_equivalence_test checks one such draw of signed outcomes and their
-offsets, and eb_rejection_oracle, an independent cross-check built from the
+offsets; eb_rejection_oracle, an independent cross-check built from the
 unrestricted two-mode squeezed state, accepts its samples in vectorised
-blocks and conditions them all with one Schur complement.
+blocks and conditions them all with one Schur complement. window_mass and
+outcome_ks take the window's mass in centred erf form, exact at any r.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .channel import MAX_SQUEEZING, SQUEEZING_RANGE
 from .protocol import ProtocolParams, trial_ber
-from .stats import ks_test, ndtr, normal_window, truncated_normal, two_proportion_ztest
+from .stats import erf, ks_test, truncated_normal, two_proportion_ztest
 
 # eb_rejection_oracle refuses a run whose expected number of draws,
 # samples / window_mass, exceeds this (10**8 draws take ~2 s on a 2-vCPU VM)
@@ -42,28 +44,34 @@ def _challenger_sigma(squeezing: float) -> float:
     return math.sqrt(0.5 * math.cosh(squeezing))
 
 
-def _check_squeezing(squeezing: float) -> None:
+def _check(squeezing: float, alpha: float) -> None:
+    # written so that NaN fails the comparisons
     if not squeezing > 0:
         raise ValueError(
             "entanglement-based preparation needs positive squeezing "
             "(tanh r = 0 collapses the offsets)"
         )
+    if not squeezing <= MAX_SQUEEZING:
+        raise ValueError(SQUEEZING_RANGE)
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
 
 
 def window_mass(squeezing: float, alpha: float) -> float:
-    """Normal mass of the restriction window: the expected acceptance ratio
-    of eb_rejection_oracle."""
-    lo, hi = normal_window(_challenger_sigma(squeezing), alpha)
-    return float(hi - lo)
+    """Normal mass of the restriction window, erf(alpha / (sigma sqrt 2)) in
+    centred form, which keeps its relative accuracy at any squeezing: the
+    expected acceptance ratio of eb_rejection_oracle."""
+    _check(squeezing, alpha)
+    return math.erf(alpha / (_challenger_sigma(squeezing) * math.sqrt(2.0)))
 
 
 def outcome_ks(outcomes, squeezing: float, alpha: float) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov test, (statistic, p-value), of challenger
     outcomes for codeword bit 0 against their law: N(alpha, cosh(r)/2)
-    restricted to the window (0, 2 alpha)."""
-    sigma = _challenger_sigma(squeezing)
-    lo, hi = normal_window(sigma, alpha)
-    return ks_test(outcomes, lambda u: (ndtr((u - alpha) / sigma) - lo) / (hi - lo))
+    restricted to the window (0, 2 alpha), its CDF in centred erf form."""
+    mass = window_mass(squeezing, alpha)
+    scale = _challenger_sigma(squeezing) * math.sqrt(2.0)
+    return ks_test(outcomes, lambda u: (erf((u - alpha) / scale) + mass) / (2.0 * mass))
 
 
 def eb_outcomes(signs, alpha: float, squeezing: float, rng: np.random.Generator):
@@ -74,10 +82,7 @@ def eb_outcomes(signs, alpha: float, squeezing: float, rng: np.random.Generator)
     sign*alpha + alpha), and its offset is (u - sign*alpha) * tanh(r).
     Returns (outcomes, offsets), both shaped like ``signs``.
     """
-    # written so that NaN fails the comparison
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    _check_squeezing(squeezing)
+    _check(squeezing, alpha)
     outcomes = truncated_normal(_challenger_sigma(squeezing), alpha, rng, np.shape(signs))
     centers = alpha * np.asarray(signs, dtype=float)
     outcomes += centers
@@ -125,9 +130,6 @@ def eb_rejection_oracle(
     Refuses, before drawing, a run expected to need more than
     MAX_EXPECTED_DRAWS draws.
     """
-    _check_squeezing(squeezing)
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
     mass = window_mass(squeezing, alpha)
     if not samples <= mass * MAX_EXPECTED_DRAWS:
         raise ValueError(

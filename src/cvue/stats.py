@@ -1,6 +1,6 @@
 """Statistics kernels shared by the closed forms and the Monte-Carlo harnesses:
-the normal CDF and its inverse, the binomial tail, the truncated normal and
-the one-sample Kolmogorov-Smirnov test, in the standard library and numpy."""
+erf and erfc on arrays, the binomial tail, the truncated normal by rejection
+and the one-sample Kolmogorov-Smirnov test, in the standard library and numpy."""
 
 from __future__ import annotations
 
@@ -8,76 +8,20 @@ import math
 
 import numpy as np
 
+_erf = np.frompyfunc(math.erf, 1, 1)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
-# Wichura's AS241 (Applied Statistics 37, 1988), behind statistics.NormalDist.inv_cdf:
-# numerator and denominator, highest power first, for |p - 1/2| <= 0.425, then
-# for the tails by s = sqrt(-log min(p, 1 - p)) up to 5 and past it
-_AS241 = (
-    ((2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-      4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-      1.3314166789178437745e2, 3.3871328727963666080e0),
-     (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-      2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-      4.2313330701600911252e1, 1.0)),
-    ((7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-      1.2704582524523683826e0, 3.6478483247632045605e0, 5.7694972214606914055e0,
-      4.6303378461565452959e0, 1.4234371107496835773e0),
-     (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-      1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-      2.0531916266377588219e0, 1.0)),
-    ((2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-      2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-      5.4637849111641143699e0, 6.6579046435011037772e0),
-     (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-      7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-      5.9983220655588793769e-1, 1.0)),
-)
+
+def erf(x):
+    """math.erf on a float, elementwise on an array: both give the same bits."""
+    out = _erf(x)
+    return out.astype(float) if isinstance(out, np.ndarray) else out
 
 
 def erfc(x):
     """math.erfc on a float, elementwise on an array: both give the same bits."""
     out = _erfc(x)
     return out.astype(float) if isinstance(out, np.ndarray) else out
-
-
-def ndtr(x):
-    """Standard normal CDF, 0.5 erfc(-x / sqrt 2)."""
-    return 0.5 * erfc(-x / math.sqrt(2.0))
-
-
-def _rational(coefs, x) -> np.ndarray:
-    """AS241's rational function at x: Horner from x * c0 + c1, in place."""
-    (num, den), (a, b) = coefs, (x * c[0] for c in coefs)
-    a += num[1]
-    b += den[1]
-    for c, d in zip(num[2:], den[2:]):
-        a *= x
-        a += c
-        b *= x
-        b += d
-    a /= b
-    return a
-
-
-def ndtri(p) -> np.ndarray:
-    """Inverse of the standard normal CDF over an array of p in (0, 1) (AS241,
-    within 2e-15 relative of scipy's ndtri down to p = 1e-300), shaped like
-    p (a 0-d array for a scalar). The central branch runs on every p, in
-    place; the tail branch overwrites the p past |p - 1/2| = 0.425, if any."""
-    p = np.asarray(p, dtype=float)
-    flat = p.reshape(-1)
-    r = np.subtract(flat, 0.5)
-    np.subtract(0.180625, np.square(r, out=r), out=r)
-    tail = np.flatnonzero(r < 0.0)
-    out = _rational(_AS241[0], r)
-    out *= np.subtract(flat, 0.5, out=r)
-    if tail.size:
-        pt = flat[tail]
-        s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-        x = np.where(s <= 5.0, _rational(_AS241[1], s - 1.6), _rational(_AS241[2], s - 5.0))
-        out[tail] = np.copysign(x, pt - 0.5)
-    return out.reshape(p.shape)
 
 
 def binomial_sf(k: int, n: int, p: float) -> float:
@@ -105,20 +49,37 @@ def binomial_sf(k: int, n: int, p: float) -> float:
     return total if upper else 1.0 - total
 
 
-def normal_window(sigma: float, bound: float):
-    """CDF values (lo, hi) of N(0, sigma^2) at -bound and +bound; hi - lo is
-    the mass of the window (-bound, bound)."""
-    edge = bound / sigma
-    return ndtr(-edge), ndtr(edge)
-
-
 def truncated_normal(sigma: float, bound: float, rng: np.random.Generator, size=None):
-    """N(0, sigma^2) restricted to the open window (-bound, bound), by inverse
-    CDF, exact to floating precision (rejection would accept only ~10% of
-    draws at the working parameters), scaled in place in ndtri's array."""
-    lo, hi = normal_window(sigma, bound)
-    out = ndtri(rng.uniform(lo, hi, size=size))
-    out *= sigma
+    """N(0, sigma^2) restricted to the open window (-bound, bound), shaped like
+    ``size`` (a 0-d array for None), exact by rejection at any sigma
+    (Devroye 1986, ch. II). With e = bound / sigma, a narrow window (e <= 1)
+    takes uniform proposals and keeps each with probability
+    exp(-x^2 / 2 sigma^2), a share erf(e / sqrt 2) sqrt(pi / 2) / e; a wide
+    one keeps the erf(e / sqrt 2) of N(0, sigma^2) proposals inside. Either
+    keeps at least 68 %; blocks are sized from the share, so one usually does."""
+    edge = bound / sigma
+    narrow = edge <= 1.0
+    share = math.erf(edge / math.sqrt(2.0))
+    if narrow:
+        # the share tends to 1 as e -> 0, where the quotient would be 0 / 0
+        share = share * math.sqrt(0.5 * math.pi) / edge if edge > 0 else 1.0
+    out = np.empty(() if size is None else size)
+    flat = out.reshape(-1)
+    found = 0
+    while found < flat.size:
+        block = int((flat.size - found) / share * 1.1) + 16
+        if narrow:
+            x = rng.uniform(-bound, bound, block)
+            # P[E > t] = exp(-t) for E ~ Exp(1); the window is open, so a
+            # proposal on (or rounded onto) an end is dropped
+            keep = np.square(x / sigma) < 2.0 * rng.standard_exponential(block)
+            keep &= np.abs(x) < bound
+        else:
+            x = rng.normal(0.0, sigma, block)
+            keep = np.abs(x) < bound
+        kept = x[keep][: flat.size - found]
+        flat[found : found + kept.size] = kept
+        found += kept.size
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.special import erf
 from scipy.stats import ks_2samp
 
 from cvue import ebprep
+from cvue.adversary import split_flip_probs
 from cvue.bounds import tau
 from cvue.codec import random_bits
 from cvue.ebprep import (
@@ -183,6 +185,12 @@ class TestRejectionOracle:
         direct_u, _ = eb_outcomes(np.ones(draws), 0.4, 3.4, rng)
         assert ks_2samp(rejected_u, direct_u).pvalue > 0.01
 
+    def test_window_mass_keeps_its_accuracy_at_large_squeezing(self):
+        # erf(alpha / sqrt(cosh r)), 2.71e-18 at r = 80; hi - lo of the CDF gave 0.0
+        mass = ebprep.window_mass(80.0, 0.4)
+        assert mass == pytest.approx(acceptance_mass(0.4, 80.0), rel=1e-14, abs=0)
+        assert mass == pytest.approx(2.71e-18, rel=1e-3, abs=0)
+
     def test_validation(self):
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError, match="squeezing"):
@@ -354,3 +362,42 @@ def test_eb_outcomes_rejects_alpha_before_drawing(alpha):
     with pytest.raises(ValueError, match="alpha"):
         eb_outcomes(np.ones(3), alpha, 3.4, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda rng: sample_key_offset(0.4, 800.0, rng, size=3), "squeezing"),
+        (lambda rng: sample_key_offset(0.4, math.inf, rng, size=3), "squeezing"),
+        (lambda rng: eb_outcomes(np.ones(3), 0.4, 800.0, rng), "squeezing"),
+        (lambda rng: eb_rejection_oracle(800.0, 0.4, 5, rng), "squeezing"),
+        (lambda rng: eb_rejection_oracle(3.4, math.inf, 5, rng), "alpha"),
+        (lambda rng: ebprep.window_mass(800.0, 0.4), "squeezing"),
+        (lambda rng: ebprep.window_mass(3.4, -1.0), "alpha"),
+        (lambda rng: ebprep.window_mass(3.4, 0.0), "alpha"),
+        (lambda rng: ebprep.outcome_ks(np.full(3, 0.4), 800.0, 0.4), "squeezing"),
+        (lambda rng: split_flip_probs(-1.0, 3.4), "alpha"),
+        (lambda rng: split_flip_probs(0.0, 3.4), "alpha"),
+        (lambda rng: split_flip_probs(math.nan, 3.4), "alpha"),
+        (lambda rng: split_flip_probs(0.4, 800.0), "squeezing"),
+        (lambda rng: split_flip_probs(0.4, -1.0), "squeezing"),
+        (lambda rng: split_flip_probs(0.4, math.nan), "squeezing"),
+    ],
+    ids=["key_offset-r800", "key_offset-rinf", "eb_outcomes-r800", "oracle-r800",
+         "oracle-alpha-inf", "window_mass-r800", "window_mass-alpha-neg", "window_mass-alpha-0",
+         "outcome_ks-r800", "split-alpha-neg", "split-alpha-0", "split-alpha-nan",
+         "split-r800", "split-r-neg", "split-r-nan"],
+)
+def test_sampler_entry_points_share_one_domain(call, name):
+    # the checks ProtocolParams makes for the CLI, made where library calls enter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            call(np.random.default_rng(0))
+
+
+def test_outcome_ks_accepts_outcomes_at_large_squeezing():
+    # r = 60: the window is 1.5e-13 of the challenger's width wide
+    rng = np.random.default_rng(33)
+    outcomes, _ = eb_outcomes(np.ones(2000), 0.4, 60.0, rng)
+    assert ebprep.outcome_ks(outcomes, 60.0, 0.4)[1] > 1e-3

@@ -197,6 +197,15 @@ class TestKeyGen:
         assert np.all(np.abs(key.offsets) < bound)
         validate_key(key, REFERENCE)
 
+    @pytest.mark.parametrize("squeezing", [60.0, 70.0, 80.0, 700.0])
+    def test_offsets_distinct_and_inside_at_large_squeezing(self, squeezing):
+        # the window is some 1e-13 to 1e-152 of the normal's width here
+        params = ProtocolParams(16, 64, 6, 0.4, squeezing)
+        key = key_gen(params, np.random.default_rng(11))
+        bound = params.alpha * math.tanh(squeezing)
+        assert np.unique(key.offsets).size == params.num_modes
+        assert np.all(np.abs(key.offsets) < bound)
+
     def test_zero_squeezing_warns_and_zeroes_offsets(self):
         params = ProtocolParams(8, 16, 2, 0.4, 0.0)
         rng = np.random.default_rng(11)

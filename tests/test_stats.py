@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import special
-from scipy.stats import kstest, kstwo
+from scipy.stats import kstest, kstwo, norm, truncnorm, uniform
 
 from cvue import ebprep, stats
 from cvue.adversary import split_flip_probs
@@ -34,45 +34,43 @@ class TestErfc:
         assert isinstance(stats.erfc(0.5), float) and isinstance(stats.erfc(np.array(0.5)), float)
         assert stats.erfc(np.empty((0, 3))).shape == (0, 3)
 
-    def test_ndtr(self):
-        # 0.5 erfc(-x / sqrt 2): the rounded argument costs about 2 x^2 / 2 ulps
-        x = np.linspace(-37.0, 8.0, 4001)
-        assert np.allclose(stats.ndtr(x), special.ndtr(x), rtol=3e-13, atol=0)
+    def test_erf_array_path_gives_the_scalar_bits(self):
+        x = np.linspace(-6.0, 6.0, 1001).reshape(7, 143)
+        out = stats.erf(x)
+        assert out.dtype == float and out.shape == x.shape
+        assert out.ravel().tolist() == [math.erf(v) for v in x.ravel().tolist()]
+        assert isinstance(stats.erf(0.5), float)
 
 
-class TestNdtri:
-    def test_matches_scipy_over_both_tails(self):
-        rng = np.random.default_rng(5)
-        lower = 10.0 ** -rng.uniform(0.0, 300.0, 20000)
-        p = np.concatenate([lower, 1.0 - lower, rng.uniform(0.0, 1.0, 20000)])
-        p = p[(0.0 < p) & (p < 1.0)]
-        want = special.ndtri(p)
-        assert np.all(np.abs(stats.ndtri(p) - want) <= 2e-15 * np.abs(want))
+class TestTruncatedNormal:
+    """stats.truncated_normal against scipy.stats.truncnorm, on both sides of
+    the narrow/wide switch at bound / sigma = 1 and at its two limits."""
 
-    @pytest.mark.parametrize("p", [1e-300, 1e-20, 1.4e-11, 0.075, 0.5, 0.925, 1 - 1e-15])
-    def test_branch_edges(self, p):
-        want = special.ndtri(p)
-        assert abs(stats.ndtri(p) - want) <= 2e-15 * abs(want)
+    SIGMA, SAMPLES = 2.0, 20000
 
-    def test_central_window_equals_the_masked_path(self):
-        # the paper point's key offsets draw uniforms from about (0.442, 0.558)
-        central = np.random.default_rng(6).uniform(0.442, 0.558, 1000)
-        mixed = stats.ndtri(np.append(central, 1e-5))
-        assert stats.ndtri(central).tolist() == mixed[:-1].tolist()
+    @pytest.mark.parametrize("edge", [0.146, 0.999, 1.0, 1.001, 3.0, 30.0])
+    def test_law_is_the_truncated_normal(self, edge):
+        rng = np.random.default_rng(41)
+        bound = edge * self.SIGMA
+        x = stats.truncated_normal(self.SIGMA, bound, rng, self.SAMPLES)
+        assert np.all(np.abs(x) < bound)
+        assert kstest(x, truncnorm(-edge, edge, scale=self.SIGMA).cdf).pvalue > 1e-3
 
-    @pytest.mark.parametrize("p", [0.3, 1e-5, 1 - 1e-5], ids=["central", "lower", "upper"])
-    def test_result_kind_does_not_depend_on_the_branch(self, p):
-        for arg, shape in ((p, ()), (np.float64(p), ()), (np.full((2, 3), p), (2, 3))):
-            out = stats.ndtri(arg)
-            assert type(out) is np.ndarray and out.dtype == float and out.shape == shape
-        assert stats.ndtri(np.array([[0.3, p], [0.6, 0.5]])).shape == (2, 2)
+    def test_huge_sigma_is_uniform_on_the_window(self):
+        x = stats.truncated_normal(1e150, 1.0, np.random.default_rng(42), self.SAMPLES)
+        assert np.all(np.abs(x) < 1.0)
+        assert kstest(x, uniform(-1.0, 2.0).cdf).pvalue > 1e-3
 
-    def test_mixed_array_equals_the_scalar_calls(self):
-        rng = np.random.default_rng(7)
-        lower = 10.0 ** -rng.uniform(0.0, 300.0, 50)
-        upper = 1.0 - 10.0 ** -rng.uniform(0.0, 15.0, 50)
-        p = np.concatenate([lower, upper, rng.uniform(0.0, 1.0, 50)]).reshape(5, 30)
-        assert stats.ndtri(p).ravel().tolist() == [float(stats.ndtri(v)) for v in p.ravel()]
+    def test_infinite_bound_is_the_normal(self):
+        x = stats.truncated_normal(self.SIGMA, math.inf, np.random.default_rng(43), self.SAMPLES)
+        assert kstest(x, norm(scale=self.SIGMA).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("bound", [0.3, 5.0], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("size, shape", [(None, ()), (5, (5,)), ((2, 3), (2, 3)), ((0,), (0,))])
+    def test_shape(self, bound, size, shape):
+        out = stats.truncated_normal(1.0, bound, np.random.default_rng(44), size)
+        assert type(out) is np.ndarray and out.dtype == float and out.shape == shape
+        assert np.all(np.abs(out) < bound)
 
 
 class TestBinomialTail:
