@@ -13,21 +13,28 @@ remain.
 
 Each code builds three tables once, over the N sent positions only, so
 that no encode or decode does a bigint division, a multiply or a modulo
-per bit:
+per bit. All three are GF(2)-linear maps stored so that a word's work is a
+gather of a few long rows and one long XOR reduce:
 
-* a packed parity table whose row i is x^(deg g + i) mod g; systematic
-  encoding (message bits in the high-order coefficients) XORs the rows of
-  the set message bits;
-* an (N, 2t) table of alpha^(i*j); the syndromes S_1..S_2t of a word are
-  one gather of its set positions' rows and one XOR reduce;
-* a (t+1, N) table of (-k*i) mod (2^m - 1); the Chien search evaluates the
-  error locator at every sent alpha^-i as one gather from the doubled exp
-  table and one XOR reduce.
+* the parity table, transposed into uint64 lanes of shape (lanes,
+  msg_len): column i holds x^(deg g + i) mod g; systematic encoding
+  (message bits in the high-order coefficients) XORs the columns of the
+  set message bits;
+* the odd-syndrome table, lanes first with shape (ceil(t/4), N): four
+  uint16 powers alpha^(i*j), j = 1, 3, ..., 2t-1, to a uint64 lane; the
+  odd syndromes of a word are one gather of its set positions' columns
+  and one XOR reduce, and the even ones follow in the log domain, since a
+  binary word has S_2j = S_j^2;
+* the bit-sliced Chien table of shape ((t+1)*m, m, ceil(N/64)): row k*m + b
+  holds the m bit planes of alpha^b * alpha^(-k*i) over the sent positions
+  i, packed 64 to a uint64. sigma(alpha^-i) is GF(2)-linear in the bits of
+  sigma's coefficients, so the search XORs the rows of their set bits, ORs
+  the m planes together and finds a root wherever the result is 0.
 
-Between the two, Berlekamp-Massey runs in its binary form: a binary
-word's syndromes satisfy S_2j = S_j^2, which makes every even-step
-discrepancy zero (Berlekamp 1968; Lin & Costello, Error Control Coding,
-sec. 6.2), so only the t odd steps run, with products in the log domain.
+Between syndromes and search, Berlekamp-Massey runs in its binary form:
+S_2j = S_j^2 makes every even-step discrepancy zero (Berlekamp 1968; Lin &
+Costello, Error Control Coding, sec. 6.2), so only the t odd steps run,
+with products in the log domain.
 Decoding fails when the locator fits no error pattern of weight <= t in
 the sent positions; a root in a pinned position is never found.
 """
@@ -49,11 +56,18 @@ _PRIMITIVE_POLY = {
 }
 
 
-def check_message_bits(message: np.ndarray) -> None:
-    """Raise ValueError unless every entry is 0 or 1 (NaN is neither)."""
-    message = np.asarray(message)
-    if not ((message == 0) | (message == 1)).all():
-        raise ValueError("message bits must be 0 or 1")
+def check_bits(bits: np.ndarray, what: str = "message") -> None:
+    """Raise ValueError unless every entry is 0 or 1 (NaN is neither).
+
+    Bool and unsigned arrays, which every word the protocol measures is,
+    take one pass over their maximum."""
+    bits = np.asarray(bits)
+    if bits.dtype.kind in "bu":
+        ok = bits.max(initial=0) <= 1
+    else:
+        ok = ((bits == 0) | (bits == 1)).all()
+    if not ok:
+        raise ValueError(f"{what} bits must be 0 or 1")
 
 
 def _poly_mul(a: int, b: int) -> int:
@@ -118,26 +132,47 @@ class BchCode:
         self._exp_table.flags.writeable = False
 
     def _build_tables(self) -> None:
-        order, t = self.order, self.t
-        points = np.arange(self.length)
-        # syndrome powers alpha^(i*j), j = 1..2t, and Chien exponents
-        # (-k*i) mod order, k = 0..t, at the sent positions i; m <= 10, so
-        # 16 bits hold every entry
-        exponents = points[:, None] * np.arange(1, 2 * t + 1) % order
-        self._syndrome_table = self._exp_table.astype(np.uint16)[exponents]
-        self._chien_table = (-np.arange(t + 1)[:, None] * points % order).astype(np.int16)
-        # parity rows x^(parity_len + i) mod g, each the last one times x
+        order, t, m, n = self.order, self.t, self.m, self.length
+        points = np.arange(n)
+        # m <= 10, so 16 bits hold every field element
+        exp16 = self._exp_table[:order].astype(np.uint16)
+        # odd syndrome powers alpha^(i*j), j = 1, 3, ..., 2t-1, four to a
+        # uint64 lane; the padding powers past t are 0 and add nothing
+        odd = np.zeros((n, 4 * -(-t // 4)), dtype=np.uint16)
+        odd[:, :t] = exp16[points[:, None] * np.arange(1, 2 * t, 2) % order]
+        self._syndrome_table = np.ascontiguousarray(odd.view(np.uint64).T)
+        # Chien rows: first the m bit planes of alpha^(-k*i) for every k
+        # (b = 0), packed little-endian into the bytes of ceil(N/64) uint64
+        # words, with the padding bits past N left 0; then each b + 1 from b,
+        # since multiplying by alpha moves plane p to p + 1 and XORs the top
+        # plane into the taps of the primitive polynomial
+        chien = np.zeros((t + 1, m, m, 8 * -(-n // 64)), dtype=np.uint8)
+        powers = exp16[-np.arange(t + 1)[:, None] * points % order]
+        for p in range(m):
+            chien[:, 0, p, : (n + 7) // 8] = np.packbits(
+                powers >> p & 1, axis=-1, bitorder="little"
+            )
+        chien = chien.view(np.uint64)
+        taps = np.flatnonzero((_PRIMITIVE_POLY[m] >> np.arange(m)) & 1)
+        for b in range(m - 1):
+            chien[:, b + 1, 1:] = chien[:, b, :-1]
+            chien[:, b + 1, taps] ^= chien[:, b, m - 1 :]
+        self._chien_table = chien.reshape((t + 1) * m, m, -1)
+        self._bit_masks = (1 << np.arange(m)).astype(np.uint16)
+        # parity columns x^(parity_len + i) mod g, each the last one times x
         top = 1 << self.parity_len
         row = self.generator ^ top
-        nbytes = (self.parity_len + 7) // 8
+        nbytes = 8 * -(-self.parity_len // 64)
         rows = []
         for _ in range(self.msg_len):
             rows.append(row.to_bytes(nbytes, "little"))
             row <<= 1
             if row & top:
                 row ^= self.generator
-        self._parity_table = np.frombuffer(b"".join(rows), np.uint8).reshape(self.msg_len, -1)
-        for table in (self._syndrome_table, self._chien_table):
+        parity = np.frombuffer(b"".join(rows), np.uint64).reshape(self.msg_len, -1)
+        self._parity_table = np.ascontiguousarray(parity.T)
+        for table in (self._syndrome_table, self._chien_table, self._bit_masks,
+                      self._parity_table):
             table.flags.writeable = False
 
     def _gf_mul(self, a: int, b: int) -> int:
@@ -177,27 +212,31 @@ class BchCode:
         message = np.asarray(message)
         if message.shape != (self.msg_len,):
             raise ValueError(f"message must have length {self.msg_len}")
-        check_message_bits(message)
+        check_bits(message)
         bits = message.astype(np.uint8)
-        parity = np.bitwise_xor.reduce(self._parity_table[bits.astype(bool)], axis=0)
+        columns = np.take(self._parity_table, np.flatnonzero(bits), axis=1)
+        parity = np.bitwise_xor.reduce(columns, axis=1).view(np.uint8)
         parity_bits = np.unpackbits(parity, count=self.parity_len, bitorder="little")
         return np.concatenate([parity_bits, bits])
 
     def decode(self, word: np.ndarray):
         """Return the message bits, or None when decoding fails."""
-        word = np.asarray(word, dtype=np.uint8)
+        word = np.asarray(word)
         if word.shape != (self.length,):
             raise ValueError(f"word must have length {self.length}")
+        check_bits(word, "word")
+        word = word.astype(np.uint8, copy=False)
         syndromes = self._syndromes(np.flatnonzero(word))
         if not syndromes.any():
             return word[self.parity_len :].copy()
-        locator = self._berlekamp_massey(syndromes.tolist())
+        locator = self._berlekamp_massey(self._expand_syndromes(syndromes))
         if locator is None:
             return None
         errors = self._chien_search(locator)
         # the roots must be distinct sent positions, one per degree (a root in
         # a pinned position is not searched), and flipping them must clear
-        # every syndrome (syndromes are linear in the word)
+        # every syndrome (syndromes are linear in the word; the even ones
+        # follow from the odd ones)
         if errors.size != len(locator) - 1:
             return None
         if np.any(self._syndromes(errors) != syndromes):
@@ -207,8 +246,20 @@ class BchCode:
         return corrected[self.parity_len :]
 
     def _syndromes(self, positions: np.ndarray) -> np.ndarray:
-        # S_j = r(alpha^j) = XOR of alpha^(i*j) over the set bits i, j = 1..2t
-        return np.bitwise_xor.reduce(np.take(self._syndrome_table, positions, axis=0), axis=0)
+        # the odd syndromes S_j = r(alpha^j) = XOR of alpha^(i*j) over the set
+        # bits i, j = 1, 3, ..., 2t-1, then 0s up to a multiple of four
+        lanes = np.take(self._syndrome_table, positions, axis=1)
+        return np.bitwise_xor.reduce(lanes, axis=1).view(np.uint16)
+
+    def _expand_syndromes(self, odd: np.ndarray) -> list[int]:
+        # S_1..S_2t from the odd ones through S_2j = S_j^2, a doubled log;
+        # log[0] doubles to 4*order, where exp holds 0
+        exp, log = self._exp, self._log
+        syndromes = [0] * (2 * self.t)
+        syndromes[::2] = odd[: self.t].tolist()
+        for j in range(1, self.t + 1):
+            syndromes[2 * j - 1] = exp[2 * log[syndromes[j - 1]]]
+        return syndromes
 
     def _berlekamp_massey(self, syndromes: list[int]):
         # returns the error-locator polynomial as a coefficient list, or None.
@@ -246,10 +297,14 @@ class BchCode:
         return sigma
 
     def _chien_search(self, sigma: list[int]) -> np.ndarray:
-        # sigma(alpha^-i) = XOR_k alpha^(log sigma_k - k*i) at all sent
-        # positions at once; a root marks an error at position i
-        k = np.flatnonzero(sigma)
-        logs = np.array([self._log[sigma[j]] for j in k])
-        exponents = self._chien_table[k] + logs[:, None]
-        values = np.bitwise_xor.reduce(self._exp_table[exponents], axis=0)
-        return np.flatnonzero(values == 0)
+        # sigma(alpha^-i) at all sent positions at once: XOR the table rows
+        # k*m + b of the set bits b of each coefficient sigma_k, then OR the
+        # m bit planes; a zero marks an error at position i. The padding
+        # bits past N are cut off by count.
+        bits = np.array(sigma, dtype=np.uint16)[:, None] & self._bit_masks
+        rows = np.take(self._chien_table, np.flatnonzero(bits), axis=0)
+        planes = np.bitwise_xor.reduce(rows, axis=0)
+        nonzero = np.bitwise_or.reduce(planes, axis=0)
+        roots = np.unpackbits(np.invert(nonzero).view(np.uint8), count=self.length,
+                              bitorder="little")
+        return np.flatnonzero(roots)

@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .bch import BchCode, check_message_bits
+from .bch import BchCode, check_bits
 
 SCHEMES = ("oracle", "concrete")
 
@@ -86,9 +86,10 @@ class OracleCodec:
     def decode(self, word: np.ndarray):
         if self._codeword is None:
             raise RuntimeError("oracle codec cannot decode before encoding")
-        word = np.asarray(word, dtype=np.uint8)
+        word = np.asarray(word)
         if word.shape != (self.length,):
             raise ValueError(f"word must have length {self.length}")
+        check_bits(word, "word")
         if np.count_nonzero(word != self._codeword) <= self.t:
             return self._message.copy()
         return None

@@ -68,9 +68,16 @@ def window_mass(squeezing: float, alpha: float) -> float:
 def outcome_ks(outcomes, squeezing: float, alpha: float) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov test, (statistic, p-value), of challenger
     outcomes for codeword bit 0 against their law: N(alpha, cosh(r)/2)
-    restricted to the window (0, 2 alpha), its CDF in centred erf form."""
+    restricted to the window (0, 2 alpha), its CDF in centred erf form.
+    Where alpha / (sigma sqrt 2) is below 2^-27 the density varies by less
+    than 2^-54 across the window, so the law is the uniform one on
+    (0, 2 alpha) to double precision, and its CDF u / (2 alpha) is used:
+    there the erf form loses its digits, and divides 0 by 0 once the mass
+    underflows."""
     mass = window_mass(squeezing, alpha)
     scale = _challenger_sigma(squeezing) * math.sqrt(2.0)
+    if alpha < scale * 2.0**-27:
+        return ks_test(outcomes, lambda u: u / (2.0 * alpha))
     return ks_test(outcomes, lambda u: (erf((u - alpha) / scale) + mass) / (2.0 * mass))
 
 

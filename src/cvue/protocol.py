@@ -26,7 +26,7 @@ from .codec import (
     OracleCodec,
     base_decrypt,
     base_encrypt,
-    check_message_bits,
+    check_bits,
     concrete_spec,
     random_bits,
 )
@@ -215,18 +215,25 @@ def key_gen(params: ProtocolParams, rng: np.random.Generator) -> QecmKey:
 
 
 def _mode_arrays(codeword, directions, offsets, alpha, squeezing):
-    """Displacement/covariance arrays for the per-bit squeezed-state encoding."""
+    """Displacement/covariance arrays for the per-bit squeezed-state encoding.
+
+    Mode i's keyed quadrature is entry 2i + d_i of the flattened (N, 2) arrays."""
     signs = 1.0 - 2.0 * np.asarray(codeword, dtype=float)
     axis_value = alpha * signs + offsets
     n = signs.size
-    dirs = np.asarray(directions, dtype=np.uint8)
-    disp = np.zeros((n, 2))
-    disp[np.arange(n), dirs] = axis_value
+    keyed = _keyed_index(directions)
+    disp = np.zeros(2 * n)
+    disp[keyed] = axis_value
     ch = math.cosh(squeezing)
-    cov = np.empty((n, 2))
-    cov[np.arange(n), dirs] = 1.0 / ch
-    cov[np.arange(n), 1 - dirs] = ch
-    return disp, cov
+    cov = np.full(2 * n, ch)
+    cov[keyed] = 1.0 / ch
+    return disp.reshape(n, 2), cov.reshape(n, 2)
+
+
+def _keyed_index(directions) -> np.ndarray:
+    # the flat index 2i + d_i of mode i's keyed quadrature in an (N, 2) array
+    dirs = np.asarray(directions, dtype=np.uint8)
+    return np.arange(0, 2 * dirs.size, 2) + dirs
 
 
 def encrypt(key: QecmKey, message: np.ndarray, params: ProtocolParams, codec) -> CipherState:
@@ -234,7 +241,7 @@ def encrypt(key: QecmKey, message: np.ndarray, params: ProtocolParams, codec) ->
     message = np.asarray(message)
     if message.shape != (params.msg_len,):
         raise ValueError(f"message must have length {params.msg_len}")
-    check_message_bits(message)
+    check_bits(message)
     codeword = codec.encode(base_encrypt(key.pad, message))
     disp, cov = _mode_arrays(
         codeword, key.directions, key.offsets, params.alpha, params.squeezing
@@ -245,12 +252,11 @@ def encrypt(key: QecmKey, message: np.ndarray, params: ProtocolParams, codec) ->
 def measure_codeword(key: QecmKey, cipher: CipherState, rng: np.random.Generator) -> np.ndarray:
     """Homodyne every mode along its keyed direction and threshold at the
     offset; outcome exactly at threshold decodes to bit 0."""
-    n = cipher.num_modes
-    idx = np.arange(n)
-    dirs = key.directions
-    mean = cipher.disp[idx, dirs]
-    std = np.sqrt(cipher.cov_diag[idx, dirs] / 2.0)
-    outcomes = rng.normal(mean, std)
+    keyed = _keyed_index(key.directions)
+    mean = np.take(cipher.disp, keyed)
+    std = np.sqrt(np.take(cipher.cov_diag, keyed) / 2.0)
+    # rng.normal(mean, std) draws loc + scale * z per element in this order
+    outcomes = mean + std * rng.standard_normal(keyed.size)
     return (outcomes - key.offsets < 0).astype(np.uint8)
 
 

@@ -82,7 +82,7 @@ from .bounds import (
     win_prob_bound,
 )
 from .channel import ChannelParams, displacement_scale, noisy_ber
-from .codec import base_decrypt, base_encrypt, check_message_bits, random_bits
+from .codec import base_decrypt, base_encrypt, check_bits, random_bits
 from .ebprep import EquivalenceReport, eb_outcomes, tmsv_covariance
 from .protocol import (
     CipherState,
@@ -449,7 +449,7 @@ def eb_prepare(
     has exactly the direct encryption map's per-mode descriptors.
     Returns (outcomes, offsets, cipher).
     """
-    check_message_bits(message)
+    check_bits(message)
     codeword = codec.encode(base_encrypt(pad, message))
     signs = 1.0 - 2.0 * np.asarray(codeword, dtype=float)
     outcomes, offsets = eb_outcomes(signs, params.alpha, params.squeezing, rng)
@@ -564,10 +564,8 @@ def _bch_berlekamp_massey(code: BchCode, syndromes: list[int]):
     return sigma
 
 
-def _bch_chien_search(code: BchCode, sigma: list[int]):
-    degree = len(sigma) - 1
-    if degree == 0:
-        return None
+def _bch_chien_search(code: BchCode, sigma: list[int]) -> np.ndarray:
+    # every root position i in [0, order), pinned ones included
     errors = []
     for i in range(code.order):
         # evaluate sigma at alpha^{-i}; a root marks an error at position i
@@ -577,8 +575,6 @@ def _bch_chien_search(code: BchCode, sigma: list[int]):
                 val ^= code._exp[(code._log[coeff] + k * (code.order - i)) % code.order]
         if val == 0:
             errors.append(i)
-    if len(errors) != degree:
-        return None
     return np.array(errors, dtype=np.int64)
 
 
@@ -599,7 +595,7 @@ def bch_decode_scalar(code: BchCode, word: np.ndarray):
     if locator is None:
         return None
     errors = _bch_chien_search(code, locator)
-    if errors is None:
+    if errors.size != len(locator) - 1:
         return None
     full[errors] ^= 1
     if any(_bch_syndromes(code, np.flatnonzero(full))) or full[code.length :].any():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from cvue import codec
 from cvue.bch import BchCode
 from cvue.codec import concrete_spec
 from cvue.protocol import ProtocolParams
-from cvue.reference import _bch_berlekamp_massey, bch_decode_scalar, bch_encode_scalar
+from cvue.reference import (
+    _bch_berlekamp_massey,
+    _bch_chien_search,
+    _bch_syndromes,
+    bch_decode_scalar,
+    bch_encode_scalar,
+)
 
 
 # (length, message bits, t) triples from the standard BCH tables
@@ -171,7 +178,7 @@ def test_berlekamp_massey_matches_full_step_oracle():
                 msg = rng.integers(0, 2, code.msg_len, dtype=np.uint8)
                 word = code.encode(msg)
                 word[rng.choice(code.length, size=weight, replace=False)] ^= 1
-                syndromes = code._syndromes(np.flatnonzero(word)).tolist()
+                syndromes = code._expand_syndromes(code._syndromes(np.flatnonzero(word)))
                 want = _bch_berlekamp_massey(code, syndromes)
                 assert code._berlekamp_massey(syndromes) == want, (m, t, weight)
                 if want is None:
@@ -283,3 +290,87 @@ def test_decode_matches_scalar_oracle_shortened(code_len, t, repeats):
             refused += 1
         assert _same_result(want, None if full is None else full[: code.msg_len])
     assert refused > 0 or repeats == 1
+
+
+# codes that reach every padding case of the word-parallel tables: t = 0, 1,
+# 2 and 3 mod 4 (odd-syndrome lanes), and N below 64, at 64, a multiple of 64
+# and neither (Chien words)
+PADDING_CODES = [(7, 1), (64, 6), (40, 3), (127, 10), (128, 8), (200, 13), (1000, 35)]
+PADDING_IDS = [f"{n}-{t}" for n, t in PADDING_CODES]
+
+
+def _random_words(code, rng, count):
+    # codewords of random messages with 0..2t flips in the sent positions
+    for _ in range(count):
+        word = code.encode(rng.integers(0, 2, code.msg_len, dtype=np.uint8))
+        weight = int(rng.integers(0, min(2 * code.t, code.length) + 1))
+        word[rng.choice(code.length, size=weight, replace=False)] ^= 1
+        yield word
+
+
+def _locator_with_roots(code, positions) -> list[int]:
+    # prod (1 + alpha^p x): its roots alpha^-p mark the positions p
+    sigma = [1]
+    for p in positions:
+        root = code._exp[p]
+        shifted = [0] + [code._gf_mul(c, root) for c in sigma]
+        sigma = [a ^ b for a, b in itertools.zip_longest(sigma, shifted, fillvalue=0)]
+    return sigma
+
+
+@pytest.mark.parametrize("code_len,t", PADDING_CODES, ids=PADDING_IDS)
+def test_word_parallel_kernels_match_scalar_oracles(code_len, t):
+    code = concrete_spec(code_len, t)
+    rng = np.random.default_rng(code_len * 100 + t)
+    words = 12 if code_len > 500 else 40
+    for word in _random_words(code, rng, words):
+        positions = np.flatnonzero(word)
+        syndromes = code._expand_syndromes(code._syndromes(positions))
+        assert syndromes == _bch_syndromes(code, positions)
+        assert _same_result(code.decode(word), bch_decode_scalar(code, word))
+        message = word[code.parity_len :]
+        assert np.array_equal(code.encode(message), bch_encode_scalar(code, message))
+        locator = code._berlekamp_massey(syndromes)
+        if locator is not None:
+            want = _bch_chien_search(code, locator)
+            assert np.array_equal(code._chien_search(locator), want[want < code_len])
+    # locators with known roots, some in the pinned positions past N, and
+    # random ones, which mostly have fewer roots than their degree
+    for degree in range(1, t + 1):
+        roots = rng.choice(code.order, size=degree, replace=False)
+        random_sigma = [1] + rng.integers(0, code.order + 1, size=degree).tolist()
+        for sigma in (_locator_with_roots(code, roots), random_sigma):
+            want = _bch_chien_search(code, sigma)
+            assert np.array_equal(code._chien_search(sigma), want[want < code_len])
+    assert np.array_equal(code._chien_search(_locator_with_roots(code, roots)),
+                          np.sort(roots[roots < code_len]))
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan, 257])
+@pytest.mark.parametrize("make", [lambda: BchCode(64, 6), lambda: codec.OracleCodec(16, 64, 6)],
+                         ids=["bch", "oracle"])
+def test_decode_rejects_non_bit_words(make, bad):
+    # checked before any cast: 257 would wrap to 1 and 0.5 to 0 as uint8
+    code = make()
+    word = code.encode(np.zeros(code.msg_len, dtype=np.uint8)).astype(np.asarray(bad).dtype)
+    word[5] = bad
+    with pytest.raises(ValueError, match="word bits must be 0 or 1"):
+        code.decode(word)
+    # booleans and 0/1 floats are bits
+    word[5] = 0
+    assert np.array_equal(code.decode(word), np.zeros(code.msg_len, dtype=np.uint8))
+    assert np.array_equal(code.decode(word.astype(bool)), np.zeros(code.msg_len, dtype=np.uint8))
+
+
+def test_paper_point_code_builds_small():
+    # the paper-point code's build: its peak allocation and the size of what
+    # it keeps set the benchmark's setup time and peak RSS
+    tracemalloc.start()
+    try:
+        code = BchCode(1000, 35)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    tables = [v for v in vars(code).values() if isinstance(v, np.ndarray)]
+    assert sum(table.nbytes for table in tables) < 600 * 2**10

@@ -31,7 +31,7 @@ from cvue.reference import (
     noise_flips,
     two_mode_squeezed,
 )
-from cvue.stats import two_proportion_ztest
+from cvue.stats import ks_test, two_proportion_ztest
 
 REFERENCE = ProtocolParams(892, 1000, 35, 0.4, 3.4)
 
@@ -401,3 +401,26 @@ def test_outcome_ks_accepts_outcomes_at_large_squeezing():
     rng = np.random.default_rng(33)
     outcomes, _ = eb_outcomes(np.ones(2000), 0.4, 60.0, rng)
     assert ebprep.outcome_ks(outcomes, 60.0, 0.4)[1] > 1e-3
+
+
+def test_outcome_ks_where_the_window_mass_underflows():
+    # alpha 1e-200 at r = 700: erf(alpha / (sigma sqrt 2)) is 0.0, and the law
+    # is uniform on (0, 2 alpha) to double precision
+    rng = np.random.default_rng(34)
+    assert ebprep.window_mass(700.0, 1e-200) == 0.0
+    outcomes, _ = eb_outcomes(np.ones(5), 1e-200, 700.0, rng)
+    statistic, pvalue = ebprep.outcome_ks(outcomes, 700.0, 1e-200)
+    assert (statistic, pvalue) == ks_test(outcomes, lambda u: u / 2e-200)
+    assert 0.0 < statistic < 1.0 and 0.0 <= pvalue <= 1.0
+
+
+@pytest.mark.parametrize("ratio", [2.0**-26, 2.0**-28])
+def test_outcome_ks_cdf_is_continuous_at_the_uniform_cutoff(ratio):
+    # on either side of alpha / (sigma sqrt 2) = 2^-27 the erf form and the
+    # uniform CDF agree to double precision
+    squeezing = 3.4
+    alpha = ratio * math.sqrt(math.cosh(squeezing))
+    outcomes, _ = eb_outcomes(np.ones(200), alpha, squeezing, np.random.default_rng(35))
+    got = ebprep.outcome_ks(outcomes, squeezing, alpha)
+    uniform = ks_test(outcomes, lambda u: u / (2.0 * alpha))
+    assert got == pytest.approx(uniform, rel=1e-9, abs=1e-12)

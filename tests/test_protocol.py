@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 from math import comb
@@ -356,6 +357,45 @@ class TestDecrypt:
         want_var = 1 / (2 * math.cosh(3.4))
         assert abs(outs.mean() - want_mean) < 5 * math.sqrt(want_var / draws)
         assert abs(outs.var() - want_var) < 5 * want_var * math.sqrt(2 / draws)
+
+
+# sha256 of the CipherState bytes (disp then cov_diag) and of the measured
+# codeword bits for one message at seed 2400: (squeezing, codec) -> digests.
+# The concrete rows run the paper-point BCH(1000, t 35) encoder, the oracle
+# rows N = 64; every key holds both direction bits.
+MESSAGE_SHA256 = {
+    (6.0, "concrete"): ("6f113e43b49b870d0cdc6bc91afb1f675501b717ac6323ad489a278b20b97493",
+                        "053f2f96276c96fade213a9c9a610534efa7be418eb91259b43103ddfc25e5e6"),
+    (6.0, "oracle"): ("fd593e5d1e0d9cf98bfef1ff2ac0ef3c3821e240682c455c31895090838f60e3",
+                      "a7d06feffc4d088d18fb5c36dbe90ed790279952107cad42965baf3ce3580e0d"),
+    (3.4, "concrete"): ("4e6f1786b30c3c1562a209f64850642ea81bc0251359bea958cfd74ad4f15ce3",
+                        "a9ed97229f507a3318318bed8d745423c99320917ed99e44db1ab080f180aca3"),
+    (3.4, "oracle"): ("f46b4ffa0e5856f4d5a3c0e84b9a9a3903514ba6e48d3f4f44be5a67609ba785",
+                      "d443e31357ec33ff4ea07203c1fda6bb46948257bde1f0d3b5fb730022da566a"),
+    (2.6, "concrete"): ("34647ce5b0e5216c6cf746ef4c3649c2b63d0a9f3e794e7a5e4cabae15759726",
+                        "125627963a877926c5877eff3d2cc61a6fe1bd519987c331e06d05ab43c538d5"),
+    (2.6, "oracle"): ("813c88940716d8acb3af624751855510807d761573bf9182a615ea24eac815a9",
+                      "403d14987d866e4568cfae7502945870c9fb883c714c1a458a57497e5a6c8eaf"),
+}
+
+
+@pytest.mark.parametrize("squeezing,scheme", sorted(MESSAGE_SHA256))
+def test_encrypt_and_measure_bits_are_pinned(squeezing, scheme):
+    k, n, t = (675, 1000, 35) if scheme == "concrete" else (16, 64, 6)
+    params = ProtocolParams(k, n, t, 0.4, squeezing, scheme)
+    rng = np.random.default_rng(2400)
+    key = key_gen(params, rng)
+    message = rng.integers(0, 2, k, dtype=np.uint8)
+    cipher = encrypt(key, message, params, params.make_codec())
+    bits = measure_codeword(key, cipher, rng)
+    # every (direction, codeword bit) pair occurs, so the pins cover all four
+    codeword = params.make_codec().encode(message)
+    assert len(set(zip(key.directions.tolist(), codeword.tolist()))) == 4
+    digests = (
+        hashlib.sha256(cipher.disp.tobytes() + cipher.cov_diag.tobytes()).hexdigest(),
+        hashlib.sha256(bits.tobytes()).hexdigest(),
+    )
+    assert digests == MESSAGE_SHA256[squeezing, scheme]
 
 
 class TestRoundTrip:
