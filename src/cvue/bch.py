@@ -133,32 +133,35 @@ class BchCode:
 
     def _build_tables(self) -> None:
         order, t, m, n = self.order, self.t, self.m, self.length
-        points = np.arange(n)
-        # m <= 10, so 16 bits hold every field element
+        # m <= 10, so 16 bits hold every field element and 32 every exponent
+        # product below (numpy reduces int32 modulo order faster than int64)
+        points = np.arange(n, dtype=np.int32)
         exp16 = self._exp_table[:order].astype(np.uint16)
         # odd syndrome powers alpha^(i*j), j = 1, 3, ..., 2t-1, four to a
         # uint64 lane; the padding powers past t are 0 and add nothing
+        exponents = points[:, None] * np.arange(1, 2 * t, 2, dtype=np.int32)
+        exponents %= order
         odd = np.zeros((n, 4 * -(-t // 4)), dtype=np.uint16)
-        odd[:, :t] = exp16[points[:, None] * np.arange(1, 2 * t, 2) % order]
+        odd[:, :t] = np.take(exp16, exponents)
         self._syndrome_table = np.ascontiguousarray(odd.view(np.uint64).T)
         # Chien rows: first the m bit planes of alpha^(-k*i) for every k
         # (b = 0), packed little-endian into the bytes of ceil(N/64) uint64
         # words, with the padding bits past N left 0; then each b + 1 from b,
         # since multiplying by alpha moves plane p to p + 1 and XORs the top
         # plane into the taps of the primitive polynomial
+        self._bit_masks = (1 << np.arange(m)).astype(np.uint16)
+        exponents = -np.arange(t + 1, dtype=np.int32)[:, None] * points
+        exponents %= order
+        powers = np.take(exp16, exponents)
+        planes = (powers[:, None, :] & self._bit_masks[:, None]).astype(bool)
         chien = np.zeros((t + 1, m, m, 8 * -(-n // 64)), dtype=np.uint8)
-        powers = exp16[-np.arange(t + 1)[:, None] * points % order]
-        for p in range(m):
-            chien[:, 0, p, : (n + 7) // 8] = np.packbits(
-                powers >> p & 1, axis=-1, bitorder="little"
-            )
+        chien[:, 0, :, : (n + 7) // 8] = np.packbits(planes, axis=-1, bitorder="little")
         chien = chien.view(np.uint64)
         taps = np.flatnonzero((_PRIMITIVE_POLY[m] >> np.arange(m)) & 1)
         for b in range(m - 1):
             chien[:, b + 1, 1:] = chien[:, b, :-1]
             chien[:, b + 1, taps] ^= chien[:, b, m - 1 :]
         self._chien_table = chien.reshape((t + 1) * m, m, -1)
-        self._bit_masks = (1 << np.arange(m)).astype(np.uint16)
         # parity columns x^(parity_len + i) mod g, each the last one times x
         top = 1 << self.parity_len
         row = self.generator ^ top
@@ -182,13 +185,14 @@ class BchCode:
 
     def _minimal_poly(self, coset: list[int]) -> int:
         # product of (x - alpha^j) over the cyclotomic coset
+        # (the root alpha^j has log j; log[0] lands in exp's zeros)
+        exp, log = self._exp, self._log
         poly = [1]  # coefficients in GF(2^m), poly[k] = coeff of x^k
         for j in coset:
-            root = self._exp[j]
             nxt = [0] * (len(poly) + 1)
             for k, coeff in enumerate(poly):
                 nxt[k + 1] ^= coeff
-                nxt[k] ^= self._gf_mul(coeff, root)
+                nxt[k] ^= exp[log[coeff] + j]
             poly = nxt
         if any(c not in (0, 1) for c in poly):
             raise AssertionError("minimal polynomial is not binary")
