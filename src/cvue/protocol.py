@@ -252,6 +252,8 @@ def encrypt(key: QecmKey, message: np.ndarray, params: ProtocolParams, codec) ->
 def measure_codeword(key: QecmKey, cipher: CipherState, rng: np.random.Generator) -> np.ndarray:
     """Homodyne every mode along its keyed direction and threshold at the
     offset; outcome exactly at threshold decodes to bit 0."""
+    if key.num_modes != cipher.num_modes:
+        raise ValueError("key and cipherstate differ in mode count")
     keyed = _keyed_index(key.directions)
     mean = np.take(cipher.disp, keyed)
     std = np.sqrt(np.take(cipher.cov_diag, keyed) / 2.0)

@@ -301,6 +301,15 @@ class TestEncrypt:
 
 
 class TestDecrypt:
+    def test_key_and_cipher_mode_counts_must_match(self):
+        # a shorter key would otherwise index only the cipher's first modes
+        rng = np.random.default_rng(20)
+        cipher = encrypt(key_gen(SMALL, rng), random_bits(16, rng), SMALL, SMALL.make_codec())
+        short = key_gen(ProtocolParams(8, 16, 2, 0.4, 3.4), rng)
+        for key in (short, key_gen(REFERENCE, rng)):
+            with pytest.raises(ValueError, match="mode count"):
+                measure_codeword(key, cipher, rng)
+
     def test_threshold_sign_convention(self):
         # outcome above threshold -> bit 0; below -> bit 1; tiny variance pins it
         params = ProtocolParams(2, 4, 1, 0.3, 18.0)
