@@ -153,9 +153,12 @@ class BchCode:
         exponents = -np.arange(t + 1, dtype=np.int32)[:, None] * points
         exponents %= order
         powers = np.take(exp16, exponents)
-        planes = (powers[:, None, :] & self._bit_masks[:, None]).astype(bool)
         chien = np.zeros((t + 1, m, m, 8 * -(-n // 64)), dtype=np.uint8)
-        chien[:, 0, :, : (n + 7) // 8] = np.packbits(planes, axis=-1, bitorder="little")
+        for p, mask in enumerate(self._bit_masks):
+            # one plane at a time keeps the build's peak allocation small
+            chien[:, 0, p, : (n + 7) // 8] = np.packbits(
+                (powers & mask) != 0, axis=-1, bitorder="little"
+            )
         chien = chien.view(np.uint64)
         taps = np.flatnonzero((_PRIMITIVE_POLY[m] >> np.arange(m)) & 1)
         for b in range(m - 1):
