@@ -356,7 +356,7 @@ def test_decode_rejects_non_bit_words(make, bad):
     word[5] = bad
     with pytest.raises(ValueError, match="word bits must be 0 or 1"):
         code.decode(word)
-    # booleans and 0/1 floats are bits
+    # 0 and 1 of any dtype, and booleans, are bits
     word[5] = 0
     assert np.array_equal(code.decode(word), np.zeros(code.msg_len, dtype=np.uint8))
     assert np.array_equal(code.decode(word.astype(bool)), np.zeros(code.msg_len, dtype=np.uint8))
