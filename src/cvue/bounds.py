@@ -98,8 +98,8 @@ def exact_failure(num_modes: int, max_errors: int, beta: float) -> float:
 
 def tau(num_modes: int, max_errors: int, alpha: float) -> float:
     """Security exponent N/2 + (N/2 - t) log2(1 + 2 alpha) + t + log2(e)/2."""
-    if max_errors > num_modes / 2:
-        raise ValueError("need max_errors <= num_modes / 2")
+    if not 0 <= max_errors <= num_modes / 2:
+        raise ValueError("need 0 <= max_errors <= num_modes / 2")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     half = num_modes / 2.0
@@ -286,10 +286,18 @@ def figure_data(figure_id: str, grid: dict | None = None):
         return ["transmittance", "excess_noise", "beta_noisy"], _rows(t, xi, beta)
     if figure_id == "fig4":
         start, stop, count = _grid_triple(grid, "msg_len", (8, 1200, 120))
+        # the lengths lie between the ends, so both ends must round to at least 1
+        if min(round(start), round(stop)) < 1:
+            raise ValueError(
+                f"grid msg_len must start and stop at values that round to 1 or more, "
+                f"got {[start, stop]}"
+            )
         msg_lens = np.unique(np.rint(np.geomspace(start, stop, count)).astype(int))
         alpha = _grid_number(grid, "alpha", 0.4)
         squeezing = _grid_number(grid, "squeezing", 3.6)
         error_fraction = _grid_number(grid, "error_fraction", 0.035)
+        if not 0 <= error_fraction <= 0.5:
+            raise ValueError(f"grid error_fraction must lie in [0, 0.5], got {error_fraction!r}")
         rate = 1.0 - binary_entropy(ber_analytic(alpha, squeezing))
         conjugate = conjugate_coding_bound(msg_lens).tolist()
         rows = []

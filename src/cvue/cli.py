@@ -13,8 +13,8 @@ success, 2 on validation or I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -51,74 +51,22 @@ def render_csv(columns, rows, digest: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# JSON output is json.dumps(payload, sort_keys=True, indent=2) byte for byte.
-# The indenting json.dumps runs in pure Python. This writer lays out dicts and
-# lists itself as a %-template with one %s per scalar (dict keys included),
-# and takes all the scalar tokens from one call of the C encoder, which runs
-# when no indent is set. With a newline item separator its output splits
-# into the tokens, since no encoded scalar holds a raw newline (ensure_ascii
-# escapes every control and non-ASCII character).
-_SCALAR_ENCODER = json.JSONEncoder(separators=("\n", ":"))
-_CONTAINERS = (dict, list, tuple)
-
-
-def _lines(items: list[str], indent: str, brackets: str) -> str:
-    inner = indent + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
-def _template(value, indent: str, scalars: list) -> str:
-    """The layout of ``value``, appending its scalars to ``scalars`` in order."""
-    if not isinstance(value, _CONTAINERS):
-        scalars.append(value)
-        return "%s"
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            scalars.append(key)
-            items.append("%s: " + _template(value[key], inner, scalars))
-        return _lines(items, indent, "{}")
-    types = set(map(type, value))
-    if not any(issubclass(t, _CONTAINERS) for t in types):
-        scalars.extend(value)
-        return _lines(["%s"] * len(value), indent, "[]")
-    widths = set(map(len, value)) if all(issubclass(t, (list, tuple)) for t in types) else ()
-    if len(widths) == 1:
-        # equal-width rows (the rows of a table): flattened, one row layout
-        flat = list(itertools.chain.from_iterable(value))
-        if not any(issubclass(t, _CONTAINERS) for t in set(map(type, flat))):
-            scalars.extend(flat)
-            (width,) = widths
-            row = _lines(["%s"] * width, inner, "[]") if width else "[]"
-            return _lines([row] * len(value), indent, "[]")
-    return _lines([_template(v, inner, scalars) for v in value], indent, "[]")
-
-
 def render_json(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte,
-    except that a non-str dict key raises TypeError."""
-    scalars = []
-    template = _template(payload, "", scalars)
-    tokens = _SCALAR_ENCODER.encode(scalars)[1:-1].split("\n") if scalars else []
-    return template % tuple(tokens) + "\n"
+    # one line: json.dumps runs its C encoder only when no indent is set
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def render(result, config: RunConfig, fmt: str) -> str:
-    """A command's result as output text in ``fmt``, stamped with the config
-    hash taken in ``fmt``: a record dict is one CSV row or a JSON object, a
+def render(result, config: RunConfig) -> str:
+    """A command's result as output text in the config's format, stamped with
+    the config hash: a record dict is one CSV row or a JSON object, a
     (columns, rows) table is CSV or a JSON object of columns and rows."""
-    digest = config_hash(config, fmt)
+    digest = config_hash(config)
     if isinstance(result, dict):
-        if fmt == "json":
+        if config.fmt == "json":
             return render_json({"config_hash": digest, **result})
         result = list(result), [list(result.values())]
     columns, rows = result
-    if fmt == "json":
+    if config.fmt == "json":
         return render_json({"config_hash": digest, "columns": list(columns), "rows": rows})
     return render_csv(columns, rows, digest)
 
@@ -247,10 +195,11 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, key) for key in ("seed", "trials", "out", "format")}
     try:
         config = load_config(args.config, overrides)
-        result = COMMANDS[args.command](config)
-        # --format applies to roundtrip and bounds; keygen, attack and ebcheck write JSON
-        fmt = config.fmt if args.command in ("roundtrip", "bounds") else "json"
-        text = render(result, config, fmt)
+        if args.command not in ("roundtrip", "bounds"):
+            # --format applies to roundtrip and bounds; the others write JSON,
+            # and the config hash covers the format the bytes are written in
+            config = dataclasses.replace(config, fmt="json")
+        text = render(COMMANDS[args.command](config), config)
         if config.out is None:
             sys.stdout.write(text)
         else:

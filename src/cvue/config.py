@@ -46,13 +46,13 @@ class RunConfig:
         if self.rejection_samples < 1:
             raise ValueError("rejection_samples must be positive")
 
-    def to_dict(self, fmt: str | None = None) -> dict:
+    def to_dict(self) -> dict:
         return {
             "protocol": _flat_dict(self.protocol),
             "channel": None if self.channel is None else _flat_dict(self.channel),
             "seed": self.seed,
             "trials": self.trials,
-            "format": fmt or self.fmt,
+            "format": self.fmt,
             "figure": self.figure,
             "strategy": self.strategy,
             "grid": self.grid,
@@ -66,10 +66,9 @@ def _flat_dict(params) -> dict:
     return {f.name: getattr(params, f.name) for f in fields(params)}
 
 
-def config_hash(config: RunConfig, fmt: str | None = None) -> str:
-    """Short digest of the canonical configuration (output path excluded),
-    with ``fmt``, if given, as the format the output is written in."""
-    canonical = json.dumps(config.to_dict(fmt), sort_keys=True, separators=(",", ":"))
+def config_hash(config: RunConfig) -> str:
+    """Short digest of the canonical configuration (output path excluded)."""
+    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 

@@ -428,6 +428,10 @@ class TestTau:
         with pytest.raises(ValueError):
             tau(10, 6, 0.4)
 
+    def test_negative_max_errors_refused(self):
+        with pytest.raises(ValueError, match="0 <= max_errors"):
+            tau(1000, -1, 0.4)
+
 
 class TestAsymptoticRegion:
     def test_secure_point(self):

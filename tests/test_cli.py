@@ -275,6 +275,10 @@ class TestValidation:
             ("fig2a", {"transmittance": 0.5}, "transmittance"),
             ("fig4", {"error_fraction": math.nan}, "error_fraction"),
             ("fig4", {"msg_len": [8, 1200, math.inf]}, "msg_len"),
+            ("fig4", {"error_fraction": -0.2}, "error_fraction"),
+            ("fig4", {"error_fraction": 0.6}, "error_fraction"),
+            ("fig4", {"msg_len": [-8, 40, 3]}, "msg_len"),
+            ("fig4", {"msg_len": [0.2, 40, 3]}, "msg_len"),
         ],
     )
     def test_bad_figure_grid_names_its_key(self, figure, grid, key, config_file, capsys):
@@ -298,6 +302,13 @@ class TestValidation:
     def test_bad_format_flag_rejected_by_argparse(self, config_file, capsys):
         with pytest.raises(SystemExit):
             main(["bounds", config_file(), "--format", "xml"])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_format_in_config_rejected(self, command, config_file, capsys):
+        # refused at load, also for the commands that always write JSON
+        code, out, err = run([command, config_file(format="xml")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: format must be one of")
 
     @pytest.mark.parametrize(
         "section,field,value,command",
@@ -443,7 +454,7 @@ class TestRunPath:
         code, out, _ = run([command, path], capsys)
         assert code == 0
         written = fmt if command in ("roundtrip", "bounds") else "json"
-        assert out == render(result, config, written)
+        assert out == render(result, dataclasses.replace(config, fmt=written))
 
     @pytest.mark.parametrize("command", ["keygen", "attack", "ebcheck"])
     def test_format_flag_leaves_json_commands_alone(self, command, config_file, capsys):
@@ -456,7 +467,7 @@ class TestRunPath:
         assert outs["csv"] == outs["json"]
         digest = config_hash(load_config(path, {"format": "json"}))
         assert json.loads(outs["json"])["config_hash"] == digest
-        assert outs["json"] == json.dumps(json.loads(outs["json"]), sort_keys=True, indent=2) + "\n"
+        assert outs["json"] == json.dumps(json.loads(outs["json"]), sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("command", list(COMMAND_CASES))
@@ -492,8 +503,9 @@ class TestDeterminism:
 
 SHIPPED_CONFIGS = sorted((Path(cvue.__file__).resolve().parents[2] / "configs").glob("*.json"))
 
-# sha256 of `bounds` stdout on configs/fig2a.json with `figure` set, as the
-# indenting json.dumps wrote it (x86-64 Linux, CPython 3.11, numpy 2.4)
+# sha256 of `bounds` stdout on configs/fig2a.json with `figure` set
+# (x86-64 Linux, CPython 3.11, numpy 2.4); a JSON pin is taken over the
+# indent-2 form, see assert_json_pin
 BOUNDS_SHA256 = {
     ("report", "json"): "29acb0c271bf6ad2f7029f75d8d7ce897bc74997af0d88901234c3b51a3a335c",
     ("fig1", "json"): "084ba3fbf2c89645868866a640566f97b160b1690670171cbb28ca44450b23d8",
@@ -545,14 +557,25 @@ ATTACK_SHA256 = {
 }
 
 
+def assert_json_pin(out: str, pin: str):
+    """``out`` is one-line sorted JSON, and ``pin`` the sha256 of its indent-2
+    form, as JSON output was written when the pins were recorded. Together the
+    two checks fix ``out`` byte for byte."""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    indented = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == pin
+
+
 class TestJsonOutputBytes:
     @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.stem)
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_stdout_is_indented_json_dumps(self, command, config, capsys):
-        # --trials keeps ebcheck on the N=1000 configs short; the layout is the same
+        # the one-line json.dumps layout (the name is older than the layout);
+        # --trials keeps ebcheck on the N=1000 configs short
         code, out, _ = run([command, str(config), "--format", "json", "--trials", "20"], capsys)
         assert code == 0
-        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("figure,fmt", sorted(BOUNDS_SHA256))
     def test_bounds_bytes_unchanged(self, figure, fmt, tmp_path, capsys):
@@ -561,7 +584,10 @@ class TestJsonOutputBytes:
         path.write_text(json.dumps({**raw, "figure": figure}))
         code, out, _ = run(["bounds", str(path), "--format", fmt], capsys)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_SHA256[figure, fmt]
+        if fmt == "json":
+            assert_json_pin(out, BOUNDS_SHA256[figure, fmt])
+        else:
+            assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_SHA256[figure, fmt]
 
     def test_keygen_pins_cover_every_shipped_config(self):
         assert sorted(KEYGEN_SHA256) == [p.stem for p in SHIPPED_CONFIGS]
@@ -571,13 +597,13 @@ class TestJsonOutputBytes:
         path = SHIPPED_CONFIGS[0].parent / f"{config}.json"
         code, out, _ = run(["keygen", str(path)], capsys)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == KEYGEN_SHA256[config]
+        assert_json_pin(out, KEYGEN_SHA256[config])
 
     def test_ebcheck_bytes_pinned(self, capsys):
         path = SHIPPED_CONFIGS[0].parent / "ebcheck.json"
         code, out, _ = run(["ebcheck", str(path), "--trials", "20", "--format", "json"], capsys)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == EBCHECK_SHA256
+        assert_json_pin(out, EBCHECK_SHA256)
 
     @pytest.mark.parametrize("config", sorted(ROUNDTRIP_CSV_SHA256))
     def test_roundtrip_csv_bytes_unchanged(self, config, capsys):
@@ -596,7 +622,7 @@ class TestJsonOutputBytes:
         path.write_text(json.dumps({**raw, "strategy": strategy}))
         code, out, _ = run(["attack", str(path), *flags], capsys)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[strategy]
+        assert_json_pin(out, digests[strategy])
 
 
 class TestParser:
