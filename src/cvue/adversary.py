@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,7 +196,7 @@ class BoundCheck:
     slack: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def check_against_bound(outcome: GameOutcome, params: ProtocolParams) -> BoundCheck:

@@ -5,7 +5,7 @@ parameter-study figures."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,11 @@ from .stats import binomial_sf, erfc
 FIGURE_IDS = ("fig1", "fig2a", "fig2b", "fig4")
 
 LOG2_E = math.log2(math.e)
+
+# largest figure grid, per axis and in all: a `bounds` figure call with its
+# rendering peaks at up to about 420 bytes a grid point (ru_maxrss at 2e5
+# points, tracemalloc at 2e4), so a table at this size stays below 0.9 GB
+MAX_GRID_POINTS = 2_000_000
 
 
 def ber_analytic(alpha: float, squeezing: float):
@@ -160,7 +165,7 @@ class SecurityReport:
                 raise ValueError(f"{name} must be a probability, got {value}")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def security_report(params) -> SecurityReport:
@@ -224,8 +229,16 @@ def _grid_values(grid: dict, key: str, default) -> np.ndarray:
         raise ValueError(f"grid {key} must be a list of numbers, got {values!r}") from None
 
 
-def _linspace(grid: dict, key: str, default) -> np.ndarray:
-    return np.linspace(*_grid_triple(grid, key, default))
+def _check_grid_size(**counts) -> None:
+    """Refuse a grid with an axis, or a product of axes, above MAX_GRID_POINTS
+    before any of its arrays is built, naming the largest axis."""
+    key = max(counts, key=counts.get)
+    # an axis alone counts too: beside an empty axis it is still an array
+    if max(counts[key], math.prod(counts.values())) > MAX_GRID_POINTS:
+        shape = " x ".join(f"{count} {name}" for name, count in counts.items())
+        raise ValueError(
+            f"grid {key} must keep the grid within {MAX_GRID_POINTS} points, got {shape}"
+        )
 
 
 def _rows(*columns) -> list[tuple]:
@@ -263,25 +276,28 @@ def figure_data(figure_id: str, grid: dict | None = None):
     """
     grid = dict(grid or {})
     if figure_id == "fig1":
-        alphas = _linspace(grid, "alpha", (0.02, 1.2, 60))
-        squeezings = _linspace(grid, "squeezing", (2.0, 5.0, 61))
-        a, r = _flat_mesh(alphas, squeezings)
+        alphas = _grid_triple(grid, "alpha", (0.02, 1.2, 60))
+        squeezings = _grid_triple(grid, "squeezing", (2.0, 5.0, 61))
+        _check_grid_size(alpha=alphas[2], squeezing=squeezings[2])
+        a, r = _flat_mesh(np.linspace(*alphas), np.linspace(*squeezings))
         margin = asymptotic_margin(a, r)
         return ["alpha", "squeezing", "margin"], _rows(a, r, margin)
     if figure_id == "fig2a":
-        squeezings = _linspace(grid, "squeezing", (2.0, 4.5, 101))
+        squeezings = _grid_triple(grid, "squeezing", (2.0, 4.5, 101))
         transmittances = _grid_values(grid, "transmittance", [1.0, 0.95, 0.9, 0.8])
+        _check_grid_size(transmittance=len(transmittances), squeezing=squeezings[2])
         alpha = _grid_number(grid, "alpha", 0.4)
         xi = _grid_number(grid, "excess_noise", 0.001)
-        t, r = _flat_mesh(transmittances, squeezings)
+        t, r = _flat_mesh(transmittances, np.linspace(*squeezings))
         beta = noisy_ber_grid(alpha, r, t, xi)
         return ["squeezing", "transmittance", "beta_noisy"], _rows(r, t, beta)
     if figure_id == "fig2b":
-        transmittances = _linspace(grid, "transmittance", (0.5, 1.0, 51))
-        noises = _linspace(grid, "excess_noise", (0.0, 0.05, 51))
+        transmittances = _grid_triple(grid, "transmittance", (0.5, 1.0, 51))
+        noises = _grid_triple(grid, "excess_noise", (0.0, 0.05, 51))
+        _check_grid_size(transmittance=transmittances[2], excess_noise=noises[2])
         alpha = _grid_number(grid, "alpha", 0.4)
         squeezing = _grid_number(grid, "squeezing", 3.6)
-        t, xi = _flat_mesh(transmittances, noises)
+        t, xi = _flat_mesh(np.linspace(*transmittances), np.linspace(*noises))
         beta = noisy_ber_grid(alpha, squeezing, t, xi)
         return ["transmittance", "excess_noise", "beta_noisy"], _rows(t, xi, beta)
     if figure_id == "fig4":
@@ -292,6 +308,7 @@ def figure_data(figure_id: str, grid: dict | None = None):
                 f"grid msg_len must start and stop at values that round to 1 or more, "
                 f"got {[start, stop]}"
             )
+        _check_grid_size(msg_len=count)
         msg_lens = np.unique(np.rint(np.geomspace(start, stop, count)).astype(int))
         alpha = _grid_number(grid, "alpha", 0.4)
         squeezing = _grid_number(grid, "squeezing", 3.6)

@@ -195,7 +195,7 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, key) for key in ("seed", "trials", "out", "format")}
     try:
         config = load_config(args.config, overrides)
-        if args.command not in ("roundtrip", "bounds"):
+        if args.command not in ("roundtrip", "bounds") and config.fmt != "json":
             # --format applies to roundtrip and bounds; the others write JSON,
             # and the config hash covers the format the bytes are written in
             config = dataclasses.replace(config, fmt="json")

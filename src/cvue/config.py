@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from .adversary import STRATEGY_IDS
 from .channel import ChannelParams
@@ -48,8 +47,9 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "protocol": _flat_dict(self.protocol),
-            "channel": None if self.channel is None else _flat_dict(self.channel),
+            # asdict's flat dict for these dataclasses of scalars, without its deep copies
+            "protocol": dict(vars(self.protocol)),
+            "channel": None if self.channel is None else dict(vars(self.channel)),
             "seed": self.seed,
             "trials": self.trials,
             "format": self.fmt,
@@ -58,12 +58,6 @@ class RunConfig:
             "grid": self.grid,
             "rejection_samples": self.rejection_samples,
         }
-
-
-def _flat_dict(params) -> dict:
-    """A dataclass of scalars as a dict: what dataclasses.asdict gives it,
-    without asdict's deep copy of every field."""
-    return {f.name: getattr(params, f.name) for f in fields(params)}
 
 
 def config_hash(config: RunConfig) -> str:
@@ -128,10 +122,14 @@ def _build_channel(raw) -> ChannelParams | None:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse and validate a JSON config file, applying flag overrides."""
-    text = Path(path).read_text()
+    """Parse and validate a JSON config file, applying flag overrides. The
+    file is read as UTF-8, as RFC 8259 has JSON, whatever the locale."""
+    with open(path, "rb") as file:
+        data = file.read()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -24,7 +24,7 @@ outcome_ks take the window's mass in centred erf form, exact at any r.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,7 +205,7 @@ class EquivalenceReport:
         )
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def game_equivalence_test(

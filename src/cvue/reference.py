@@ -73,7 +73,6 @@ from .bounds import (
     _grid_number,
     _grid_triple,
     _grid_values,
-    _linspace,
     asymptotic_margin,
     ber_analytic,
     binary_entropy,
@@ -604,6 +603,10 @@ def bch_decode_scalar(code: BchCode, word: np.ndarray):
 
 
 # --- figure tables ------------------------------------------------------------
+
+
+def _linspace(grid: dict, key: str, default) -> np.ndarray:
+    return np.linspace(*_grid_triple(grid, key, default))
 
 
 def figure_data_scalar(figure_id: str, grid: dict | None = None):

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 import cvue
-from cvue.adversary import STRATEGY_IDS
+from cvue.adversary import STRATEGY_IDS, check_against_bound, make_strategy, run_cloning_game
 from cvue.cli import COMMANDS, build_parser, main, render
 from cvue.config import FORMATS, RunConfig, config_hash, load_config
-from cvue.bounds import FIGURE_IDS, chernoff_failure, eps_df, exact_failure, figure_data
+from cvue.bounds import (
+    FIGURE_IDS, chernoff_failure, eps_df, exact_failure, figure_data, security_report,
+)
+from cvue.ebprep import game_equivalence_test
 from cvue.reference import load_key
 
 
@@ -250,6 +253,22 @@ class TestValidation:
         assert code == 2
         assert "JSON" in err
 
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        raw = dict(BASE, out="résultat.json")
+        path.write_bytes(json.dumps(raw, ensure_ascii=False).encode("latin-1"))
+        code, out, err = run(["bounds", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config file {path} is not UTF-8: ")
+
+    def test_utf8_bom_refused(self, tmp_path, capsys):
+        # JSON text carries no byte order mark (RFC 8259 section 8.1)
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(BASE).encode())
+        code, out, err = run(["bounds", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config file {path} is not valid JSON: Unexpected UTF-8 BOM")
+
     def test_missing_file(self, capsys):
         code, _, err = run(["bounds", "/nonexistent/config.json"], capsys)
         assert code == 2
@@ -279,9 +298,17 @@ class TestValidation:
             ("fig4", {"error_fraction": 0.6}, "error_fraction"),
             ("fig4", {"msg_len": [-8, 40, 3]}, "msg_len"),
             ("fig4", {"msg_len": [0.2, 40, 3]}, "msg_len"),
+            # above the grid limit, patched to 10000 points (each default grid is below it)
+            ("fig1", {"alpha": [0.1, 0.5, 200]}, "alpha"),
+            ("fig2a", {"squeezing": [2.0, 4.5, 3000]}, "squeezing"),
+            ("fig2b", {"excess_noise": [0.0, 0.05, 10001]}, "excess_noise"),
+            ("fig4", {"msg_len": [8, 1200, 10001]}, "msg_len"),
         ],
     )
-    def test_bad_figure_grid_names_its_key(self, figure, grid, key, config_file, capsys):
+    def test_bad_figure_grid_names_its_key(
+        self, figure, grid, key, config_file, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("cvue.bounds.MAX_GRID_POINTS", 10_000)
         code, out, err = run(["bounds", config_file(figure=figure, grid=grid)], capsys)
         assert code == 2
         assert out == ""
@@ -691,6 +718,38 @@ def test_to_dict_is_the_asdict_form(channel, config_file):
     }
     assert config.to_dict() == expected
     assert json.dumps(config.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "make_record",
+    [
+        lambda params: check_against_bound(
+            run_cloning_game(
+                params, make_strategy("heterodyne_split"), 50, np.random.default_rng(1)
+            ),
+            params,
+        ),
+        security_report,
+        lambda params: game_equivalence_test(params, 20, 10, np.random.default_rng(2))[0],
+    ],
+    ids=["BoundCheck", "SecurityReport", "EquivalenceReport"],
+)
+def test_record_as_dict_is_the_asdict_form(make_record, config_file):
+    record = make_record(load_config(config_file()).protocol)
+    assert record.as_dict() == dataclasses.asdict(record)
+    assert list(record.as_dict()) == list(dataclasses.asdict(record))
+
+
+def test_load_config_reads_bytes_alike(tmp_path):
+    # a str path, a pathlib.Path and CRLF line ends load one config
+    text = json.dumps(dict(BASE, channel={"transmittance": 0.9}), indent=2)
+    unix, dos = tmp_path / "unix.json", tmp_path / "dos.json"
+    unix.write_bytes(text.encode())
+    dos.write_bytes(text.replace("\n", "\r\n").encode())
+    assert b"\r\n" in dos.read_bytes()
+    configs = [load_config(str(unix)), load_config(unix), load_config(str(dos)), load_config(dos)]
+    assert all(config == configs[0] for config in configs)
+    assert len({config_hash(config) for config in configs}) == 1
 
 
 def test_defaults_come_from_run_config(tmp_path):

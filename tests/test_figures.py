@@ -249,6 +249,19 @@ class TestGridValidation:
         with pytest.raises(ValueError, match=f"grid {key} must"):
             figure_data(figure_id, grid)
 
+    def test_grid_size_limit(self, monkeypatch):
+        monkeypatch.setattr("cvue.bounds.MAX_GRID_POINTS", 12)
+        # at the limit the table is built; past it the larger axis is named
+        grid = {"alpha": [0.1, 0.5, 3], "squeezing": [2.0, 5.0, 4]}
+        assert len(figure_data("fig1", grid)[1]) == 12
+        grid["squeezing"] = [2.0, 5.0, 5]
+        with pytest.raises(ValueError, match="grid squeezing must keep the grid within 12 points"):
+            figure_data("fig1", grid)
+        # an empty axis leaves no grid point, but the other axis is still an array
+        grid = {"transmittance": [0.5, 1.0, 0], "excess_noise": [0.0, 0.05, 13]}
+        with pytest.raises(ValueError, match="grid excess_noise must"):
+            figure_data("fig2b", grid)
+
     @pytest.mark.parametrize(
         "figure_id,grid,message",
         [
