@@ -12,9 +12,7 @@ success, 2 on validation or I/O failure.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +24,17 @@ from .channel import noisy_variance
 from .codec import bits_to_hex
 from .config import FORMATS, RunConfig, config_hash, load_config
 
-EPILOG = """\
+# each option and how its value is read: by a type, or as one of a tuple of choices
+OPTIONS = {"--seed": int, "--trials": int, "--out": str, "--format": FORMATS}
+USAGE = "usage: cvue [-h] [--seed N] [--trials N] [--out PATH] [--format {csv,json}] command config\n"
+HELP = USAGE + """
+options, before or after the command, as --name value or --name=value:
+  -h, --help           show this help and exit
+  --seed N             override the master seed
+  --trials N           override the trial count
+  --out PATH           output path (default: stdout)
+  --format {csv,json}  output format
+
 commands:
   keygen    - generate a key and write it as JSON
   roundtrip - Monte-Carlo decryption-failure rate next to the analytic bounds
@@ -171,35 +179,50 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of every command, built on first use and then reused:
-    building it costs more than a small roundtrip run."""
-    parser = argparse.ArgumentParser(
-        prog="cvue",
-        description="Continuous-variable unclonable-encryption simulator",
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=list(COMMANDS), metavar="command", help="listed below")
-    parser.add_argument("config", help="path to the JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--trials", type=int, default=None, help="override the trial count")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", default=None, choices=FORMATS, help="output format")
-    return parser
+def usage_error(message: str):
+    sys.stderr.write(f"{USAGE}cvue: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv=None) -> tuple[str, str, dict]:
+    """The command, config path and options in ``argv`` (``sys.argv[1:]`` by default).
+    ``-h``/``--help`` anywhere prints the help and exits 0; a usage error exits 2."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(HELP)
+        raise SystemExit(0)
+    positionals, overrides, tokens = [], {}, iter(argv)
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif (kind := OPTIONS.get(name)) is None:
+            usage_error(f"unrecognized arguments: {token}")
+        elif not equals and (value := next(tokens, "--")).startswith("--"):
+            usage_error(f"argument {name}: expected one argument")
+        elif isinstance(kind, tuple) and value not in kind:
+            usage_error(f"argument {name}: invalid choice: {value!r}")
+        else:
+            try:
+                overrides[name[2:]] = value if isinstance(kind, tuple) else kind(value)
+            except ValueError:
+                usage_error(f"argument {name}: invalid int value: {value!r}")
+    if len(positionals) != 2:
+        usage_error(f"expected a command and a config path, got: {' '.join(positionals)}")
+    if positionals[0] not in COMMANDS:
+        usage_error(f"argument command: invalid choice: {positionals[0]!r}")
+    return *positionals, overrides
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in ("seed", "trials", "out", "format")}
+    command, path, overrides = parse_args(argv)
     try:
-        config = load_config(args.config, overrides)
-        if args.command not in ("roundtrip", "bounds") and config.fmt != "json":
+        config = load_config(path, overrides)
+        if command not in ("roundtrip", "bounds") and config.fmt != "json":
             # --format applies to roundtrip and bounds; the others write JSON,
             # and the config hash covers the format the bytes are written in
             config = dataclasses.replace(config, fmt="json")
-        text = render(COMMANDS[args.command](config), config)
+        text = render(COMMANDS[command](config), config)
         if config.out is None:
             sys.stdout.write(text)
         else:

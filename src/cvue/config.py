@@ -79,14 +79,14 @@ def _integer(raw: dict, key: str) -> int:
 
 
 def _number(raw: dict, key: str, default=None) -> float:
-    """``raw[key]`` as a float; null, booleans, lists and objects fail with a
-    message naming the key (NaN and infinities are left to the validators)."""
+    """``raw[key]`` as a float; null, booleans, lists, objects and ints past the
+    float range fail naming the key (NaN and infinities are left to the validators)."""
     value = raw.get(key, default)
     try:
         if isinstance(value, bool):
             raise ValueError
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 

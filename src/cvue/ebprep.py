@@ -235,6 +235,8 @@ def game_equivalence_test(
     """
     if trials < 1 or samples < 1:
         raise ValueError("need at least one trial and one sample")
+    if trials * params.num_modes >= 2**63:
+        raise ValueError("trials * num_modes must be below 2**63")
     alpha = params.alpha
     beta = trial_ber(params)
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=samples)

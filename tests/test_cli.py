@@ -13,7 +13,7 @@ import pytest
 
 import cvue
 from cvue.adversary import STRATEGY_IDS, check_against_bound, make_strategy, run_cloning_game
-from cvue.cli import COMMANDS, build_parser, main, render
+from cvue.cli import COMMANDS, main, render
 from cvue.config import FORMATS, RunConfig, config_hash, load_config
 from cvue.bounds import (
     FIGURE_IDS, chernoff_failure, eps_df, exact_failure, figure_data, security_report,
@@ -221,6 +221,13 @@ class TestEbcheck:
         assert abs(ratio - expected) < 0.2
         assert payload["rejection_oracle"]["conditional_cov_error"] < 1e-10
 
+    def test_mode_total_past_int64_refused(self, config_file, capsys):
+        # 2**58 trials of 32 modes is 2**63 flip draws, past numpy's C long;
+        # refused before any flip arm is drawn
+        code, out, err = run(["ebcheck", config_file(trials=2**58)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: trials * num_modes must be below 2**63\n"
+
 
 class TestValidation:
     def test_odd_num_modes(self, config_file, capsys):
@@ -379,6 +386,16 @@ class TestValidation:
             # at r = 710.47)
             pytest.param("protocol", "squeezing", value, "ebcheck", id=f"ebcheck-squeezing-{value}")
             for value in (0.0, 40.0, 710.47)
+        ]
+        + [
+            # an integer past the float range, which json.dumps writes as digits
+            pytest.param(section, field, 10**400, "roundtrip", id=f"{section}-{field}-10**400")
+            for section, field in [
+                ("protocol", "alpha"),
+                ("protocol", "squeezing"),
+                ("channel", "transmittance"),
+                ("channel", "excess_noise"),
+            ]
         ],
     )
     def test_nan_and_inf_rejected(self, section, field, value, command, config_file, capsys):
@@ -417,10 +434,11 @@ def run_python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
 
 
-@pytest.mark.parametrize("module", ["scipy", "scipy.stats", "cvue.reference"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.stats", "cvue.reference", "argparse"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
     # scipy takes most of a process's start-up and the runtime needs none of
-    # it; cvue.reference holds test oracles that no subcommand may use
+    # it; cvue.reference holds test oracles that no subcommand may use; the
+    # command line is read without argparse
     done = run_python(f"import cvue.cli, sys; assert {module!r} not in sys.modules")
     assert done.returncode == 0, done.stderr
 
@@ -653,12 +671,8 @@ class TestJsonOutputBytes:
 
 
 class TestParser:
-    def test_built_once(self):
-        assert build_parser() is build_parser()
-
     def test_no_state_carries_between_calls(self, config_file, tmp_path, capsys):
         path = config_file()
-        build_parser.cache_clear()
         _, fresh, _ = run(["roundtrip", path], capsys)
         first = tmp_path / "first.json"
         argv = ["roundtrip", path, "--seed", "5", "--format", "json", "--out", str(first)]
@@ -688,6 +702,58 @@ class TestParser:
             main(["encrypt", config_file()])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_equals_form_and_last_occurrence(self, config_file, capsys):
+        path = config_file(format="json")
+        _, spaced, _ = run(["roundtrip", path, "--trials", "7", "--seed", "5"], capsys)
+        _, joined, _ = run(["roundtrip", path, "--trials=7", "--seed", "1", "--seed=5"], capsys)
+        assert joined == spaced
+        assert json.loads(spaced)["trials"] == 7
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roundtrip", "CONFIG", "--seed"],
+            ["roundtrip", "CONFIG", "--bogus", "1"],
+            # option names are spelled in full: no prefix abbreviations
+            ["roundtrip", "CONFIG", "--tri", "7"],
+            ["roundtrip", "CONFIG", "--seed", "x"],
+            ["roundtrip", "CONFIG", "extra"],
+            ["roundtrip"],
+        ],
+        ids=["missing-value", "unknown-option", "abbreviation", "non-integer", "third-positional",
+             "missing-config"],
+    )
+    def test_usage_errors_exit_2(self, argv, config_file, capsys):
+        path = config_file()
+        with pytest.raises(SystemExit) as exc:
+            main([path if arg == "CONFIG" else arg for arg in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: cvue ")
+        assert "\ncvue: error: " in err
+
+    def test_help_after_other_arguments(self, config_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["roundtrip", config_file(), "--seed", "3", "-h"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: cvue ") and "  roundtrip - " in out
+        assert err == ""
+
+    def test_python_m_reads_sys_argv(self, capsys):
+        # the one run through argv=None: the module entry point parses sys.argv
+        root = Path(cvue.__file__).resolve().parents[2]
+        argv = ["roundtrip", str(root / "configs" / "paper_point.json"), "--trials", "100",
+                "--format", "json"]
+        src = str(root / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "cvue", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == run(argv, capsys)[1]
 
 
 def test_config_hash_ignores_out_path(tmp_path):
