@@ -48,11 +48,13 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
+@functools.lru_cache(maxsize=64)
 def _port_flip_prob(alpha: float, cosh_r: float) -> float:
     # p = Phi(-alpha / sqrt(1/(2 cosh r) + 1/2))
     return flip_probability(alpha, math.sqrt(1.0 / cosh_r + 1.0))
 
 
+@functools.lru_cache(maxsize=64)
 def split_flip_probs(alpha: float, squeezing: float) -> tuple[float, float]:
     """Per-mode flip law of a vacuum beamsplitter's two ports: (p, p11), the
     probability that one port flips and that both do. With signal noise

@@ -24,6 +24,8 @@ from .channel import noisy_variance
 from .codec import bits_to_hex
 from .config import FORMATS, RunConfig, config_hash, load_config
 
+# json.dumps builds an encoder per call when given a non-default argument
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True)
 # each option and how its value is read: by a type, or as one of a tuple of choices
 OPTIONS = {"--seed": int, "--trials": int, "--out": str, "--format": FORMATS}
 USAGE = "usage: cvue [-h] [--seed N] [--trials N] [--out PATH] [--format {csv,json}] command config\n"
@@ -60,8 +62,8 @@ def render_csv(columns, rows, digest: str) -> str:
 
 
 def render_json(payload) -> str:
-    # one line: json.dumps runs its C encoder only when no indent is set
-    return json.dumps(payload, sort_keys=True) + "\n"
+    # one line: json.dumps(payload, sort_keys=True), whose C encoder runs only with no indent
+    return _JSON_ENCODER.encode(payload) + "\n"
 
 
 def render(result, config: RunConfig) -> str:

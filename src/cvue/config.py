@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 from .adversary import STRATEGY_IDS
@@ -16,6 +17,8 @@ from .channel import ChannelParams
 from .protocol import ProtocolParams
 
 FORMATS = ("csv", "json")
+# json.dumps builds an encoder per call when given a non-default argument
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class RunConfig:
 
 def config_hash(config: RunConfig) -> str:
     """Short digest of the canonical configuration (output path excluded)."""
-    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    canonical = _CANONICAL_ENCODER.encode(config.to_dict())
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -123,9 +126,18 @@ def _build_channel(raw) -> ChannelParams | None:
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a JSON config file, applying flag overrides. The
-    file is read as UTF-8, as RFC 8259 has JSON, whatever the locale."""
-    with open(path, "rb") as file:
-        data = file.read()
+    file is read as UTF-8, as RFC 8259 has JSON, whatever the locale, by os
+    calls: open() adds a buffered reader and fstat, isatty and lseek calls."""
+    data = bytearray()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            data += chunk
+    except OSError as exc:
+        # os.read's error names no file (a directory's EISDIR)
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
     try:
         raw = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:

@@ -72,7 +72,10 @@ class ProtocolParams:
             raise ValueError("message length cannot exceed codeword length")
         if self.max_errors < 0:
             raise ValueError("correctable error count must be nonnegative")
-        if self.max_errors >= self.num_modes / 2:
+        # run_round_trip's int64 bound, then an integer test: N / 2 rounds past 2**53
+        if self.num_modes >= 2**63:
+            raise ValueError("num_modes must be below 2**63")
+        if 2 * self.max_errors >= self.num_modes:
             raise ValueError("correctable error count must be below num_modes/2")
         if self.codec_scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")

@@ -1,6 +1,7 @@
 import math
 import warnings
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cvue.adversary import (
 )
 from cvue.bounds import tau, win_prob_bound
 from cvue.codec import random_bits
+from cvue.config import load_config
 from cvue.protocol import (
     MAX_SQUEEZING,
     CipherState,
@@ -140,6 +142,39 @@ class TestSplitFlipProbs:
         for alpha, squeezing in ((0.4, 3.4), (0.1, 1.0), (1.5, 7.0)):
             p, _ = split_flip_probs(alpha, squeezing)
             assert math.isclose(p, heterodyne_bit_error(alpha, squeezing), rel_tol=1e-12)
+
+
+SHIPPED_CONFIGS = sorted((Path(adversary.__file__).resolve().parents[2] / "configs").glob("*.json"))
+
+
+class TestFlipLawCache:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_cached_values_are_the_computed_ones(self, path):
+        params = load_config(path).protocol
+        alpha, squeezing = params.alpha, params.squeezing
+        for _ in range(2):  # a miss, then a hit
+            assert split_flip_probs(alpha, squeezing) == split_flip_probs.__wrapped__(alpha, squeezing)
+            cosh_r = math.cosh(squeezing)
+            assert adversary._port_flip_prob(alpha, cosh_r) == adversary._port_flip_prob.__wrapped__(
+                alpha, cosh_r
+            )
+
+    @pytest.mark.parametrize(
+        "strategy_id,cached",
+        [("heterodyne_split", split_flip_probs), ("measure_guess_basis", adversary._port_flip_prob)],
+    )
+    def test_second_game_hits_the_cache(self, strategy_id, cached):
+        strategy = make_strategy(strategy_id)
+        run_cloning_game(TINY, strategy, 10, np.random.default_rng(1))
+        hits = cached.cache_info().hits
+        run_cloning_game(TINY, strategy, 10, np.random.default_rng(2))
+        assert cached.cache_info().hits > hits
+
+    def test_invalid_alpha_raises_every_call(self):
+        # lru_cache keeps no exception, so a bad input never becomes a cached value
+        for _ in range(2):
+            with pytest.raises(ValueError, match="alpha"):
+                split_flip_probs(math.nan, 3.4)
 
 
 def _joint_count_table(fast, slow, num_modes):

@@ -22,6 +22,8 @@ from cvue.ebprep import game_equivalence_test
 from cvue.reference import load_key
 
 
+SHIPPED_DIR = Path(cvue.__file__).resolve().parents[2] / "configs"
+
 BASE = {
     "protocol": {
         "msg_len": 16,
@@ -277,8 +279,35 @@ class TestValidation:
         assert err.startswith(f"error: config file {path} is not valid JSON: Unexpected UTF-8 BOM")
 
     def test_missing_file(self, capsys):
-        code, _, err = run(["bounds", "/nonexistent/config.json"], capsys)
-        assert code == 2
+        code, out, err = run(["bounds", "/nonexistent/config.json"], capsys)
+        assert (code, out) == (2, "")
+        assert "'/nonexistent/config.json'" in err
+
+    def test_directory_names_its_path(self, tmp_path, capsys):
+        # the directory opens; the read fails with an error that names no file
+        code, out, err = run(["bounds", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_config_past_one_read_chunk(self, tmp_path):
+        grid = {"transmittance": [1.0 - i / 7919 for i in range(4000)]}
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        raw = json.loads((SHIPPED_DIR / "fig2a.json").read_text()) | {"grid": grid}
+        compact.write_text(json.dumps(raw, separators=(",", ":")))
+        indented.write_text(json.dumps(raw, indent=2))
+        assert len(json.dumps(grid["transmittance"], separators=(",", ":"))) > 1 << 16
+        configs = [load_config(str(compact)), load_config(str(indented))]
+        assert configs[0] == configs[1]
+        assert configs[0].grid == grid
+        assert config_hash(configs[0]) == config_hash(configs[1])
+
+    @pytest.mark.parametrize("num_modes", [10**400, 2**63], ids=["10**400", "2**63"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_num_modes_past_int64_refused(self, command, num_modes, config_file, capsys):
+        # 10**400 overflowed a float in the max_errors check and exited 1
+        code, out, err = run([command, config_file(protocol={"num_modes": num_modes})], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: num_modes must be below 2**63\n"
 
     def test_grid_must_be_object(self, config_file, capsys):
         code, _, err = run(["bounds", config_file(grid=[1, 2, 3])], capsys)
@@ -546,7 +575,7 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-SHIPPED_CONFIGS = sorted((Path(cvue.__file__).resolve().parents[2] / "configs").glob("*.json"))
+SHIPPED_CONFIGS = sorted(SHIPPED_DIR.glob("*.json"))
 
 # sha256 of `bounds` stdout on configs/fig2a.json with `figure` set
 # (x86-64 Linux, CPython 3.11, numpy 2.4); a JSON pin is taken over the

@@ -73,6 +73,13 @@ class TestParams:
         with pytest.raises(ValueError, match="num_modes/2"):
             ProtocolParams(8, 16, 8, 0.4, 3.4)
 
+    def test_half_mode_bound_is_exact_past_2_to_53(self):
+        # num_modes / 2 rounds 2**53 + 3 up to 2**53 + 4, which let t = N/2 pass
+        n = 2**54 + 6
+        with pytest.raises(ValueError, match="num_modes/2"):
+            ProtocolParams(8, n, 2**53 + 3, 0.4, 3.4)
+        assert ProtocolParams(8, n, 2**53 + 2, 0.4, 3.4).max_errors == 2**53 + 2
+
 
 class TestKeyOffsets:
     def test_samples_inside_open_interval(self):
