@@ -144,24 +144,23 @@ class TestSplitFlipProbs:
             assert math.isclose(p, heterodyne_bit_error(alpha, squeezing), rel_tol=1e-12)
 
 
-SHIPPED_CONFIGS = sorted((Path(adversary.__file__).resolve().parents[2] / "configs").glob("*.json"))
+SHIPPED_DIR = Path(adversary.__file__).resolve().parents[2] / "configs"
+port_flip_prob = adversary._port_flip_prob
 
 
 class TestFlipLawCache:
-    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("path", sorted(SHIPPED_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_cached_values_are_the_computed_ones(self, path):
         params = load_config(path).protocol
-        alpha, squeezing = params.alpha, params.squeezing
+        alpha, r = params.alpha, params.squeezing
         for _ in range(2):  # a miss, then a hit
-            assert split_flip_probs(alpha, squeezing) == split_flip_probs.__wrapped__(alpha, squeezing)
-            cosh_r = math.cosh(squeezing)
-            assert adversary._port_flip_prob(alpha, cosh_r) == adversary._port_flip_prob.__wrapped__(
-                alpha, cosh_r
-            )
+            assert split_flip_probs(alpha, r) == split_flip_probs.__wrapped__(alpha, r)
+            cosh_r = math.cosh(r)
+            assert port_flip_prob(alpha, cosh_r) == port_flip_prob.__wrapped__(alpha, cosh_r)
 
     @pytest.mark.parametrize(
         "strategy_id,cached",
-        [("heterodyne_split", split_flip_probs), ("measure_guess_basis", adversary._port_flip_prob)],
+        [("heterodyne_split", split_flip_probs), ("measure_guess_basis", port_flip_prob)],
     )
     def test_second_game_hits_the_cache(self, strategy_id, cached):
         strategy = make_strategy(strategy_id)
