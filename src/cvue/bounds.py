@@ -12,13 +12,21 @@ import numpy as np
 from .channel import ERFC_ZERO, MAX_SQUEEZING, SQUEEZING_RANGE, noisy_ber_grid
 from .stats import binomial_sf, erfc
 
-FIGURE_IDS = ("fig1", "fig2a", "fig2b", "fig4")
+# the grid keys each figure reads; any other key is refused
+GRID_KEYS = {
+    "fig1": ("alpha", "squeezing"),
+    "fig2a": ("squeezing", "transmittance", "alpha", "excess_noise"),
+    "fig2b": ("transmittance", "excess_noise", "alpha", "squeezing"),
+    "fig4": ("msg_len", "alpha", "squeezing", "error_fraction"),
+}
+FIGURE_IDS = tuple(GRID_KEYS)
 
 LOG2_E = math.log2(math.e)
 
 # largest figure grid, per axis and in all: a `bounds` figure call with its
-# rendering peaks at up to about 420 bytes a grid point (ru_maxrss at 2e5
-# points, tracemalloc at 2e4), so a table at this size stays below 0.9 GB
+# rendering peaks at up to about 320 bytes a grid point (ru_maxrss of a
+# fresh process at 2e5 points, fig1 and fig2b, JSON and CSV: 276-321), so a
+# table at this size stays below 0.7 GB
 MAX_GRID_POINTS = 2_000_000
 
 
@@ -48,7 +56,7 @@ def ber_analytic(alpha: float, squeezing: float):
 def binary_entropy(x):
     """Binary entropy in bits; defined as 0 at the endpoints."""
     x = np.asarray(x, dtype=float)
-    if np.any((x < 0) | (x > 1)):
+    if ((x < 0) | (x > 1)).any():
         raise ValueError("binary_entropy needs x in [0, 1]")
     y = 1.0 - x
     # x log x, 0 at x = 0
@@ -101,9 +109,10 @@ def exact_failure(num_modes: int, max_errors: int, beta: float) -> float:
     return binomial_sf(max_errors, num_modes, beta)
 
 
-def tau(num_modes: int, max_errors: int, alpha: float) -> float:
-    """Security exponent N/2 + (N/2 - t) log2(1 + 2 alpha) + t + log2(e)/2."""
-    if not 0 <= max_errors <= num_modes / 2:
+def tau(num_modes, max_errors, alpha: float):
+    """Security exponent N/2 + (N/2 - t) log2(1 + 2 alpha) + t + log2(e)/2.
+    N and t are numbers, or equally long arrays (fig4's codeword lengths)."""
+    if not np.all((0 <= max_errors) & (max_errors <= num_modes / 2)):
         raise ValueError("need 0 <= max_errors <= num_modes / 2")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -111,12 +120,17 @@ def tau(num_modes: int, max_errors: int, alpha: float) -> float:
     return half + (half - max_errors) * math.log2(1.0 + 2.0 * alpha) + max_errors + 0.5 * LOG2_E
 
 
-def win_prob_bound(msg_len: int, tau_value: float) -> float:
-    """Adversarial winning-probability bound min(1, 2^(tau - n))."""
+def win_prob_bound(msg_len, tau_value):
+    """Adversarial winning-probability bound min(1, 2^(tau - n)). Equally long
+    arrays give an array; each power below 1 is still Python's float pow,
+    which numpy's power need not equal bit for bit."""
     exponent = tau_value - msg_len
-    if exponent >= 0:
-        return 1.0
-    return 2.0 ** exponent
+    if np.ndim(exponent) == 0:
+        return 1.0 if exponent >= 0 else 2.0 ** exponent
+    out = np.ones(len(exponent))
+    below = exponent < 0
+    out[below] = [2.0 ** e for e in exponent[below].tolist()]
+    return out
 
 
 def asymptotic_margin(alpha: float, squeezing: float):
@@ -136,7 +150,7 @@ def asymptotic_margin(alpha: float, squeezing: float):
 def conjugate_coding_bound(msg_len: int):
     """Cloning-game bound (1/2 + 1/(2 sqrt 2))^n for bitwise conjugate coding."""
     msg_len = np.asarray(msg_len)
-    if np.any(msg_len < 1):
+    if (msg_len < 1).any():
         raise ValueError("message length must be at least 1")
     out = np.exp(msg_len * math.log(0.5 + 0.5 / math.sqrt(2.0)))
     return float(out) if out.ndim == 0 else out
@@ -187,12 +201,20 @@ def security_report(params) -> SecurityReport:
     )
 
 
+def _is_number(value) -> bool:
+    """True for an int or a float (numpy's too) other than a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _grid_triple(grid: dict, key: str, default):
-    """``grid[key]`` (or ``default``) as a (start, stop, count) triple with
-    finite ends and a count >= 0; anything else fails naming the key."""
+    """``grid[key]`` (or ``default``) as a (start, stop, count) triple of
+    numbers with finite ends and a count >= 0; anything else (strings and
+    booleans too) fails naming the key."""
     spec = grid.get(key, default)
     try:
         start, stop, count = spec
+        if not (_is_number(start) and _is_number(stop) and _is_number(count)):
+            raise ValueError
         start, stop = float(start), float(stop)
         if isinstance(count, float) and not count.is_integer():
             raise ValueError
@@ -212,8 +234,10 @@ def _grid_number(grid: dict, key: str, default: float) -> float:
     """``grid[key]`` (or ``default``) as one finite float, failing naming the key."""
     value = grid.get(key, default)
     try:
+        if not _is_number(value):
+            raise ValueError
         number = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         raise ValueError(f"grid {key} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ValueError(f"grid {key} must be finite, got {value!r}")
@@ -224,7 +248,10 @@ def _grid_values(grid: dict, key: str, default) -> np.ndarray:
     """``grid[key]`` (or ``default``) as a 1-D float array, failing naming the key."""
     values = grid.get(key, default)
     try:
-        return np.array([float(v) for v in values])
+        items = list(values)
+        if not all(map(_is_number, items)):
+            raise ValueError
+        return np.array([float(v) for v in items])
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"grid {key} must be a list of numbers, got {values!r}") from None
 
@@ -241,27 +268,23 @@ def _check_grid_size(**counts) -> None:
         )
 
 
-def _rows(*columns) -> list[tuple]:
-    """Rows of Python floats from equally long 1-D columns."""
-    return list(zip(*(column.tolist() for column in columns)))
-
-
 def _flat_mesh(outer, inner):
     """Every (outer, inner) pair, outer value slowest, as two flat arrays."""
     return [axis.ravel() for axis in np.meshgrid(outer, inner, indexing="ij")]
 
 
-def figure_data(figure_id: str, grid: dict | None = None):
+def figure_columns(figure_id: str, grid: dict | None = None):
     """Tabulate the data behind one of the parameter-study figures.
 
-    Returns (column_names, rows); grid coordinates come first, the value
-    last, and every row holds Python ints and floats only. ``grid`` entries
-    are [start, stop, count] triples (or a plain list for fig2a's
-    transmittance values, and a number for a fixed parameter), with
-    sensible defaults per figure. fig1, fig2a and fig2b are each one array
-    evaluation over the grid, as is fig4's conjugate-coding column; their
-    values equal the scalar calls bit for bit
-    (``cvue.reference.figure_data_scalar`` is the loop they are tested
+    Returns (column_names, columns): equally long 1-D arrays, grid
+    coordinates first, the value last; fig4's msg_len column holds ints,
+    every other column floats. ``grid`` entries are [start, stop, count]
+    triples (or a plain list for fig2a's transmittance values, and a number
+    for a fixed parameter), with sensible defaults per figure; a key the
+    figure does not read (GRID_KEYS) is refused. Each column is one array
+    evaluation over the grid (fig4's bound takes each power below 1 with
+    Python's pow), equal to the scalar calls bit for bit
+    (``cvue.reference.figure_data_scalar`` is the loop it is tested
     against).
 
     * fig1  - asymptotic-security margin over the (alpha, squeezing) plane.
@@ -274,14 +297,21 @@ def figure_data(figure_id: str, grid: dict | None = None):
               scheme's bound at squeezing 3.6, alpha 0.4, 3.5% correctable
               errors, with the codeword length set by n = N(1 - h(beta)).
     """
+    if figure_id not in GRID_KEYS:
+        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
     grid = dict(grid or {})
+    for key in grid:
+        if key not in GRID_KEYS[figure_id]:
+            raise ValueError(
+                f"grid {key} must be one of the keys {figure_id} reads: "
+                f"{', '.join(GRID_KEYS[figure_id])}"
+            )
     if figure_id == "fig1":
         alphas = _grid_triple(grid, "alpha", (0.02, 1.2, 60))
         squeezings = _grid_triple(grid, "squeezing", (2.0, 5.0, 61))
         _check_grid_size(alpha=alphas[2], squeezing=squeezings[2])
         a, r = _flat_mesh(np.linspace(*alphas), np.linspace(*squeezings))
-        margin = asymptotic_margin(a, r)
-        return ["alpha", "squeezing", "margin"], _rows(a, r, margin)
+        return ["alpha", "squeezing", "margin"], [a, r, asymptotic_margin(a, r)]
     if figure_id == "fig2a":
         squeezings = _grid_triple(grid, "squeezing", (2.0, 4.5, 101))
         transmittances = _grid_values(grid, "transmittance", [1.0, 0.95, 0.9, 0.8])
@@ -290,7 +320,7 @@ def figure_data(figure_id: str, grid: dict | None = None):
         xi = _grid_number(grid, "excess_noise", 0.001)
         t, r = _flat_mesh(transmittances, np.linspace(*squeezings))
         beta = noisy_ber_grid(alpha, r, t, xi)
-        return ["squeezing", "transmittance", "beta_noisy"], _rows(r, t, beta)
+        return ["squeezing", "transmittance", "beta_noisy"], [r, t, beta]
     if figure_id == "fig2b":
         transmittances = _grid_triple(grid, "transmittance", (0.5, 1.0, 51))
         noises = _grid_triple(grid, "excess_noise", (0.0, 0.05, 51))
@@ -299,30 +329,43 @@ def figure_data(figure_id: str, grid: dict | None = None):
         squeezing = _grid_number(grid, "squeezing", 3.6)
         t, xi = _flat_mesh(np.linspace(*transmittances), np.linspace(*noises))
         beta = noisy_ber_grid(alpha, squeezing, t, xi)
-        return ["transmittance", "excess_noise", "beta_noisy"], _rows(t, xi, beta)
-    if figure_id == "fig4":
-        start, stop, count = _grid_triple(grid, "msg_len", (8, 1200, 120))
-        # the lengths lie between the ends, so both ends must round to at least 1
-        if min(round(start), round(stop)) < 1:
-            raise ValueError(
-                f"grid msg_len must start and stop at values that round to 1 or more, "
-                f"got {[start, stop]}"
-            )
-        _check_grid_size(msg_len=count)
-        msg_lens = np.unique(np.rint(np.geomspace(start, stop, count)).astype(int))
-        alpha = _grid_number(grid, "alpha", 0.4)
-        squeezing = _grid_number(grid, "squeezing", 3.6)
-        error_fraction = _grid_number(grid, "error_fraction", 0.035)
-        if not 0 <= error_fraction <= 0.5:
-            raise ValueError(f"grid error_fraction must lie in [0, 0.5], got {error_fraction!r}")
-        rate = 1.0 - binary_entropy(ber_analytic(alpha, squeezing))
-        conjugate = conjugate_coding_bound(msg_lens).tolist()
-        rows = []
-        for n, conj in zip(msg_lens.tolist(), conjugate):
-            num_modes = int(round(n / rate))
-            num_modes += num_modes % 2  # balanced direction string needs even N
-            errors = int(round(error_fraction * num_modes))
-            bound = win_prob_bound(n, tau(num_modes, errors, alpha))
-            rows.append((n, 2.0 ** -n, conj, bound))
-        return ["msg_len", "ideal", "conjugate_coding", "cv_scheme"], rows
-    raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+        return ["transmittance", "excess_noise", "beta_noisy"], [t, xi, beta]
+    start, stop, count = _grid_triple(grid, "msg_len", (8, 1200, 120))
+    # the lengths lie between the ends, so both ends must round to at least 1
+    if min(round(start), round(stop)) < 1:
+        raise ValueError(
+            f"grid msg_len must start and stop at values that round to 1 or more, "
+            f"got {[start, stop]}"
+        )
+    _check_grid_size(msg_len=count)
+    msg_lens = np.unique(np.rint(np.geomspace(start, stop, count))).astype(int)
+    alpha = _grid_number(grid, "alpha", 0.4)
+    squeezing = _grid_number(grid, "squeezing", 3.6)
+    error_fraction = _grid_number(grid, "error_fraction", 0.035)
+    if not 0 <= error_fraction <= 0.5:
+        raise ValueError(f"grid error_fraction must lie in [0, 0.5], got {error_fraction!r}")
+    beta = ber_analytic(alpha, squeezing)
+    rate = 1.0 - binary_entropy(beta)
+    if not rate > 0:
+        raise ValueError(
+            f"grid alpha must leave the code a positive rate 1 - h(beta) at squeezing "
+            f"{squeezing!r}, got beta {beta!r}"
+        )
+    # integral floats: past 2**63 (alpha near 1e-9) the lengths outgrow int64
+    num_modes = np.rint(msg_lens / rate)
+    num_modes += num_modes % 2  # balanced direction string needs even N
+    errors = np.rint(error_fraction * num_modes)
+    cv_scheme = win_prob_bound(msg_lens, tau(num_modes, errors, alpha))
+    # 2^-n exactly, as 2.0 ** -n
+    ideal = np.ldexp(1.0, -msg_lens)
+    return (
+        ["msg_len", "ideal", "conjugate_coding", "cv_scheme"],
+        [msg_lens, ideal, conjugate_coding_bound(msg_lens), cv_scheme],
+    )
+
+
+def figure_data(figure_id: str, grid: dict | None = None):
+    """``figure_columns`` as (column_names, rows): one tuple of Python ints
+    and floats per grid point."""
+    names, columns = figure_columns(figure_id, grid)
+    return names, list(zip(*(column.tolist() for column in columns)))

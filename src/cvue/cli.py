@@ -3,11 +3,13 @@
 Every subcommand loads one JSON config file and applies the shared flag
 overrides (--seed, --trials, --out, --format). A command is a function from
 the config to its result, run deterministically from the seed: a record
-dict, or (columns, rows) for a figure table. ``main`` renders the result
-once, stamped with the config hash, and writes it to the output path
-(stdout by default): CSV or JSON for roundtrip and bounds, JSON for the
-others. Tables carry a comment row echoing the config hash. Exit code 0 on
-success, 2 on validation or I/O failure.
+dict, or (names, columns) for a figure table, its columns equally long 1-D
+arrays. ``main`` renders the result once, stamped with the config hash, and
+writes it to the output path (stdout by default): CSV or JSON for roundtrip
+and bounds, JSON for the others. A figure table has one writer,
+``render_table``, which spells each distinct value of a column once; a
+record is one JSON object or one CSV row. CSV carries a comment row echoing
+the config hash. Exit code 0 on success, 2 on validation or I/O failure.
 """
 
 from __future__ import annotations
@@ -54,31 +56,62 @@ bounds figure columns (grid coordinates first, value last):
 """
 
 
-def render_csv(columns, rows, digest: str) -> str:
-    # every value is a Python int or float, whose repr is its shortest form
-    lines = [f"# config={digest}", ",".join(columns)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def render_json(payload) -> str:
     # one line: json.dumps(payload, sort_keys=True), whose C encoder runs only with no indent
     return _JSON_ENCODER.encode(payload) + "\n"
 
 
+def _spell(column: np.ndarray, encode, prefix: str, suffix: str, out: np.ndarray) -> None:
+    """Write the text of each cell of a column, with ``prefix`` and ``suffix``
+    attached, to ``out``. Its distinct values, by bit pattern so that 0.0 and
+    -0.0 stay apart, are spelt by one ``encode`` of their list, split on
+    ", ": no number token holds ", "."""
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    # np.unique(keys, return_inverse=True) without its fixed cost of ~15 us a call
+    order = keys.argsort()
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)  # where a new distinct value starts
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    texts = encode(ordered[starts].view(column.dtype).tolist())[1:-1].split(", ")
+    if prefix or suffix:
+        texts = [prefix + text + suffix for text in texts]
+    out[order] = np.array(texts, dtype=object)[starts.cumsum() - 1]
+
+
+def render_table(names, columns, digest: str, fmt: str) -> str:
+    """A figure table of equally long 1-D columns as CSV (``repr`` of each
+    value) or as the one-line JSON object of its columns, config hash and
+    rows, byte for byte what ``json.dumps(..., sort_keys=True)`` writes of
+    the rows. Each cell is gathered from the text of its column's distinct
+    values, and the cells, in row order, are joined once."""
+    if fmt == "json":
+        encode, joiner, first, between, last = _JSON_ENCODER.encode, ", ", "[", "", "]"
+        # the rows come last in key order: open the empty list and fill it
+        head = render_json({"columns": list(names), "config_hash": digest, "rows": []})[:-3]
+        tail = "]}\n"
+    else:
+        encode, joiner, first, between, last = repr, "", "", ",", "\n"
+        head, tail = f"# config={digest}\n{','.join(names)}\n", ""
+    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for i, column in enumerate(columns):
+        prefix = first if i == 0 else ""
+        suffix = last if i == len(columns) - 1 else between
+        _spell(column, encode, prefix, suffix, cells[:, i])
+    return head + joiner.join(cells.ravel().tolist()) + tail
+
+
 def render(result, config: RunConfig) -> str:
     """A command's result as output text in the config's format, stamped with
     the config hash: a record dict is one CSV row or a JSON object, a
-    (columns, rows) table is CSV or a JSON object of columns and rows."""
+    (names, columns) figure table goes through ``render_table``."""
     digest = config_hash(config)
     if isinstance(result, dict):
         if config.fmt == "json":
             return render_json({"config_hash": digest, **result})
-        result = list(result), [list(result.values())]
-    columns, rows = result
-    if config.fmt == "json":
-        return render_json({"config_hash": digest, "columns": list(columns), "rows": rows})
-    return render_csv(columns, rows, digest)
+        # every value is a Python int or float, whose repr is its shortest form
+        return f"# config={digest}\n{','.join(result)}\n{','.join(map(repr, result.values()))}\n"
+    return render_table(*result, digest, config.fmt)
 
 
 # --- key serialization ----------------------------------------------------
@@ -129,10 +162,10 @@ def cmd_roundtrip(config: RunConfig) -> dict:
 
 
 def cmd_bounds(config: RunConfig):
-    """The security report as a record, or a figure's (columns, rows) table."""
+    """The security report as a record, or a figure's (names, columns) table."""
     if config.figure == "report":
         return bounds.security_report(config.protocol).as_dict()
-    return bounds.figure_data(config.figure, config.grid)
+    return bounds.figure_columns(config.figure, config.grid)
 
 
 def cmd_attack(config: RunConfig) -> dict:

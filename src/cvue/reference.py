@@ -36,7 +36,9 @@ slow, literal form of something the fast paths compute directly:
   Berlekamp-Massey and sent-positions-only Chien search are checked against;
 * figure_data_scalar, the figure tables built with one scalar closed-form
   call per grid point, which bounds.figure_data's array evaluations must
-  equal bit for bit;
+  equal bit for bit, and render_rows, a table written row by row with
+  json.dumps or repr per cell, which cli.render_table's columnar writer must
+  equal byte for byte;
 * helpers that only the tests call: load_key and hex_to_bits (reading back
   a ``cvue keygen`` key file and checking its label), validate_key and
   balanced_string_unrank (the key's invariants and the inverse of its label
@@ -662,6 +664,17 @@ def figure_data_scalar(figure_id: str, grid: dict | None = None):
             )
         return ["msg_len", "ideal", "conjugate_coding", "cv_scheme"], rows
     raise ValueError(f"unknown figure id {figure_id!r}")
+
+
+def render_rows(names, rows, digest: str, fmt: str) -> str:
+    """A figure table written a row at a time: ``json.dumps`` of the object of
+    its columns, config hash and rows, or CSV with the ``repr`` of each value."""
+    if fmt == "json":
+        payload = {"config_hash": digest, "columns": list(names), "rows": rows}
+        return json.dumps(payload, sort_keys=True) + "\n"
+    lines = [f"# config={digest}", ",".join(names)]
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 # --- test-only helpers --------------------------------------------------------

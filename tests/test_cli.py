@@ -339,6 +339,14 @@ class TestValidation:
             ("fig2a", {"squeezing": [2.0, 4.5, 3000]}, "squeezing"),
             ("fig2b", {"excess_noise": [0.0, 0.05, 10001]}, "excess_noise"),
             ("fig4", {"msg_len": [8, 1200, 10001]}, "msg_len"),
+            # a misspelt key was ignored: 122 rows on the default squeezing axis
+            ("fig1", {"squeezng": [2, 3, 5], "alpha": [0.1, 0.2, 2]}, "squeezng"),
+            # strings and booleans were read as numbers
+            ("fig1", {"alpha": "123"}, "alpha"),
+            ("fig2a", {"transmittance": "1"}, "transmittance"),
+            ("fig2b", {"alpha": True}, "alpha"),
+            # a code rate of 0 was a ZeroDivisionError traceback with exit 1
+            ("fig4", {"alpha": 1e-12}, "alpha"),
         ],
     )
     def test_bad_figure_grid_names_its_key(
@@ -349,6 +357,12 @@ class TestValidation:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: grid {key} must")
+
+    def test_report_reads_no_grid(self, config_file, capsys):
+        grid = {"squeezng": [2, 3, 5], "alpha": "123"}
+        code, out, _ = run(["bounds", config_file(figure="report", grid=grid)], capsys)
+        assert code == 0
+        assert out.startswith("# config=")
 
     @pytest.mark.parametrize(
         "figure,grid",

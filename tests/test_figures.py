@@ -1,5 +1,6 @@
 """The figure tables: each array evaluation of ``figure_data`` equals the
-scalar loop of ``cvue.reference.figure_data_scalar`` bit for bit, rows hold
+scalar loop of ``cvue.reference.figure_data_scalar`` bit for bit, the
+columnar writer renders it as the scalar rows written row by row, rows hold
 Python numbers only, and bad grids fail naming their key."""
 
 import math
@@ -9,9 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvue.bounds import FIGURE_IDS, ber_analytic, conjugate_coding_bound, figure_data
+from cvue.bounds import (
+    FIGURE_IDS, GRID_KEYS, ber_analytic, conjugate_coding_bound, figure_columns, figure_data,
+    tau, win_prob_bound,
+)
 from cvue.channel import ChannelParams, noisy_ber, noisy_ber_grid
-from cvue.reference import figure_data_scalar
+from cvue.cli import render_table
+from cvue.config import FORMATS
+from cvue.reference import figure_data_scalar, render_rows
 
 NAN = float("nan")
 
@@ -22,6 +28,11 @@ def assert_same_table(figure_id, grid=None):
     assert columns == want_columns
     assert rows == want_rows
     assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in want_rows]
+    # the columnar writer spells the scalar rows as the row writer does
+    names, arrays = figure_columns(figure_id, grid)
+    for fmt in FORMATS:
+        got = render_table(names, arrays, "0" * 16, fmt)
+        assert got == render_rows(want_columns, want_rows, "0" * 16, fmt)
     return rows
 
 
@@ -80,6 +91,18 @@ class TestMatchesScalarLoops:
     )
     def test_fig4_edges(self, grid):
         assert_same_table("fig4", grid)
+
+    def test_fig4_array_calls_are_the_scalar_calls(self):
+        # fig4 takes tau and the bound over all codeword lengths at once
+        num_modes = np.arange(2, 6000, 2, dtype=float)
+        errors = np.rint(0.035 * num_modes)
+        msg_lens = num_modes.astype(int)  # bounds of 1 at the shortest, below 1 after
+        taus = tau(num_modes, errors, 0.4)
+        want = [tau(int(n), int(t), 0.4) for n, t in zip(num_modes, errors)]
+        assert taus.tolist() == want
+        bounds = win_prob_bound(msg_lens, taus)
+        assert bounds.tolist() == [win_prob_bound(int(n), t) for n, t in zip(msg_lens, want)]
+        assert 0 < (bounds < 1).sum() < len(bounds)
 
     def test_conjugate_coding_array_is_the_scalar_calls(self):
         # fig4 takes its conjugate-coding column from one array call
@@ -243,11 +266,49 @@ class TestGridValidation:
             ("fig4", {"error_fraction": NAN}, "error_fraction"),
             ("fig4", {"msg_len": [8, 1200, math.inf]}, "msg_len"),
             ("fig4", {"msg_len": "all"}, "msg_len"),
+            # strings and booleans are not numbers, as in the config
+            ("fig1", {"alpha": "123"}, "alpha"),
+            ("fig1", {"squeezing": [2.0, 5.0, True]}, "squeezing"),
+            ("fig1", {"squeezing": ["2", 5.0, 3]}, "squeezing"),
+            ("fig2a", {"transmittance": "1"}, "transmittance"),
+            ("fig2a", {"transmittance": [0.5, True]}, "transmittance"),
+            ("fig2a", {"excess_noise": "0.01"}, "excess_noise"),
+            ("fig2b", {"alpha": True}, "alpha"),
+            ("fig4", {"error_fraction": False}, "error_fraction"),
+            # a key the figure does not read
+            ("fig1", {"squeezng": [2, 3, 5], "alpha": [0.1, 0.2, 2]}, "squeezng"),
+            ("fig1", {"transmittance": [0.5, 1.0, 3]}, "transmittance"),
+            ("fig2a", {"msg_len": [8, 1200, 3]}, "msg_len"),
+            ("fig2b", {"error_fraction": 0.1}, "error_fraction"),
+            ("fig4", {"excess_noise": 0.0}, "excess_noise"),
+            # h(beta) rounds to 1: the codeword length n / (1 - h(beta)) divided by 0
+            ("fig4", {"alpha": 1e-12}, "alpha"),
+            ("fig4", {"alpha": 1e-10, "squeezing": 0.0}, "alpha"),
         ],
     )
     def test_bad_grid_names_its_key(self, figure_id, grid, key):
         with pytest.raises(ValueError, match=f"grid {key} must"):
             figure_data(figure_id, grid)
+
+    @pytest.mark.parametrize(
+        "figure_id,grid",
+        [
+            ("fig1", {"alpha": [0.1, 0.5, 3], "squeezing": [2.0, 3.0, 3]}),
+            ("fig2a", {"squeezing": [2.0, 3.0, 3], "transmittance": [0.9, 0.8],
+                       "alpha": 0.4, "excess_noise": 0.001}),
+            ("fig2b", {"transmittance": [0.5, 1.0, 3], "excess_noise": [0.0, 0.1, 3],
+                       "alpha": 0.4, "squeezing": 3.6}),
+            ("fig4", {"msg_len": [8, 100, 3], "alpha": 0.4, "squeezing": 3.6,
+                      "error_fraction": 0.035}),
+        ],
+    )
+    def test_every_key_a_figure_reads_is_accepted(self, figure_id, grid):
+        assert sorted(grid) == sorted(GRID_KEYS[figure_id])
+        assert_same_table(figure_id, grid)
+
+    def test_integral_float_count_accepted(self):
+        grid = {"alpha": [0.1, 0.2, 2.0], "squeezing": [2.0, 3.0, 3.0]}
+        assert len(figure_data("fig1", grid)[1]) == 6
 
     def test_grid_size_limit(self, monkeypatch):
         monkeypatch.setattr("cvue.bounds.MAX_GRID_POINTS", 12)

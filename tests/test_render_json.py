@@ -1,14 +1,20 @@
 """``cli.render_json`` writes ``json.dumps(payload, sort_keys=True)`` plus a
-newline, on the shapes cvue writes and on the scalars JSON spells specially."""
+newline, on the shapes cvue writes and on the scalars JSON spells specially;
+``cli.render_table`` writes a table of columns byte for byte as
+``cvue.reference.render_rows`` writes its rows, in JSON and CSV."""
 
 import json
 
+import numpy as np
 import pytest
 
-from cvue.bounds import FIGURE_IDS, figure_data
-from cvue.cli import render_json
+from cvue.bounds import FIGURE_IDS, figure_columns
+from cvue.cli import render_json, render_table
+from cvue.config import FORMATS
+from cvue.reference import render_rows
 
 NAN, INF = float("nan"), float("inf")
+DIGEST = "0" * 16
 
 
 def assert_same(value):
@@ -61,10 +67,13 @@ class TestMatchesJsonDumps:
 
     @pytest.mark.parametrize("figure_id", FIGURE_IDS)
     def test_figure_tables(self, figure_id):
-        columns, rows = figure_data(figure_id)
-        payload = {"config_hash": "0" * 64, "columns": columns, "rows": rows}
-        assert_same(payload)
-        assert render_json(payload).count("\n") == 1
+        # the table the CLI renders, against json.dumps of its rows
+        names, columns = figure_columns(figure_id)
+        rows = list(zip(*(column.tolist() for column in columns)))
+        payload = {"config_hash": "0" * 64, "columns": names, "rows": rows}
+        text = render_table(names, columns, "0" * 64, "json")
+        assert text == json.dumps(payload, sort_keys=True) + "\n"
+        assert text.count("\n") == 1
 
 
 def test_unserialisable_value_raises_like_json_dumps():
@@ -74,3 +83,62 @@ def test_unserialisable_value_raises_like_json_dumps():
         render_json({"a": object()})
     with pytest.raises(TypeError):
         render_json({"rows": [(1, object())]})
+
+
+def assert_same_table(names, columns):
+    rows = list(zip(*(column.tolist() for column in columns)))
+    for fmt in FORMATS:
+        assert render_table(names, columns, DIGEST, fmt) == render_rows(names, rows, DIGEST, fmt)
+
+
+class TestRenderTable:
+    def test_signed_zeros_stay_apart(self):
+        column = np.array([0.0, -0.0, 0.0, -0.0, -0.0])
+        assert_same_table(["x", "y"], [column, column[::-1].copy()])
+        text = render_table(["x"], [column], DIGEST, "csv")
+        assert text.endswith("x\n0.0\n-0.0\n0.0\n-0.0\n-0.0\n")
+
+    def test_nan_and_infinities(self):
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+        column = np.array([NAN, INF, -INF, NAN, -NAN, payload_nan, 1.0, INF])
+        assert_same_table(["a", "b"], [column, np.arange(8, dtype=float)])
+        text = render_table(["a"], [column[:3]], DIGEST, "json")
+        assert text.endswith('"rows": [[NaN], [Infinity], [-Infinity]]}\n')
+        assert render_table(["a"], [column[:3]], DIGEST, "csv").endswith("a\nnan\ninf\n-inf\n")
+
+    def test_extreme_magnitudes(self):
+        column = np.array([5e-324, 1e308, -1e308, -5e-324, 1.7976931348623157e308, 2.2e-308])
+        assert_same_table(["x", "y", "z"], [column, column[::-1].copy(), -column])
+
+    def test_int_columns(self):
+        ints = np.array([8, 16, 8, -3, 0, 2**62, -(2**63)], dtype=np.int64)
+        assert_same_table(["n", "x"], [ints, np.linspace(0.0, 1.0, 7)])
+        assert_same_table(["n", "m"], [ints, ints[::-1].copy()])
+
+    def test_one_column_and_one_row(self):
+        assert_same_table(["x"], [np.array([0.25, 0.25, -0.5])])
+        assert_same_table(["x", "y", "z"], [np.array([1.0]), np.array([2]), np.array([-0.0])])
+
+    def test_no_rows(self):
+        assert_same_table(["x", "y"], [np.array([]), np.array([], dtype=np.int64)])
+        assert render_table(["x", "y"], [np.array([]), np.array([])], DIGEST, "csv") == (
+            f"# config={DIGEST}\nx,y\n"
+        )
+
+    @pytest.mark.parametrize(
+        "figure_id,grid",
+        [
+            ("fig1", {"squeezing": [0.0, 1.0, 0]}),
+            ("fig1", {"alpha": [0.4, 0.4, 1], "squeezing": [3.6, 3.6, 1]}),
+            ("fig2a", {"transmittance": []}),
+            ("fig2a", {"transmittance": [0.8], "squeezing": [3.6, 3.6, 1]}),
+            ("fig2b", {"excess_noise": [0.0, 0.05, 0]}),
+            ("fig2b", {"transmittance": [1.0, 1.0, 1], "excess_noise": [0.0, 0.0, 1]}),
+            ("fig4", {"msg_len": [8, 1200, 0]}),
+            ("fig4", {"msg_len": [8, 8, 1]}),
+        ],
+    )
+    def test_count_0_and_1_point_grids(self, figure_id, grid):
+        names, columns = figure_columns(figure_id, grid)
+        assert len(columns[0]) <= 1
+        assert_same_table(names, columns)
