@@ -201,9 +201,35 @@ def security_report(params) -> SecurityReport:
     )
 
 
-def _is_number(value) -> bool:
-    """True for an int or a float (numpy's too) other than a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def read_number(value, name: str) -> float:
+    """``value`` as a float: an int or a float (numpy's too), not a bool,
+    within the float range; NaN and the infinities pass, for the caller to
+    judge. Anything else, a string too, fails naming ``name``. This and
+    ``read_integer`` are the one rule for a number read from outside."""
+    # a plain float (in read_integer a plain int) first: load_config reads
+    # its numbers here on every CLI call
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def read_integer(value, name: str) -> int:
+    """``value`` as an int: an int (numpy's too) that is not a bool, or an
+    integral float (1e20 reads as 10**20). Anything else, NaN and the
+    infinities too, fails naming ``name``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    # is_integer is False for NaN and the infinities
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _grid_triple(grid: dict, key: str, default):
@@ -213,13 +239,9 @@ def _grid_triple(grid: dict, key: str, default):
     spec = grid.get(key, default)
     try:
         start, stop, count = spec
-        if not (_is_number(start) and _is_number(stop) and _is_number(count)):
-            raise ValueError
-        start, stop = float(start), float(stop)
-        if isinstance(count, float) and not count.is_integer():
-            raise ValueError
-        count = int(count)
-    except (TypeError, ValueError, OverflowError):
+        start, stop = read_number(start, key), read_number(stop, key)
+        count = read_integer(count, key)
+    except (TypeError, ValueError):
         raise ValueError(
             f"grid {key} must be a [start, stop, count] triple, got {spec!r}"
         ) from None
@@ -232,15 +254,9 @@ def _grid_triple(grid: dict, key: str, default):
 
 def _grid_number(grid: dict, key: str, default: float) -> float:
     """``grid[key]`` (or ``default``) as one finite float, failing naming the key."""
-    value = grid.get(key, default)
-    try:
-        if not _is_number(value):
-            raise ValueError
-        number = float(value)
-    except (ValueError, OverflowError):
-        raise ValueError(f"grid {key} must be a number, got {value!r}") from None
+    number = read_number(grid.get(key, default), f"grid {key}")
     if not math.isfinite(number):
-        raise ValueError(f"grid {key} must be finite, got {value!r}")
+        raise ValueError(f"grid {key} must be finite, got {number!r}")
     return number
 
 
@@ -248,11 +264,8 @@ def _grid_values(grid: dict, key: str, default) -> np.ndarray:
     """``grid[key]`` (or ``default``) as a 1-D float array, failing naming the key."""
     values = grid.get(key, default)
     try:
-        items = list(values)
-        if not all(map(_is_number, items)):
-            raise ValueError
-        return np.array([float(v) for v in items])
-    except (TypeError, ValueError, OverflowError):
+        return np.array([read_number(v, key) for v in values])
+    except (TypeError, ValueError):
         raise ValueError(f"grid {key} must be a list of numbers, got {values!r}") from None
 
 

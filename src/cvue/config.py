@@ -2,7 +2,11 @@
 
 Loading re-validates every module invariant by constructing the parameter
 dataclasses; a canonical hash of the merged configuration is echoed into
-every output so runs can be traced back to their inputs.
+every output so runs can be traced back to their inputs. Every number is
+read by ``bounds.read_number`` or ``bounds.read_integer``, the rule the
+figure grids read theirs by, so a number in quotes is refused. A top-level
+key outside CONFIG_KEYS is refused; the protocol and channel sections ignore
+keys they do not read.
 """
 
 from __future__ import annotations
@@ -13,10 +17,16 @@ import os
 from dataclasses import dataclass, field
 
 from .adversary import STRATEGY_IDS
+from .bounds import FIGURE_IDS, read_integer, read_number
 from .channel import ChannelParams
 from .protocol import ProtocolParams
 
 FORMATS = ("csv", "json")
+FIGURES = ("report", *FIGURE_IDS)
+# the top-level keys of a config file; any other key is refused
+CONFIG_KEYS = frozenset(
+    "protocol channel seed trials format out figure strategy grid rejection_samples".split()
+)
 # json.dumps builds an encoder per call when given a non-default argument
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -43,6 +53,8 @@ class RunConfig:
             raise ValueError("trials must be nonnegative")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        if self.figure not in FIGURES:
+            raise ValueError(f"figure must be one of {FIGURES}")
         if self.strategy not in STRATEGY_IDS:
             raise ValueError(f"strategy must be one of {STRATEGY_IDS}")
         if self.rejection_samples < 1:
@@ -69,30 +81,6 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _integer(raw: dict, key: str) -> int:
-    """``raw[key]`` as an int; booleans, NaN, infinities and non-integral
-    numbers fail with a message naming the key."""
-    value = raw[key]
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _number(raw: dict, key: str, default=None) -> float:
-    """``raw[key]`` as a float; null, booleans, lists, objects and ints past the
-    float range fail naming the key (NaN and infinities are left to the validators)."""
-    value = raw.get(key, default)
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
-
-
 def _build_protocol(raw) -> ProtocolParams:
     if not isinstance(raw, dict):
         raise ValueError("protocol must be a JSON object")
@@ -101,33 +89,35 @@ def _build_protocol(raw) -> ProtocolParams:
     if missing:
         raise ValueError(f"protocol config missing keys: {', '.join(missing)}")
     return ProtocolParams(
-        msg_len=_integer(raw, "msg_len"),
-        num_modes=_integer(raw, "num_modes"),
-        max_errors=_integer(raw, "max_errors"),
-        alpha=_number(raw, "alpha"),
-        squeezing=_number(raw, "squeezing"),
-        codec_scheme=str(raw.get("codec_scheme", "oracle")),
+        msg_len=read_integer(raw["msg_len"], "msg_len"),
+        num_modes=read_integer(raw["num_modes"], "num_modes"),
+        max_errors=read_integer(raw["max_errors"], "max_errors"),
+        alpha=read_number(raw["alpha"], "alpha"),
+        squeezing=read_number(raw["squeezing"], "squeezing"),
+        codec_scheme=raw.get("codec_scheme", "oracle"),
     )
 
 
-def _build_channel(raw) -> ChannelParams | None:
-    if raw is None:
-        return None
+def _build_channel(raw) -> ChannelParams:
     if not isinstance(raw, dict):
         raise ValueError("channel must be a JSON object")
     if "transmittance" not in raw:
         raise ValueError("channel config needs a transmittance")
     return ChannelParams(
-        transmittance=_number(raw, "transmittance"),
-        excess_noise=_number(raw, "excess_noise", 0.0),
-        convention=str(raw.get("convention", "paper")),
+        transmittance=read_number(raw["transmittance"], "transmittance"),
+        excess_noise=read_number(raw.get("excess_noise", 0.0), "excess_noise"),
+        convention=raw.get("convention", "paper"),
     )
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a JSON config file, applying flag overrides. The
     file is read as UTF-8, as RFC 8259 has JSON, whatever the locale, by os
-    calls: open() adds a buffered reader and fstat, isatty and lseek calls."""
+    calls: open() adds a buffered reader and fstat, isatty and lseek calls.
+    A key outside CONFIG_KEYS, a number of the wrong type (a string, a
+    bool, null) and an unknown figure, format or strategy raise ValueError
+    naming the key; NaN and the infinities are left to the validators of
+    the parameter dataclasses."""
     data = bytearray()
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -148,30 +138,25 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValueError("config file must hold a JSON object")
     if "protocol" not in raw:
         raise ValueError("config file must define a 'protocol' section")
-    merged = dict(raw)
     for key, value in (overrides or {}).items():
         if value is not None:
-            merged[key] = value
-    if "seed" not in merged:
+            raw[key] = value
+    if not CONFIG_KEYS.issuperset(raw):
+        key = next(key for key in raw if key not in CONFIG_KEYS)
+        raise ValueError(f"{key} must be one of the config keys: {', '.join(sorted(CONFIG_KEYS))}")
+    if "seed" not in raw:
         raise ValueError("config must define a seed (or pass --seed)")
-    if "grid" in merged and not isinstance(merged["grid"], dict):
+    if "grid" in raw and not isinstance(raw["grid"], dict):
         raise ValueError("grid must be a JSON object mapping names to value ranges")
-    out = merged.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ValueError(f"out must be a file path string, got {out!r}")
-    chosen = {
-        "protocol": _build_protocol(merged["protocol"]),
-        "channel": _build_channel(merged.get("channel")),
-        "seed": _integer(merged, "seed"),
-        "out": out,
-    }
-    # a key the config leaves out takes RunConfig's default
-    for key in ("trials", "rejection_samples"):
-        if key in merged:
-            chosen[key] = _integer(merged, key)
-    for key, name in (("format", "fmt"), ("figure", "figure"), ("strategy", "strategy")):
-        if key in merged:
-            chosen[name] = str(merged[key])
-    if "grid" in merged:
-        chosen["grid"] = merged["grid"]
-    return RunConfig(**chosen)
+    if not isinstance(raw.get("out"), (str, type(None))):
+        raise ValueError(f"out must be a file path string, got {raw['out']!r}")
+    # raw becomes RunConfig's fields; a key the config leaves out takes its default
+    if "format" in raw:
+        raw["fmt"] = raw.pop("format")
+    raw["protocol"] = _build_protocol(raw["protocol"])
+    if raw.get("channel") is not None:
+        raw["channel"] = _build_channel(raw["channel"])
+    for key in ("seed", "trials", "rejection_samples"):
+        if key in raw:
+            raw[key] = read_integer(raw[key], key)
+    return RunConfig(**raw)

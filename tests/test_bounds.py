@@ -21,6 +21,8 @@ from cvue.bounds import (
     eps_df,
     exact_failure,
     figure_data,
+    read_integer,
+    read_number,
     security_report,
     tau,
     win_prob_bound,
@@ -28,6 +30,56 @@ from cvue.bounds import (
 from cvue.channel import ERFC_ZERO
 from cvue.protocol import MAX_SQUEEZING, ProtocolParams
 from cvue.reference import monogamy_bound_exact, monogamy_bound_relaxed
+
+
+class TestReaders:
+    @pytest.mark.parametrize(
+        "read,value",
+        [
+            (read, value)
+            for read in (read_number, read_integer)
+            for value in (True, False, np.True_, None, [1], "1", "0.4", {})
+        ]
+        # past the float range; as an integer it is left to the callers' range checks
+        + [pytest.param(read_number, 10**400, id="read_number-10**400")],
+    )
+    def test_refused_naming_the_key(self, read, value):
+        with pytest.raises(ValueError) as info:
+            read(value, "alpha")
+        kind = "a number" if read is read_number else "an integer"
+        assert str(info.value) == f"alpha must be {kind}, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [(0.4, 0.4), (1000, 1000.0), (np.float64(3.0), 3.0), (np.float32(0.5), 0.5),
+         (np.int64(5), 5.0), (2**1023, 2.0**1023)],
+        ids=repr,
+    )
+    def test_numbers_read_as_floats(self, value, expected):
+        number = read_number(value, "alpha")
+        assert type(number) is float and number == expected
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_is_a_number_and_not_an_integer(self, value):
+        number = read_number(value, "alpha")
+        assert type(number) is float and (number == value or math.isnan(number))
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            read_integer(value, "trials")
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [(1000, 1000), (1e20, 10**20), (10.0, 10), (np.float64(3.0), 3), (np.int64(5), 5),
+         (2**63, 2**63), (-3, -3)],
+        ids=repr,
+    )
+    def test_integers_read_as_ints(self, value, expected):
+        number = read_integer(value, "trials")
+        assert type(number) is int and number == expected
+
+    @pytest.mark.parametrize("value", [2.5, np.float64(2.5), np.float32(0.5), 1e-300], ids=repr)
+    def test_fractional_value_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            read_integer(value, "trials")
 
 
 class TestBer:

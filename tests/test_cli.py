@@ -376,6 +376,35 @@ class TestValidation:
         assert out == ""
         assert err.startswith("error: squeezing must be nonnegative and at most 710.4")
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("protocol", "msg_len", "16"),
+            ("protocol", "num_modes", "32"),
+            ("protocol", "max_errors", "2"),
+            ("protocol", "alpha", "0.4"),
+            ("protocol", "squeezing", "3.4"),
+            ("channel", "transmittance", "0.9"),
+            ("channel", "excess_noise", "0.001"),
+            ("top", "seed", "11"),
+            ("top", "trials", "10"),
+            ("top", "rejection_samples", "200"),
+        ],
+    )
+    def test_quoted_number_names_its_key(self, section, key, value, config_file, capsys):
+        # a number in quotes was read as the number: "trials": "10" ran 10 trials
+        if section == "protocol":
+            path = config_file(protocol={key: value})
+        elif section == "channel":
+            path = config_file(channel={"transmittance": 0.9, key: value})
+        else:
+            path = config_file(**{key: value})
+        kind = "a number" if key in ("alpha", "squeezing", "transmittance", "excess_noise") else "an integer"
+        for command in COMMANDS:
+            code, out, err = run([command, path], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: {key} must be {kind}, got {value!r}\n"
+
     def test_bad_format_flag_rejected_by_argparse(self, config_file, capsys):
         with pytest.raises(SystemExit):
             main(["bounds", config_file(), "--format", "xml"])
@@ -439,6 +468,13 @@ class TestValidation:
                 ("channel", "transmittance"),
                 ("channel", "excess_noise"),
             ]
+        ]
+        + [
+            # a misspelt top-level key was ignored ("trails" ran the default
+            # 10000 trials), and only bounds read the figure
+            pytest.param("top", field, value, command, id=f"{command}-{field}-{value}")
+            for field, value in [("trails", 7), ("figure", "fig9"), ("figure", ["x"])]
+            for command in COMMANDS
         ],
     )
     def test_nan_and_inf_rejected(self, section, field, value, command, config_file, capsys):
