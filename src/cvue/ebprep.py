@@ -15,10 +15,11 @@ homodyne). eb_outcomes draws any number of challenger outcomes at once from
 the caller's generator with stats.truncated_normal, the key offsets' sampler
 (cvue.reference.eb_prepare builds whole cipherstates from them);
 game_equivalence_test checks one such draw of signed outcomes and their
-offsets; eb_rejection_oracle, an independent cross-check built from the
-unrestricted two-mode squeezed state, accepts its samples in vectorised
-blocks and conditions them all with one Schur complement. window_mass and
-outcome_ks take the window's mass in centred erf form, exact at any r.
+offsets; eb_rejection_oracle, an independent cross-check, keeps the
+challenger outcomes of the unrestricted two-mode squeezed state that land in
+the window (the pair's covariance and the remote mode an outcome leaves live
+in cvue.reference). window_mass and outcome_ks take the window's mass in
+centred erf form, exact at any r.
 """
 
 from __future__ import annotations
@@ -98,44 +99,19 @@ def eb_outcomes(signs, alpha: float, squeezing: float, rng: np.random.Generator)
     return outcomes, offsets
 
 
-def tmsv_covariance(squeezing: float) -> np.ndarray:
-    """Covariance of the two-mode squeezed vacuum, ordered (q1, p1, q2, p2).
-
-    Blocks are cosh(r) on the diagonal and sinh(r)*sigma_z between the modes,
-    identical to mixing a q-squeezed with a p-squeezed vacuum on a balanced
-    beamsplitter.
-    """
-    ch, sh = math.cosh(squeezing), math.sinh(squeezing)
-    return np.array(
-        [
-            [ch, 0.0, sh, 0.0],
-            [0.0, ch, 0.0, -sh],
-            [sh, 0.0, ch, 0.0],
-            [0.0, -sh, 0.0, ch],
-        ]
-    )
-
-
 def eb_rejection_oracle(
     squeezing: float, alpha: float, samples: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Independent realization of the restricted pair (codeword bit 0): take
-    the two-mode squeezed vacuum displaced by alpha in both q quadratures,
-    homodyne the challenger's q, and keep the outcomes that land in the
-    restriction window (0, 2 alpha).
+) -> tuple[np.ndarray, int]:
+    """Independent realization of the restricted pair's challenger outcomes
+    (codeword bit 0): homodyne the challenger's q of the two-mode squeezed
+    vacuum displaced by alpha, a draw from N(alpha, cosh(r)/2), and keep the
+    outcomes that land in the restriction window (0, 2 alpha). Draws come in
+    blocks of at most REJECTION_BLOCK.
 
-    Outcomes are drawn from the challenger's q marginal in blocks of at most
-    REJECTION_BLOCK. Every accepted outcome u conditions the remote mode
-    through the Schur complement of the challenger's q entry: the
-    conditional covariance is the same for every u, and the conditional
-    displacement is affine in u.
-
-    Returns (outcomes, cond_disp, cond_cov, attempts): ``samples`` accepted
-    outcomes, their (samples, 2) remote (q, p) displacements, the 2x2 remote
-    covariance, and the number of draws up to and including the last
-    accepted one (negative binomial, acceptance ratio window_mass).
-    Refuses, before drawing, a run expected to need more than
-    MAX_EXPECTED_DRAWS draws.
+    Returns (outcomes, attempts): ``samples`` accepted outcomes and the number
+    of draws up to and including the last accepted one (negative binomial,
+    acceptance ratio window_mass). Refuses, before drawing, a run expected to
+    need more than MAX_EXPECTED_DRAWS draws.
     """
     mass = window_mass(squeezing, alpha)
     if not samples <= mass * MAX_EXPECTED_DRAWS:
@@ -143,34 +119,18 @@ def eb_rejection_oracle(
             f"squeezing {squeezing} leaves a restriction window of normal mass {mass:.3g}; "
             f"{samples} rejection samples would need more than {MAX_EXPECTED_DRAWS:.0e} draws"
         )
-    cov = tmsv_covariance(squeezing)
-    disp = np.array([alpha, 0.0, alpha, 0.0])
-    sigma = math.sqrt(cov[0, 0] / 2.0)
-    lo, hi = disp[0] - alpha, disp[0] + alpha
+    sigma = _challenger_sigma(squeezing)
     outcomes = np.empty(samples)
     found = attempts = 0
     while found < samples:
         # enough draws for the remaining samples on average, plus some slack
         block = min(REJECTION_BLOCK, int((samples - found) / mass * 1.1) + 16)
-        draws = rng.normal(disp[0], sigma, size=block)
-        hits = np.flatnonzero((lo < draws) & (draws < hi))[: samples - found]
+        draws = rng.normal(alpha, sigma, size=block)
+        hits = np.flatnonzero((0.0 < draws) & (draws < 2.0 * alpha))[: samples - found]
         outcomes[found : found + hits.size] = draws[hits]
         found += hits.size
         attempts += int(hits[-1]) + 1 if found == samples else block
-    gain = cov[2:, 0] / cov[0, 0]
-    cond_cov = cov[2:, 2:] - np.outer(gain, cov[0, 2:])
-    cond_disp = disp[2:] + np.outer(outcomes - disp[0], gain)
-    return outcomes, cond_disp, cond_cov, attempts
-
-
-def conditional_cov_error(cond_cov: np.ndarray, squeezing: float) -> float:
-    """Largest error of the remote conditional covariance relative to its
-    closed form diag(1/cosh r, cosh r): entry (i, j) is scaled by
-    sqrt(d_i d_j), so a diagonal entry gives its relative error. An absolute
-    error cannot see the narrow variance 1/cosh r vanish at large r."""
-    ch = math.cosh(squeezing)
-    closed = np.array([1 / ch, ch])
-    return float(np.max(np.abs(cond_cov - np.diag(closed)) / np.sqrt(np.outer(closed, closed))))
+    return outcomes, attempts
 
 
 @dataclass(frozen=True)

@@ -162,16 +162,18 @@ def sample_key_offset(
     window (half-width 0.146 sigma at the paper point), where
     stats.truncated_normal keeps 99.6 % of its uniform proposals.
 
-    Zero squeezing collapses the interval to {0} and returns zeros.
+    A half-width of 0 (zero r, or alpha tanh r underflowing at subnormal r)
+    collapses the interval to {0}: the offsets are 0.0, correctly rounded.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     if not 0 <= squeezing <= MAX_SQUEEZING:
         raise ValueError(SQUEEZING_RANGE)
-    if squeezing == 0:
+    half_width = alpha * math.tanh(squeezing)
+    if half_width == 0:
         return 0.0 if size is None else np.zeros(size)
     sigma = math.sqrt(0.5 * math.cosh(squeezing)) * math.tanh(squeezing)
-    out = truncated_normal(sigma, alpha * math.tanh(squeezing), rng, size)
+    out = truncated_normal(sigma, half_width, rng, size)
     return float(out) if size is None else out
 
 

@@ -4,10 +4,13 @@ Nothing in the simulator calls into this module. Each function here is the
 slow, literal form of something the fast paths compute directly:
 
 * the N-mode Gaussian phase-space toolkit (GaussianState, two-mode squeezed
-  states, homodyne sampling with exact conditioning, vacuum, squeezed
-  coherent states, tensor products, beamsplitters, marginal variances) that
-  the per-mode descriptor arithmetic in protocol, channel, adversary and
-  ebprep is checked against;
+  states and their covariance tmsv_covariance, homodyne sampling with exact
+  conditioning, vacuum, squeezed coherent states, tensor products,
+  beamsplitters, marginal variances) that the per-mode descriptor
+  arithmetic in protocol, channel, adversary and ebprep is checked against;
+  the simulator holds no covariance matrix, so condition_on_homodyne is
+  the one place the entanglement-based pair's remote mode is computed, on
+  the challenger outcomes that ebprep.eb_rejection_oracle draws;
 * heterodyne_split / decode_half, the descriptor-level beamsplitter attack
   that the flip-count kernel adversary.heterodyne_split is checked against;
 * noise_heterodyne_split, noise_forward_to_bob and noise_measure_guess_basis,
@@ -84,7 +87,7 @@ from .bounds import (
 )
 from .channel import ChannelParams, displacement_scale, noisy_ber
 from .codec import base_decrypt, base_encrypt, check_bits, random_bits
-from .ebprep import EquivalenceReport, eb_outcomes, tmsv_covariance
+from .ebprep import EquivalenceReport, eb_outcomes
 from .protocol import (
     CipherState,
     ProtocolParams,
@@ -161,8 +164,26 @@ def _check_mode(state: GaussianState, mode: int) -> None:
         raise IndexError(f"mode index {mode} out of range for {state.num_modes} modes")
 
 
+def tmsv_covariance(squeezing: float) -> np.ndarray:
+    """Covariance of the two-mode squeezed vacuum, ordered (q1, p1, q2, p2).
+
+    Blocks are cosh(r) on the diagonal and sinh(r)*sigma_z between the modes,
+    identical to mixing a q-squeezed with a p-squeezed vacuum on a balanced
+    beamsplitter.
+    """
+    ch, sh = math.cosh(squeezing), math.sinh(squeezing)
+    return np.array(
+        [
+            [ch, 0.0, sh, 0.0],
+            [0.0, ch, 0.0, -sh],
+            [sh, 0.0, ch, 0.0],
+            [0.0, -sh, 0.0, ch],
+        ]
+    )
+
+
 def two_mode_squeezed(squeezing: float, displacement=None) -> GaussianState:
-    """Two-mode squeezed state (ebprep.tmsv_covariance), optionally displaced."""
+    """Two-mode squeezed state (tmsv_covariance), optionally displaced."""
     if squeezing < 0:
         raise ValueError("squeezing must be nonnegative")
     if displacement is None:

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+WILSON_Z = 1.96  # the normal quantile of wilson_interval's two-sided 95 % level
+
 _erf = np.frompyfunc(math.erf, 1, 1)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -56,7 +58,10 @@ def truncated_normal(sigma: float, bound: float, rng: np.random.Generator, size=
     takes uniform proposals and keeps each with probability
     exp(-x^2 / 2 sigma^2), a share erf(e / sqrt 2) sqrt(pi / 2) / e; a wide
     one keeps the erf(e / sqrt 2) of N(0, sigma^2) proposals inside. Either
-    keeps at least 68 %; blocks are sized from the share, so one usually does."""
+    keeps at least 68 %; blocks are sized from the share, so one usually does.
+    A bound that is not positive leaves no window, and is refused."""
+    if not bound > 0:
+        raise ValueError(f"the window's half-width must be positive, got {bound}")
     edge = bound / sigma
     narrow = edge <= 1.0
     share = math.erf(edge / math.sqrt(2.0))
@@ -137,17 +142,21 @@ def ks_test(samples, cdf) -> tuple[float, float]:
     return statistic, min(pvalue, 1.0)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; valid near 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95 % Wilson score interval for a binomial proportion, its ends exactly 0
+    with no successes and 1 with no failures (rounding would miss them)."""
     if trials < 0 or successes < 0 or successes > trials:
         raise ValueError("need 0 <= successes <= trials")
     if trials == 0:
         return (0.0, 1.0)
     p = successes / trials
+    z = WILSON_Z
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    low = max(0.0, center - half) if successes else 0.0
+    high = min(1.0, center + half) if successes < trials else 1.0
+    return (low, high)
 
 
 def two_proportion_ztest(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:

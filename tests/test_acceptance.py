@@ -29,10 +29,13 @@ from cvue.codec import random_bits
 from cvue.ebprep import eb_rejection_oracle
 from cvue.protocol import ProtocolParams, key_gen, run_round_trip, sample_key_offset
 from cvue.reference import (
+    Quadrature,
+    condition_on_homodyne,
     eb_prepare,
     monogamy_bound_exact,
     monogamy_bound_relaxed,
     run_round_trip_binomial,
+    two_mode_squeezed,
 )
 
 REFERENCE = ProtocolParams(892, 1000, 35, 0.4, 3.4)
@@ -198,8 +201,12 @@ def test_criterion_8_eb_equivalence():
     assert np.max(np.abs(cipher.cov_diag - want)) <= 1e-10
 
     accepted = 3000
-    _, _, cond_cov, attempts = eb_rejection_oracle(3.4, 0.4, accepted, rng)
-    assert np.max(np.abs(cond_cov - np.diag([1 / ch, ch]))) <= 1e-10
+    outcomes, attempts = eb_rejection_oracle(3.4, 0.4, accepted, rng)
+    # the remote mode each accepted outcome leaves, conditioned in the reference
+    pair = two_mode_squeezed(3.4, np.array([0.4, 0.0, 0.4, 0.0]))
+    for outcome in outcomes:
+        remote = condition_on_homodyne(pair, 0, Quadrature.Q, outcome)
+        assert np.max(np.abs(remote.cov - np.diag([1 / ch, ch]))) <= 1e-10
     sigma = math.sqrt(0.5 * ch)
     expected = float(erf(0.4 / (sigma * math.sqrt(2.0))))
     sd = math.sqrt(expected * (1 - expected) / attempts)

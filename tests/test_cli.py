@@ -98,6 +98,15 @@ class TestKeygen:
 
         assert balanced_string_rank(key.directions) == key.label
 
+    def test_subnormal_squeezing_gives_zero_offsets(self, config_file, tmp_path, capsys):
+        # alpha tanh r underflows to 0 at r = 5e-324: the window is empty, so
+        # the offsets are 0.0, not an endless search for a proposal inside it
+        out_path = tmp_path / "key.json"
+        path = config_file(protocol={"squeezing": 5e-324})
+        code, _, _ = run(["keygen", path, "--out", str(out_path)], capsys)
+        assert code == 0
+        assert json.loads(out_path.read_text())["k"] == [0.0] * 32
+
     def test_load_key_rejects_tampered_label(self, config_file, tmp_path, capsys):
         # the key's label is derived from its directions, so only a file can
         # carry a wrong one, and reading it back refuses it
@@ -221,7 +230,16 @@ class TestEbcheck:
         ratio = payload["rejection_oracle"]["acceptance_ratio"]
         expected = payload["rejection_oracle"]["expected_ratio"]
         assert abs(ratio - expected) < 0.2
-        assert payload["rejection_oracle"]["conditional_cov_error"] < 1e-10
+        assert set(payload["rejection_oracle"]) == {
+            "samples",
+            "attempts",
+            "acceptance_ratio",
+            "expected_ratio",
+            "ks_statistic_accepted",
+            "ks_pvalue_accepted",
+            "ks_statistic_direct",
+            "ks_pvalue_direct",
+        }
 
     def test_mode_total_past_int64_refused(self, config_file, capsys):
         # 2**58 trials of 32 modes is 2**63 flip draws, past numpy's C long;
@@ -655,7 +673,7 @@ KEYGEN_SHA256 = {
 
 # `ebcheck configs/ebcheck.json --trials 20 --format json`: a change to the
 # order or the laws of its draws shows here
-EBCHECK_SHA256 = "54ceb95ebd3e3e50a11255fb69493c63577b4e5645d40e2e742551c6935b787a"
+EBCHECK_SHA256 = "69f5c37c17b5877465e44ef6e86f3c5c5f5397f18a98259921e50ec61cacc97e"
 
 # roundtrip CSV records of two shipped configs: config -> (sha256, extra flags)
 ROUNDTRIP_CSV_SHA256 = {

@@ -11,7 +11,6 @@ from cvue.adversary import split_flip_probs
 from cvue.bounds import tau
 from cvue.codec import random_bits
 from cvue.ebprep import (
-    conditional_cov_error,
     eb_outcomes,
     eb_rejection_oracle,
     game_equivalence_test,
@@ -28,6 +27,7 @@ from cvue.reference import (
     condition_on_homodyne,
     eb_prepare,
     game_equivalence_states,
+    homodyne_sample,
     noise_flips,
     two_mode_squeezed,
 )
@@ -140,41 +140,49 @@ class TestEbPrepare:
 
 class TestRejectionOracle:
     def test_conditional_matches_closed_form(self):
+        # the remote mode each accepted outcome u leaves, from the pair's
+        # covariance in the reference: diag(1/cosh r, cosh r), q mean
+        # alpha + (u - alpha) tanh r
         rng = np.random.default_rng(7)
         ch = math.cosh(3.4)
-        u, disp, cov, _ = eb_rejection_oracle(3.4, 0.4, 20, rng)
-        assert np.allclose(cov, np.diag([1 / ch, ch]), atol=1e-10)
-        want = 0.4 + (u - 0.4) * math.tanh(3.4)
-        assert np.allclose(disp[:, 0], want, atol=1e-10)
-        assert np.allclose(disp[:, 1], 0.0, atol=1e-10)
-        # the batched Schur complement agrees with conditioning the state object
+        u, _ = eb_rejection_oracle(3.4, 0.4, 20, rng)
         state = two_mode_squeezed(3.4, np.array([0.4, 0.0, 0.4, 0.0]))
-        for outcome, mode_disp in zip(u, disp):
+        for outcome in u:
             mode = condition_on_homodyne(state, 0, Quadrature.Q, outcome)
-            assert np.allclose(mode.cov, cov, rtol=1e-12, atol=1e-12)
-            assert np.allclose(mode.disp, mode_disp, rtol=1e-12, atol=1e-12)
+            assert np.allclose(mode.cov, np.diag([1 / ch, ch]), atol=1e-10)
+            want = 0.4 + (outcome - 0.4) * math.tanh(3.4)
+            assert np.allclose(mode.disp, [want, 0.0], atol=1e-10)
 
-    def test_conditional_cov_error_is_relative(self):
-        # the Schur complement cosh r - sinh^2 r / cosh r loses 1/cosh r to
-        # cancellation: exact at the paper point, 2 % off at r = 18, where the
-        # absolute error is still below 1e-7
-        rng = np.random.default_rng(16)
-        assert conditional_cov_error(eb_rejection_oracle(3.4, 0.4, 1, rng)[2], 3.4) < 1e-10
-        cov = eb_rejection_oracle(18.0, 0.4, 1, rng)[2]
-        assert conditional_cov_error(cov, 18.0) > 1e-3
-        assert np.max(np.abs(cov - np.diag([1 / math.cosh(18.0), math.cosh(18.0)]))) < 1e-7
+    @pytest.mark.parametrize("squeezing, samples", [(0.5, 200), (3.4, 50), (6.0, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_match_the_reference_homodyne_loop(self, squeezing, samples, seed):
+        # the blocks are one stream of challenger homodyne draws (half of the
+        # runs at r = 3.4 and 6 need a second block): the accepted outcomes
+        # and the draws through the last are the reference's, one
+        # homodyne_sample at a time, bit for bit
+        u, attempts = eb_rejection_oracle(squeezing, 0.4, samples, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        state = two_mode_squeezed(squeezing, np.array([0.4, 0.0, 0.4, 0.0]))
+        want, draws = [], 0
+        while len(want) < samples:
+            outcome, _ = homodyne_sample(state, 0, Quadrature.Q, rng)
+            draws += 1
+            if 0.0 < outcome < 0.8:
+                want.append(outcome)
+        assert u.tolist() == want
+        assert attempts == draws
 
     def test_acceptance_ratio(self):
         rng = np.random.default_rng(8)
         accepted = 2000
-        _, _, _, attempts = eb_rejection_oracle(3.4, 0.4, accepted, rng)
+        _, attempts = eb_rejection_oracle(3.4, 0.4, accepted, rng)
         want = acceptance_mass(0.4, 3.4)
         sd = math.sqrt(want * (1 - want) / attempts)
         assert abs(accepted / attempts - want) < 5 * sd
         # one sample per call: attempts counts the draws through the accepted
         # one, so it is geometric with mean 1/p
         calls = 4000
-        tries = np.array([eb_rejection_oracle(3.4, 0.4, 1, rng)[3] for _ in range(calls)])
+        tries = np.array([eb_rejection_oracle(3.4, 0.4, 1, rng)[1] for _ in range(calls)])
         assert tries.min() >= 1
         assert abs(tries.mean() - 1 / want) < 5 * math.sqrt((1 - want) / want**2 / calls)
 

@@ -99,8 +99,11 @@ class TestKeyOffsets:
 
     def test_zero_squeezing_returns_zero(self):
         rng = np.random.default_rng(2)
-        assert sample_key_offset(0.4, 0.0, rng) == 0.0
-        assert np.all(sample_key_offset(0.4, 0.0, rng, size=5) == 0.0)
+        # at subnormal r the half-width alpha tanh r underflows to 0, the
+        # correctly rounded offset
+        for alpha, squeezing in [(0.4, 0.0), (0.4, 5e-324), (1e-30, 1e-300)]:
+            assert sample_key_offset(alpha, squeezing, rng) == 0.0
+            assert np.all(sample_key_offset(alpha, squeezing, rng, size=5) == 0.0)
 
     def test_scalar_form(self):
         rng = np.random.default_rng(3)

@@ -65,12 +65,46 @@ class TestTruncatedNormal:
         x = stats.truncated_normal(self.SIGMA, math.inf, np.random.default_rng(43), self.SAMPLES)
         assert kstest(x, norm(scale=self.SIGMA).cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize("bound", [0.0, -0.0, -1.0, math.nan])
+    def test_refuses_a_window_no_proposal_can_enter(self, bound):
+        rng = np.random.default_rng(45)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="half-width"):
+            stats.truncated_normal(1.0, bound, rng, 5)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("bound", [0.3, 5.0], ids=["narrow", "wide"])
     @pytest.mark.parametrize("size, shape", [(None, ()), (5, (5,)), ((2, 3), (2, 3)), ((0,), (0,))])
     def test_shape(self, bound, size, shape):
         out = stats.truncated_normal(1.0, bound, np.random.default_rng(44), size)
         assert type(out) is np.ndarray and out.dtype == float and out.shape == shape
         assert np.all(np.abs(out) < bound)
+
+
+class TestWilsonInterval:
+    def test_no_trials_is_the_whole_range(self):
+        assert stats.wilson_interval(0, 0) == (0.0, 1.0)
+
+    # at 6 trials the formula's upper end rounds to 1 - 2^-53 with no
+    # failures, at 11 its lower end to 2.8e-17 with no successes, at 44 both
+    @pytest.mark.parametrize("trials", [1, 6, 11, 44, 1000, 10**9])
+    def test_ends_reach_0_and_1(self, trials):
+        low, high = stats.wilson_interval(0, trials)
+        assert low == 0.0 and 0 < high < 1
+        low, high = stats.wilson_interval(trials, trials)
+        assert 0 < low < 1 and high == 1.0
+
+    @pytest.mark.parametrize("successes, trials", [(1, 10), (14, 1000), (500, 1000), (999, 1000)])
+    def test_ends_solve_the_score_equation(self, successes, trials):
+        # the Wilson ends are the roots p of (p_hat - p)^2 = z^2 p (1 - p) / n
+        p_hat, z = successes / trials, stats.WILSON_Z
+        for p in stats.wilson_interval(successes, trials):
+            assert (p_hat - p) ** 2 == pytest.approx(z * z * p * (1 - p) / trials, rel=1e-9)
+
+    @pytest.mark.parametrize("successes, trials", [(3, 2), (-1, 5), (0, -1)])
+    def test_counts_outside_0_to_trials_are_refused(self, successes, trials):
+        with pytest.raises(ValueError, match="successes"):
+            stats.wilson_interval(successes, trials)
 
 
 class TestBinomialTail:
