@@ -165,8 +165,8 @@ def sample_key_offset(
     A half-width of 0 (zero r, or alpha tanh r underflowing at subnormal r)
     collapses the interval to {0}: the offsets are 0.0, correctly rounded.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if not 0 <= squeezing <= MAX_SQUEEZING:
         raise ValueError(SQUEEZING_RANGE)
     half_width = alpha * math.tanh(squeezing)

@@ -377,6 +377,8 @@ def test_eb_outcomes_rejects_alpha_before_drawing(alpha):
     [
         (lambda rng: sample_key_offset(0.4, 800.0, rng, size=3), "squeezing"),
         (lambda rng: sample_key_offset(0.4, math.inf, rng, size=3), "squeezing"),
+        (lambda rng: sample_key_offset(math.inf, 3.4, rng, size=3), "alpha"),
+        (lambda rng: sample_key_offset(math.inf, 0.0, rng, size=3), "alpha"),
         (lambda rng: eb_outcomes(np.ones(3), 0.4, 800.0, rng), "squeezing"),
         (lambda rng: eb_rejection_oracle(800.0, 0.4, 5, rng), "squeezing"),
         (lambda rng: eb_rejection_oracle(3.4, math.inf, 5, rng), "alpha"),
@@ -391,8 +393,9 @@ def test_eb_outcomes_rejects_alpha_before_drawing(alpha):
         (lambda rng: split_flip_probs(0.4, -1.0), "squeezing"),
         (lambda rng: split_flip_probs(0.4, math.nan), "squeezing"),
     ],
-    ids=["key_offset-r800", "key_offset-rinf", "eb_outcomes-r800", "oracle-r800",
-         "oracle-alpha-inf", "window_mass-r800", "window_mass-alpha-neg", "window_mass-alpha-0",
+    ids=["key_offset-r800", "key_offset-rinf", "key_offset-alpha-inf", "key_offset-alpha-inf-r0",
+         "eb_outcomes-r800", "oracle-r800", "oracle-alpha-inf", "window_mass-r800",
+         "window_mass-alpha-neg", "window_mass-alpha-0",
          "outcome_ks-r800", "split-alpha-neg", "split-alpha-0", "split-alpha-nan",
          "split-r800", "split-r-neg", "split-r-nan"],
 )
