@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,44 +119,15 @@ def make_strategy(strategy_id: str):
     return _STRATEGIES[strategy_id]
 
 
-@dataclass(frozen=True)
-class GameOutcome:
-    """Aggregated cloning-game statistics for one strategy/parameter pair."""
-
-    strategy_id: str
-    trials: int
-    wins: int
-    win_rate: float
-    interval: tuple[float, float]
-    per_bit_error_rates: tuple[float, float]
-    per_player_successes: tuple[int, int]
-
-    def __post_init__(self):
-        if self.wins > self.trials:
-            raise ValueError("wins cannot exceed trials")
-
-    def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy_id,
-            "trials": self.trials,
-            "wins": self.wins,
-            "win_rate": self.win_rate,
-            "win_rate_low": self.interval[0],
-            "win_rate_high": self.interval[1],
-            "bit_error_bob": self.per_bit_error_rates[0],
-            "bit_error_charlie": self.per_bit_error_rates[1],
-            "successes_bob": self.per_player_successes[0],
-            "successes_charlie": self.per_player_successes[1],
-        }
-
-
 def run_cloning_game(
     params: ProtocolParams, strategy, trials: int, rng: np.random.Generator
-) -> GameOutcome:
+) -> dict:
     """Play the cloning game ``trials`` times, tallying the (Bob, Charlie)
     counts ``strategy`` draws from ``rng`` in blocks of GAME_BLOCK (Bob flips
     at protocol.trial_ber under forward_to_bob). A player succeeds iff its
-    count is within its budget; a win needs both to succeed."""
+    count is within its budget; a win needs both to succeed. Returns the
+    ``outcome`` record ``cvue attack`` writes: the win rate with its 95 %
+    Wilson interval, and per player the bit error rate and the successes."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if strategy is forward_to_bob:
@@ -173,42 +143,30 @@ def run_cloning_game(
         ok_charlie += int(np.count_nonzero(charlie_ok))
         err_bob += int(bob.sum())
         err_charlie += int(charlie.sum())
-    return GameOutcome(
-        strategy_id=strategy.__name__,
-        trials=trials,
-        wins=wins,
-        win_rate=wins / trials if trials else 0.0,
-        interval=wilson_interval(wins, trials),
-        per_bit_error_rates=(
-            err_bob / (trials * params.num_modes) if trials else 0.0,
-            err_charlie / (trials * charlie_bits) if trials else 0.0,
-        ),
-        per_player_successes=(ok_bob, ok_charlie),
-    )
+    low, high = wilson_interval(wins, trials)
+    return {
+        "strategy": strategy.__name__,
+        "trials": trials,
+        "wins": wins,
+        "win_rate": wins / trials if trials else 0.0,
+        "win_rate_low": low,
+        "win_rate_high": high,
+        "bit_error_bob": err_bob / (trials * params.num_modes) if trials else 0.0,
+        "bit_error_charlie": err_charlie / (trials * charlie_bits) if trials else 0.0,
+        "successes_bob": ok_bob,
+        "successes_charlie": ok_charlie,
+    }
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Comparison of an empirical win rate against min(1, 2^(tau - n))."""
-
-    win_bound: float
-    upper_confidence: float
-    holds: bool
-    vacuous: bool
-    slack: float
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
-
-def check_against_bound(outcome: GameOutcome, params: ProtocolParams) -> BoundCheck:
-    """Report whether the 95% upper confidence limit respects the bound."""
+def check_against_bound(outcome: dict, params: ProtocolParams) -> dict:
+    """The ``bound_check`` record: whether the upper end of ``outcome``'s 95 %
+    interval respects the bound min(1, 2^(tau - n)), and by what slack."""
     bound = win_prob_bound(params.msg_len, tau(params.num_modes, params.max_errors, params.alpha))
-    upper = outcome.interval[1]
-    return BoundCheck(
-        win_bound=bound,
-        upper_confidence=upper,
-        holds=upper <= bound,
-        vacuous=bound >= 1.0,
-        slack=bound - upper,
-    )
+    upper = outcome["win_rate_high"]
+    return {
+        "win_bound": bound,
+        "upper_confidence": upper,
+        "holds": upper <= bound,
+        "vacuous": bound >= 1.0,
+        "slack": bound - upper,
+    }

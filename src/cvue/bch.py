@@ -181,11 +181,6 @@ class BchCode:
                       self._parity_table):
             table.flags.writeable = False
 
-    def _gf_mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
     def _minimal_poly(self, coset: list[int]) -> int:
         # product of (x - alpha^j) over the cyclotomic coset
         # (the root alpha^j has log j; log[0] lands in exp's zeros)

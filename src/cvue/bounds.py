@@ -5,7 +5,6 @@ parameter-study figures."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,49 +155,29 @@ def conjugate_coding_bound(msg_len: int):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class SecurityReport:
-    """All closed-form figures of merit for one parameter set."""
-
-    beta: float
-    eps_df: float
-    failure_exact: float
-    tau: float
-    win_bound: float
-    asymptotic_margin: float
-    msg_len: int
-    num_modes: int
-    max_errors: int
-    alpha: float
-    squeezing: float
-
-    def __post_init__(self):
-        for name in ("beta", "eps_df", "failure_exact", "win_bound"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {value}")
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
-
-def security_report(params) -> SecurityReport:
-    """Evaluate every closed-form quantity for a ProtocolParams value."""
+def security_report(params) -> dict:
+    """Every closed-form figure of merit for a ProtocolParams value, with the
+    parameters echoed: the record ``cvue bounds`` writes for its report.
+    Refuses a probability outside [0, 1], naming it."""
     t_value = tau(params.num_modes, params.max_errors, params.alpha)
     beta = ber_analytic(params.alpha, params.squeezing)
-    return SecurityReport(
-        beta=beta,
-        eps_df=eps_df(params.num_modes, params.max_errors, params.alpha, params.squeezing),
-        failure_exact=exact_failure(params.num_modes, params.max_errors, beta),
-        tau=t_value,
-        win_bound=win_prob_bound(params.msg_len, t_value),
-        asymptotic_margin=asymptotic_margin(params.alpha, params.squeezing),
-        msg_len=params.msg_len,
-        num_modes=params.num_modes,
-        max_errors=params.max_errors,
-        alpha=params.alpha,
-        squeezing=params.squeezing,
-    )
+    report = {
+        "beta": beta,
+        "eps_df": eps_df(params.num_modes, params.max_errors, params.alpha, params.squeezing),
+        "failure_exact": exact_failure(params.num_modes, params.max_errors, beta),
+        "tau": t_value,
+        "win_bound": win_prob_bound(params.msg_len, t_value),
+        "asymptotic_margin": asymptotic_margin(params.alpha, params.squeezing),
+        "msg_len": params.msg_len,
+        "num_modes": params.num_modes,
+        "max_errors": params.max_errors,
+        "alpha": params.alpha,
+        "squeezing": params.squeezing,
+    }
+    for name in ("beta", "eps_df", "failure_exact", "win_bound"):
+        if not 0.0 <= report[name] <= 1.0:
+            raise ValueError(f"{name} must be a probability, got {report[name]}")
+    return report
 
 
 def read_number(value, name: str) -> float:

@@ -149,22 +149,14 @@ def cmd_roundtrip(config: RunConfig) -> dict:
         record["noisy_variance"] = noisy_variance(params.squeezing, config.channel)
     if config.trials > 0:
         rng = np.random.default_rng(config.seed)
-        result = protocol.run_round_trip(params, config.trials, rng, channel=config.channel)
-        record.update(
-            failures=result.failures,
-            failure_rate=result.failure_rate,
-            failure_rate_low=result.interval[0],
-            failure_rate_high=result.interval[1],
-            flip_rate=result.flip_rate,
-            modes_total=result.modes_total,
-        )
+        record.update(protocol.run_round_trip(params, config.trials, rng, channel=config.channel))
     return record
 
 
 def cmd_bounds(config: RunConfig):
     """The security report as a record, or a figure's (names, columns) table."""
     if config.figure == "report":
-        return bounds.security_report(config.protocol).as_dict()
+        return bounds.security_report(config.protocol)
     return bounds.figure_columns(config.figure, config.grid)
 
 
@@ -173,7 +165,7 @@ def cmd_attack(config: RunConfig) -> dict:
     strategy = adversary.make_strategy(config.strategy)
     outcome = adversary.run_cloning_game(config.protocol, strategy, config.trials, rng)
     check = adversary.check_against_bound(outcome, config.protocol)
-    return {"outcome": outcome.as_dict(), "bound_check": check.as_dict()}
+    return {"outcome": outcome, "bound_check": check}
 
 
 def cmd_ebcheck(config: RunConfig) -> dict:
@@ -182,7 +174,7 @@ def cmd_ebcheck(config: RunConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     # first, so that a squeezing the oracle cannot serve fails before any sampling
     accepted, attempts = ebprep.eb_rejection_oracle(params.squeezing, params.alpha, samples, rng)
-    report, direct = ebprep.game_equivalence_test(params, config.trials, samples, rng)
+    equivalence, direct = ebprep.game_equivalence_test(params, config.trials, samples, rng)
     # each arm against the closed-form law, so that an arm that is wrong fails
     # even when the other is wrong the same way
     ks = {}
@@ -191,7 +183,7 @@ def cmd_ebcheck(config: RunConfig) -> dict:
             outcomes, params.squeezing, params.alpha
         )
     return {
-        "equivalence": report.as_dict(),
+        "equivalence": equivalence,
         "rejection_oracle": {
             "samples": samples,
             "attempts": attempts,

@@ -25,7 +25,6 @@ centred erf form, exact at any r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,44 +132,28 @@ def eb_rejection_oracle(
     return outcomes, attempts
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Statistical comparison of prepare-and-send vs entanglement-based runs.
-    ``max_candidate_error`` and ``outcome_range_ok`` cover the ``samples``
-    direct draws; ``trials`` x ``modes_per_trial`` only sizes the flip arms."""
-
-    trials: int
-    modes_per_trial: int
-    flip_rate_direct: float
-    flip_rate_eb: float
-    z_statistic: float
-    p_value: float
-    max_candidate_error: float
-    outcome_range_ok: bool
-
-    @classmethod
-    def from_counts(cls, params, trials, flips_direct, flips_eb, max_candidate_err, range_ok):
-        """Compare the two arms' flip counts with a two-proportion z-test."""
-        total = trials * params.num_modes
-        z, p = two_proportion_ztest(flips_direct, total, flips_eb, total)
-        return cls(
-            trials=trials,
-            modes_per_trial=params.num_modes,
-            flip_rate_direct=flips_direct / total,
-            flip_rate_eb=flips_eb / total,
-            z_statistic=z,
-            p_value=p,
-            max_candidate_error=max_candidate_err,
-            outcome_range_ok=range_ok,
-        )
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
+def equivalence_record(params, trials, flips_direct, flips_eb, max_candidate_err, range_ok):
+    """The ``equivalence`` record ``cvue ebcheck`` writes: the two arms' flip
+    rates over ``trials`` x N modes each, compared by a two-proportion
+    z-test, and the checks of the direct draws (``max_candidate_error``,
+    ``outcome_range_ok``); ``trials`` only sizes the flip arms."""
+    total = trials * params.num_modes
+    z, p = two_proportion_ztest(flips_direct, total, flips_eb, total)
+    return {
+        "trials": trials,
+        "modes_per_trial": params.num_modes,
+        "flip_rate_direct": flips_direct / total,
+        "flip_rate_eb": flips_eb / total,
+        "z_statistic": z,
+        "p_value": p,
+        "max_candidate_error": max_candidate_err,
+        "outcome_range_ok": range_ok,
+    }
 
 
 def game_equivalence_test(
     params: ProtocolParams, trials: int, samples: int, rng: np.random.Generator
-) -> tuple[EquivalenceReport, np.ndarray]:
+) -> tuple[dict, np.ndarray]:
     """Check the two preparations agree where the protocol can see.
 
     The entanglement-based arm draws ``samples`` challenger outcomes u with
@@ -180,8 +163,8 @@ def game_equivalence_test(
     (-2 alpha, 0) for a 1. Both checks run in the sided frame u' = s u,
     k' = s k (exact for s = +-1), where they read 0 < u' < 2 alpha and
     k'/tanh r + alpha - u' = 0. The sided outcomes follow the bit-0 law,
-    N(alpha, cosh(r)/2) on (0, 2 alpha), and are returned with the report
-    for a KS test against it.
+    N(alpha, cosh(r)/2) on (0, 2 alpha), and are returned with the
+    ``equivalence`` record for a KS test against it.
 
     The two flip arms compare ``trials`` N modes each with a two-proportion
     z-test. That comparison holds by construction: measure_codeword
@@ -209,5 +192,4 @@ def game_equivalence_test(
     offsets -= outcomes
     max_candidate_err = float(np.abs(offsets, out=offsets).max())
     direct, eb = (int(rng.binomial(trials * params.num_modes, beta)) for _arm in range(2))
-    report = EquivalenceReport.from_counts(params, trials, direct, eb, max_candidate_err, range_ok)
-    return report, outcomes
+    return equivalence_record(params, trials, direct, eb, max_candidate_err, range_ok), outcomes

@@ -284,29 +284,21 @@ def decrypt(
     return base_decrypt(key.pad, decoded)
 
 
-@dataclass(frozen=True)
-class RoundTripResult:
-    """Monte-Carlo estimate of the decryption-failure rate."""
-
-    trials: int
-    failures: int
-    failure_rate: float
-    interval: tuple[float, float]
-    modes_total: int
-    mode_flips: int
-    flip_rate: float
-
-    @classmethod
-    def from_counts(cls, trials, failures, modes_total, mode_flips):
-        return cls(
-            trials=int(trials),
-            failures=int(failures),
-            failure_rate=failures / trials if trials else 0.0,
-            interval=wilson_interval(int(failures), int(trials)),
-            modes_total=int(modes_total),
-            mode_flips=int(mode_flips),
-            flip_rate=mode_flips / modes_total if modes_total else 0.0,
-        )
+def round_trip_record(trials, failures, modes_total, mode_flips) -> dict:
+    """The Monte-Carlo keys of the record ``cvue roundtrip`` writes: the
+    failure count and rate with its 95 % Wilson interval, the per-mode flip
+    rate and the number of modes it is taken over, every value a Python
+    number."""
+    trials, failures, modes_total = int(trials), int(failures), int(modes_total)
+    low, high = wilson_interval(failures, trials)
+    return {
+        "failures": failures,
+        "failure_rate": failures / trials if trials else 0.0,
+        "failure_rate_low": low,
+        "failure_rate_high": high,
+        "flip_rate": int(mode_flips) / modes_total if modes_total else 0.0,
+        "modes_total": modes_total,
+    }
 
 
 def trial_ber(params: ProtocolParams, channel=None) -> float:
@@ -352,8 +344,9 @@ def run_round_trip(
     trials: int,
     rng: np.random.Generator,
     channel=None,
-) -> RoundTripResult:
-    """Estimate Pr[decryption fails] over encrypt/measure/decode round trips.
+) -> dict:
+    """Estimate Pr[decryption fails] over encrypt/measure/decode round trips,
+    as the Monte-Carlo keys of ``round_trip_record``.
 
     Uses the oracle-codec criterion (failure iff more than max_errors bit
     flips). The flip indicator of mode i is independent of the direction bit
@@ -382,6 +375,4 @@ def run_round_trip(
     counts, masses = flip_count_cells(params.num_modes, trial_ber(params, channel))
     hist = rng.multinomial(trials, masses)
     failures = int(hist[counts > params.max_errors].sum())
-    return RoundTripResult.from_counts(
-        trials, failures, trials * params.num_modes, int(hist @ counts)
-    )
+    return round_trip_record(trials, failures, trials * params.num_modes, int(hist @ counts))

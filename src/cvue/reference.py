@@ -23,20 +23,23 @@ slow, literal form of something the fast paths compute directly:
 * run_round_trip_states, the full key_gen/encrypt/decrypt loop that
   protocol.run_round_trip's flip-count shortcut is checked against, and
   run_round_trip_binomial, one Binomial(N, beta) flip count per trial,
-  the per-trial kernel its histogram draw is checked against;
+  the per-trial kernel its histogram draw is checked against; both return
+  protocol.round_trip_record's keys;
 * eb_prepare, a whole cipherstate prepared the entanglement-based way from
   ebprep.eb_outcomes, and game_equivalence_states, the per-trial
   key_gen/encrypt/eb_prepare loop that ebprep.game_equivalence_test's flip
-  arms and checks are compared with;
+  arms and checks are compared with; it returns ebprep.equivalence_record's
+  keys;
 * noise_flips, one equivalence arm counted mode by mode from homodyne noise,
   which the arm's one Binomial draw in game_equivalence_test is checked
   against;
 * bch_encode_scalar, the bigint long-division encoder that
   bch.BchCode.encode's parity table is checked against, and
-  bch_decode_scalar, the per-bit syndrome / full 2t-step Berlekamp-Massey /
-  per-point Chien search decoder, shortened by zero-padding to the
-  primitive length, that bch.BchCode.decode's table kernels, t-step
-  Berlekamp-Massey and sent-positions-only Chien search are checked against;
+  bch_decode_scalar, the per-bit syndrome / full 2t-step Berlekamp-Massey
+  (its field products by gf_mul) / per-point Chien search decoder,
+  shortened by zero-padding to the primitive length, that
+  bch.BchCode.decode's table kernels, t-step Berlekamp-Massey and
+  sent-positions-only Chien search are checked against;
 * figure_data_scalar, the figure tables built with one scalar closed-form
   call per grid point, which bounds.figure_data's array evaluations must
   equal bit for bit, and render_rows, a table written row by row with
@@ -87,16 +90,16 @@ from .bounds import (
 )
 from .channel import ChannelParams, displacement_scale, noisy_ber
 from .codec import base_decrypt, base_encrypt, check_bits, random_bits
-from .ebprep import EquivalenceReport, eb_outcomes
+from .ebprep import eb_outcomes, equivalence_record
 from .protocol import (
     CipherState,
     ProtocolParams,
     QecmKey,
-    RoundTripResult,
     _mode_arrays,
     encrypt,
     key_gen,
     measure_codeword,
+    round_trip_record,
     trial_ber,
 )
 
@@ -412,7 +415,7 @@ def run_round_trip_states(
     trials: int,
     rng: np.random.Generator,
     channel=None,
-) -> RoundTripResult:
+) -> dict:
     """Object-level reference round trip: full key_gen/encrypt/decrypt per
     trial; on a channel the receiver thresholds at the offsets scaled as the
     displacements are."""
@@ -433,9 +436,7 @@ def run_round_trip_states(
         recovered = None if decoded is None else base_decrypt(key.pad, decoded)
         if recovered is None or not np.array_equal(recovered, message):
             failures += 1
-    return RoundTripResult.from_counts(
-        trials, failures, trials * params.num_modes, mode_flips
-    )
+    return round_trip_record(trials, failures, trials * params.num_modes, mode_flips)
 
 
 def run_round_trip_binomial(
@@ -443,12 +444,12 @@ def run_round_trip_binomial(
     trials: int,
     rng: np.random.Generator,
     channel=None,
-) -> RoundTripResult:
+) -> dict:
     """Round trip with one Binomial(num_modes, beta) flip count drawn per
     trial at protocol.trial_ber: the law protocol.run_round_trip draws the
     histogram of, one trial at a time."""
     counts = rng.binomial(params.num_modes, trial_ber(params, channel), size=trials)
-    return RoundTripResult.from_counts(
+    return round_trip_record(
         trials,
         np.count_nonzero(counts > params.max_errors),
         trials * params.num_modes,
@@ -481,7 +482,7 @@ def eb_prepare(
 
 def game_equivalence_states(
     params: ProtocolParams, trials: int, rng: np.random.Generator
-) -> EquivalenceReport:
+) -> dict:
     """Object-level reference equivalence test: per trial a fresh key and
     message go through the direct encryption map and through eb_prepare
     (same pad and directions), and both cipherstates are measured with the
@@ -516,9 +517,7 @@ def game_equivalence_states(
         )
         if np.any(np.abs(outcomes) >= 2.0 * params.alpha):
             range_ok = False
-    return EquivalenceReport.from_counts(
-        params, trials, flips_direct, flips_eb, max_candidate_err, range_ok
-    )
+    return equivalence_record(params, trials, flips_direct, flips_eb, max_candidate_err, range_ok)
 
 
 # --- BCH encoding and decoding ------------------------------------------------
@@ -553,6 +552,14 @@ def _bch_syndromes(code: BchCode, positions) -> list[int]:
     return out
 
 
+def gf_mul(code: BchCode, a: int, b: int) -> int:
+    """The product of two elements of the code's field GF(2^m), by its log
+    and exp tables."""
+    if a == 0 or b == 0:
+        return 0
+    return code._exp[code._log[a] + code._log[b]]
+
+
 def _bch_berlekamp_massey(code: BchCode, syndromes: list[int]):
     # the error-locator polynomial as a coefficient list, or None past t
     sigma = [1]
@@ -564,12 +571,12 @@ def _bch_berlekamp_massey(code: BchCode, syndromes: list[int]):
         disc = s_n
         for i in range(1, length + 1):
             if i < len(sigma):
-                disc ^= code._gf_mul(sigma[i], syndromes[n - i])
+                disc ^= gf_mul(code, sigma[i], syndromes[n - i])
         if disc == 0:
             shift += 1
             continue
-        coeff = code._gf_mul(disc, code._exp[code.order - code._log[prev_disc]])
-        update = [0] * shift + [code._gf_mul(coeff, c) for c in prev]
+        coeff = gf_mul(code, disc, code._exp[code.order - code._log[prev_disc]])
+        update = [0] * shift + [gf_mul(code, coeff, c) for c in prev]
         summed = [a ^ b for a, b in itertools.zip_longest(sigma, update, fillvalue=0)]
         if 2 * length <= n:
             length = n + 1 - length

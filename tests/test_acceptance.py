@@ -68,14 +68,14 @@ def test_criterion_2_decryption_failure_bound():
 TAIL_5SIGMA = math.erfc(5 / math.sqrt(2)) / 2
 
 
-def check_failure_count(result):
-    """The failure count of a REFERENCE round trip does not refute eps_df, and
-    agrees with the exact tail.
+def check_failure_count(result, trials):
+    """The failure count of a REFERENCE round trip over ``trials`` does not
+    refute eps_df, and agrees with the exact tail.
 
     Comparing the failure rate with eps_df cannot resolve it: one failure in
     1e5 trials is a rate of 1e-5 > 6.9e-6, and at the exact tail 7.43e-7 one
     or more failures come in ~7 % of runs."""
-    failures, trials = result.failures, result.trials
+    failures = result["failures"]
     exact = exact_failure(1000, 35, ber_analytic(0.4, 3.4))
     assert binom.sf(failures - 1, trials, eps_df(1000, 35, 0.4, 3.4)) > TAIL_5SIGMA
     assert binom.sf(failures - 1, trials, exact) > TAIL_5SIGMA
@@ -85,19 +85,20 @@ def check_failure_count(result):
 def test_criterion_3_monte_carlo_vs_analytic():
     result = run_round_trip(REFERENCE, 100_000, np.random.default_rng(1003))
     beta = ber_analytic(0.4, 3.4)
-    sd = math.sqrt(beta * (1 - beta) / result.modes_total)
-    assert result.modes_total >= 10**6
-    assert abs(result.flip_rate - beta) <= 5 * sd
+    sd = math.sqrt(beta * (1 - beta) / result["modes_total"])
+    assert result["modes_total"] >= 10**6
+    assert abs(result["flip_rate"] - beta) <= 5 * sd
     bound = eps_df(1000, 35, 0.4, 3.4)
     # the simulation must not refute the Chernoff bound: its confidence
     # interval has to contain values at or below eps_df
-    assert result.interval[0] <= bound
-    check_failure_count(result)
+    assert result["failure_rate_low"] <= bound
+    check_failure_count(result, 100_000)
+    interval = (result["failure_rate_low"], result["failure_rate_high"])
     report(
         3,
-        f"flip rate {result.flip_rate:.6f} vs beta {beta:.6f} over {result.modes_total:.0e} "
-        f"modes; {result.failures} failures in 1e5 trials, interval {result.interval} "
-        f"consistent with eps_df {bound:.2e}",
+        f"flip rate {result['flip_rate']:.6f} vs beta {beta:.6f} over "
+        f"{result['modes_total']:.0e} modes; {result['failures']} failures in 1e5 trials, "
+        f"interval {interval} consistent with eps_df {bound:.2e}",
     )
 
 
@@ -107,9 +108,9 @@ def test_criterion_3_failure_count_on_seeds_with_failures(seed):
     # rate above eps_df, but a count that refutes neither eps_df nor the exact
     # tail; the histogram sampler's count at the same seed must pass as well
     result = run_round_trip_binomial(REFERENCE, 100_000, np.random.default_rng(seed))
-    assert result.failure_rate > eps_df(1000, 35, 0.4, 3.4)
-    check_failure_count(result)
-    check_failure_count(run_round_trip(REFERENCE, 100_000, np.random.default_rng(seed)))
+    assert result["failure_rate"] > eps_df(1000, 35, 0.4, 3.4)
+    check_failure_count(result, 100_000)
+    check_failure_count(run_round_trip(REFERENCE, 100_000, np.random.default_rng(seed)), 100_000)
 
 
 def test_criterion_3_failure_count_resolves_exact_tail():
@@ -117,12 +118,12 @@ def test_criterion_3_failure_count_resolves_exact_tail():
     # two-sided at 5 sigma, and refute eps_df, which sits ~9x above the rate
     trials = 10**9
     result = run_round_trip(REFERENCE, trials, np.random.default_rng(1003))
-    check_failure_count(result)
+    check_failure_count(result, trials)
     bound = eps_df(1000, 35, 0.4, 3.4)
-    assert binom.cdf(result.failures, trials, bound) < TAIL_5SIGMA
+    assert binom.cdf(result["failures"], trials, bound) < TAIL_5SIGMA
     report(
         3,
-        f"{result.failures} failures in 1e9 trials fit the exact tail "
+        f"{result['failures']} failures in 1e9 trials fit the exact tail "
         f"{exact_failure(1000, 35, ber_analytic(0.4, 3.4)):.3e} and lie below eps_df {bound:.2e}",
     )
 
@@ -133,13 +134,13 @@ def test_criterion_4_noise_model():
     assert abs(beta - 0.182) <= 2e-3
     params = ProtocolParams(500, 1000, 35, 0.4, 3.5)
     result = run_round_trip(params, 1000, np.random.default_rng(1004), channel=channel)
-    sd = math.sqrt(beta * (1 - beta) / result.modes_total)
-    assert result.modes_total >= 10**6
-    assert abs(result.flip_rate - beta) <= 5 * sd
+    sd = math.sqrt(beta * (1 - beta) / result["modes_total"])
+    assert result["modes_total"] >= 10**6
+    assert abs(result["flip_rate"] - beta) <= 5 * sd
     report(
         4,
         f"noisy_ber = {beta:.6f} (0.182 +- 0.002); simulated flip rate "
-        f"{result.flip_rate:.6f} within 5 sigma at {result.modes_total:.0e} modes",
+        f"{result['flip_rate']:.6f} within 5 sigma at {result['modes_total']:.0e} modes",
     )
 
 
@@ -227,8 +228,8 @@ def test_criterion_9_attack_harness():
     bits = 1000 * params.num_modes
     sd = math.sqrt(want * (1 - want) / bits)
     assert bits >= 10**6
-    assert abs(outcome.per_bit_error_rates[0] - want) <= 5 * sd
-    assert abs(outcome.per_bit_error_rates[1] - want) <= 5 * sd
+    assert abs(outcome["bit_error_bob"] - want) <= 5 * sd
+    assert abs(outcome["bit_error_charlie"] - want) <= 5 * sd
 
     checks = []
     grids = [
@@ -243,12 +244,12 @@ def test_criterion_9_attack_harness():
             np.random.default_rng(np.random.SeedSequence(1009, spawn_key=(i,))),
         )
         check = check_against_bound(game, game_params)
-        assert check.holds, (strategy_id, game_params, check)
+        assert check["holds"], (strategy_id, game_params, check)
         checks.append(check)
-    assert any(not c.vacuous for c in checks)
+    assert any(not c["vacuous"] for c in checks)
     report(
         9,
-        f"heterodyne per-bit error {outcome.per_bit_error_rates[0]:.5f} vs analytic "
+        f"heterodyne per-bit error {outcome['bit_error_bob']:.5f} vs analytic "
         f"{want:.5f} at 1e6 modes; win-rate upper confidence below the bound for "
         f"{len(checks)} strategy/parameter pairs (incl. non-vacuous bounds)",
     )

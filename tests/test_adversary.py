@@ -260,8 +260,8 @@ class TestDecodeHalf:
         want = heterodyne_bit_error(alpha, r)
         n_bits = 1000 * params.num_modes
         sd = math.sqrt(want * (1 - want) / n_bits)
-        assert abs(outcome.per_bit_error_rates[0] - want) < 5 * sd
-        assert abs(outcome.per_bit_error_rates[1] - want) < 5 * sd
+        assert abs(outcome["bit_error_bob"] - want) < 5 * sd
+        assert abs(outcome["bit_error_charlie"] - want) < 5 * sd
 
     def test_strong_squeezing_limit(self):
         alpha = 0.4
@@ -270,14 +270,14 @@ class TestDecodeHalf:
         outcome = run_cloning_game(params, make_strategy("heterodyne_split"), 300, rng)
         want = 0.5 * erfc(alpha)  # 1/cosh r -> 0
         sd = math.sqrt(want * (1 - want) / (300 * 1000))
-        assert abs(outcome.per_bit_error_rates[0] - want) < 5 * sd
+        assert abs(outcome["bit_error_bob"] - want) < 5 * sd
 
     def test_vanishing_displacement_gives_coin_flip(self):
         params = ProtocolParams(100, 200, 10, 1e-9, 3.4)
         rng = np.random.default_rng(4)
         outcome = run_cloning_game(params, make_strategy("heterodyne_split"), 500, rng)
         sd = math.sqrt(0.25 / (500 * 200))
-        assert abs(outcome.per_bit_error_rates[0] - 0.5) < 5 * sd
+        assert abs(outcome["bit_error_bob"] - 0.5) < 5 * sd
 
     def test_port_marginal_statistics(self):
         # the per-port sampling path (independent of the joint game path)
@@ -337,8 +337,8 @@ class TestCloningGame:
         rng = np.random.default_rng(7)
         outcome = run_cloning_game(params, make_strategy("heterodyne_split"), 20_000, rng)
         exact = heterodyne_joint_win_exact(params)
-        sd = math.sqrt(exact * (1 - exact) / outcome.trials)
-        assert abs(outcome.win_rate - exact) < 5 * sd
+        sd = math.sqrt(exact * (1 - exact) / outcome["trials"])
+        assert abs(outcome["win_rate"] - exact) < 5 * sd
 
     def test_measure_guess_basis_win_rate(self):
         rng = np.random.default_rng(8)
@@ -346,16 +346,16 @@ class TestCloningGame:
         # identical records: win prob is a single player's success probability
         beta = heterodyne_bit_error(TINY.alpha, TINY.squeezing)
         exact = float(binom.cdf(TINY.max_errors, TINY.num_modes, beta))
-        sd = math.sqrt(exact * (1 - exact) / outcome.trials)
-        assert abs(outcome.win_rate - exact) < 5 * sd
-        assert outcome.per_player_successes[0] == outcome.per_player_successes[1]
+        sd = math.sqrt(exact * (1 - exact) / outcome["trials"])
+        assert abs(outcome["win_rate"] - exact) < 5 * sd
+        assert outcome["successes_bob"] == outcome["successes_charlie"]
 
     def test_identical_copies_beat_independent_noise(self):
         # correlation structure matters: classical copying wins more often
         rng = np.random.default_rng(9)
         het = run_cloning_game(TINY, make_strategy("heterodyne_split"), 10_000, rng)
         copy = run_cloning_game(TINY, make_strategy("measure_guess_basis"), 10_000, rng)
-        assert copy.wins > het.wins
+        assert copy["wins"] > het["wins"]
 
     def test_forward_to_bob_win_rate(self):
         rng = np.random.default_rng(10)
@@ -363,8 +363,8 @@ class TestCloningGame:
         beta = 0.014233207919441758
         p_bob = float(binom.cdf(1, 8, beta))
         exact = p_bob * 2.0**-4  # Charlie guesses 4 bits blind
-        sd = math.sqrt(exact * (1 - exact) / outcome.trials)
-        assert abs(outcome.win_rate - exact) < 5 * sd
+        sd = math.sqrt(exact * (1 - exact) / outcome["trials"])
+        assert abs(outcome["win_rate"] - exact) < 5 * sd
 
     def test_forward_bob_matches_honest_round_trip(self):
         params = ProtocolParams(16, 32, 2, 0.4, 3.4)
@@ -372,10 +372,10 @@ class TestCloningGame:
         outcome = run_cloning_game(params, make_strategy("forward_to_bob"), 10_000, rng)
         honest = run_round_trip(params, 100_000, np.random.default_rng(12))
         z, _ = two_proportion_ztest(
-            outcome.trials - outcome.per_player_successes[0],
-            outcome.trials,
-            honest.failures,
-            honest.trials,
+            outcome["trials"] - outcome["successes_bob"],
+            outcome["trials"],
+            honest["failures"],
+            100_000,
         )
         assert abs(z) < 5
 
@@ -383,7 +383,7 @@ class TestCloningGame:
         params = ProtocolParams(40, 80, 2, 0.4, 3.4)
         rng = np.random.default_rng(13)
         outcome = run_cloning_game(params, make_strategy("forward_to_bob"), 20_000, rng)
-        assert outcome.wins == 0
+        assert outcome["wins"] == 0
 
     def test_marginal_error_symmetry(self):
         params = ProtocolParams(16, 64, 3, 0.4, 3.4)
@@ -391,9 +391,9 @@ class TestCloningGame:
         outcome = run_cloning_game(params, make_strategy("heterodyne_split"), 3000, rng)
         bits = 3000 * 64
         z, _ = two_proportion_ztest(
-            round(outcome.per_bit_error_rates[0] * bits),
+            round(outcome["bit_error_bob"] * bits),
             bits,
-            round(outcome.per_bit_error_rates[1] * bits),
+            round(outcome["bit_error_charlie"] * bits),
             bits,
         )
         assert abs(z) < 5
@@ -401,8 +401,8 @@ class TestCloningGame:
     def test_zero_trials(self):
         outcome = run_cloning_game(TINY, make_strategy("heterodyne_split"), 0,
                                    np.random.default_rng(15))
-        assert outcome.trials == 0 and outcome.wins == 0
-        assert outcome.interval == (0.0, 1.0)
+        assert outcome["trials"] == 0 and outcome["wins"] == 0
+        assert (outcome["win_rate_low"], outcome["win_rate_high"]) == (0.0, 1.0)
 
     @pytest.mark.parametrize("strategy_id", STRATEGY_IDS)
     def test_blocks_tally_the_strategy_draws(self, strategy_id, monkeypatch):
@@ -419,11 +419,11 @@ class TestCloningGame:
         else:
             charlie_budget, charlie_bits = TINY.max_errors, TINY.num_modes
         bob_ok, charlie_ok = bob <= TINY.max_errors, charlie <= charlie_budget
-        assert outcome.wins == np.count_nonzero(bob_ok & charlie_ok)
-        assert outcome.per_player_successes == (
+        assert outcome["wins"] == np.count_nonzero(bob_ok & charlie_ok)
+        assert (outcome["successes_bob"], outcome["successes_charlie"]) == (
             np.count_nonzero(bob_ok), np.count_nonzero(charlie_ok)
         )
-        assert outcome.per_bit_error_rates == (
+        assert (outcome["bit_error_bob"], outcome["bit_error_charlie"]) == (
             bob.sum() / (50 * TINY.num_modes), charlie.sum() / (50 * charlie_bits)
         )
 
@@ -441,9 +441,9 @@ class TestBoundCheck:
         rng = np.random.default_rng(16)
         outcome = run_cloning_game(TINY, make_strategy(strategy_id), 2000, rng)
         check = check_against_bound(outcome, TINY)
-        assert check.vacuous
-        assert check.win_bound == 1.0
-        assert check.holds
+        assert check["vacuous"]
+        assert check["win_bound"] == 1.0
+        assert check["holds"]
 
     @pytest.mark.parametrize("strategy_id", STRATEGY_IDS)
     def test_non_vacuous_bound_holds(self, strategy_id):
@@ -452,7 +452,7 @@ class TestBoundCheck:
         rng = np.random.default_rng(17)
         outcome = run_cloning_game(params, make_strategy(strategy_id), 4000, rng)
         check = check_against_bound(outcome, params)
-        assert not check.vacuous
-        assert check.win_bound == win_prob_bound(32, tau(32, 0, 0.25))
-        assert check.holds
-        assert check.slack > 0
+        assert not check["vacuous"]
+        assert check["win_bound"] == win_prob_bound(32, tau(32, 0, 0.25))
+        assert check["holds"]
+        assert check["slack"] > 0

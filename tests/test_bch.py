@@ -14,6 +14,7 @@ from cvue.reference import (
     _bch_syndromes,
     bch_decode_scalar,
     bch_encode_scalar,
+    gf_mul,
 )
 
 
@@ -313,7 +314,7 @@ def _locator_with_roots(code, positions) -> list[int]:
     sigma = [1]
     for p in positions:
         root = code._exp[p]
-        shifted = [0] + [code._gf_mul(c, root) for c in sigma]
+        shifted = [0] + [gf_mul(code, c, root) for c in sigma]
         sigma = [a ^ b for a, b in itertools.zip_longest(sigma, shifted, fillvalue=0)]
     return sigma
 

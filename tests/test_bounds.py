@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
+from cvue import bounds
 from cvue.bounds import (
-    SecurityReport,
     asymptotic_margin,
     ber_analytic,
     binary_entropy,
@@ -185,9 +185,9 @@ class TestOverflowFree:
 
     def test_security_report_at_domain_edge(self):
         report = security_report(ProtocolParams(1, 2, 0, 1e308, MAX_SQUEEZING))
-        assert report.beta == 0.0 and report.failure_exact == 0.0
-        assert report.asymptotic_margin == asymptotic_margin(1e308, MAX_SQUEEZING)
-        assert 511 < report.asymptotic_margin < 512
+        assert report["beta"] == 0.0 and report["failure_exact"] == 0.0
+        assert report["asymptotic_margin"] == asymptotic_margin(1e308, MAX_SQUEEZING)
+        assert 511 < report["asymptotic_margin"] < 512
 
 
 class TestEntropyAndDivergence:
@@ -382,7 +382,7 @@ class TestClosedFormProperties:
     def test_security_report_probabilities(self, sizes, alpha, squeezing):
         num_modes, msg_len, max_errors = sizes
         params = ProtocolParams(msg_len, num_modes, max_errors, alpha, squeezing)
-        report = security_report(params).as_dict()
+        report = security_report(params)
         for name in ("beta", "eps_df", "failure_exact", "win_bound"):
             assert 0.0 <= report[name] <= 1.0
 
@@ -534,34 +534,51 @@ class TestConjugateCoding:
             conjugate_coding_bound(0)
 
 
+# the closed form each security-report field is taken from
+REPORT_FORMS = {
+    "beta": "ber_analytic",
+    "eps_df": "eps_df",
+    "failure_exact": "exact_failure",
+    "win_bound": "win_prob_bound",
+    "asymptotic_margin": "asymptotic_margin",
+}
+
+
 class TestSecurityReport:
     def test_reference_params(self):
         params = ProtocolParams(892, 1000, 35, 0.4, 3.4)
         report = security_report(params)
-        assert np.isclose(report.beta, ber_analytic(0.4, 3.4))
-        assert report.win_bound == 1.0  # vacuous at these parameters
-        assert report.eps_df < 1e-5
-        assert report.failure_exact == exact_failure(1000, 35, report.beta)
-        assert report.as_dict()["msg_len"] == 892
+        assert np.isclose(report["beta"], ber_analytic(0.4, 3.4))
+        assert report["win_bound"] == 1.0  # vacuous at these parameters
+        assert report["eps_df"] < 1e-5
+        assert report["failure_exact"] == exact_failure(1000, 35, report["beta"])
+        assert report["msg_len"] == 892
 
     @pytest.mark.parametrize("field", ["beta", "eps_df", "failure_exact", "win_bound"])
-    def test_probabilities_validated(self, field):
-        values = security_report(ProtocolParams(892, 1000, 35, 0.4, 3.4)).as_dict()
-        values[field] = 1.5
-        with pytest.raises(ValueError, match=field):
-            SecurityReport(**values)
+    def test_probabilities_validated(self, field, monkeypatch):
+        # each closed form the report reads returns its value at the paper
+        # point, bar the one under test, which returns 1.5: eps_df and
+        # exact_failure would refuse a beta of 1.5 themselves, before the
+        # report's own check could
+        params = ProtocolParams(892, 1000, 35, 0.4, 3.4)
+        report = security_report(params)
+        for name, form in REPORT_FORMS.items():
+            value = 1.5 if name == field else report[name]
+            monkeypatch.setattr(bounds, form, lambda *args, value=value: value)
+        with pytest.raises(ValueError, match=f"^{field} must be a probability, got 1.5$"):
+            security_report(params)
 
     def test_non_vacuous_bound(self):
         params = ProtocolParams(32, 32, 0, 0.25, 3.4)
         report = security_report(params)
-        assert 0 < report.win_bound < 0.02
+        assert 0 < report["win_bound"] < 0.02
 
     def test_large_squeezing(self):
         report = security_report(ProtocolParams(892, 1000, 35, 0.4, 12.0))
-        assert report.beta == 0.0
-        assert report.eps_df == 0.0
-        assert report.failure_exact == 0.0
-        assert math.isfinite(report.asymptotic_margin)
+        assert report["beta"] == 0.0
+        assert report["eps_df"] == 0.0
+        assert report["failure_exact"] == 0.0
+        assert math.isfinite(report["asymptotic_margin"])
 
 
 class TestFigureData:

@@ -173,8 +173,8 @@ class TestMonteCarloAgreement:
             channel=channel,
         )
         beta = noisy_ber(0.4, 3.6, channel)
-        sd = math.sqrt(beta * (1 - beta) / result.modes_total)
-        assert abs(result.flip_rate - beta) < 5 * sd
+        sd = math.sqrt(beta * (1 - beta) / result["modes_total"])
+        assert abs(result["flip_rate"] - beta) < 5 * sd
 
     def test_symplectic_convention_flip_rate(self):
         params = ProtocolParams(500, 1000, 35, 0.4, 3.6)
@@ -183,8 +183,8 @@ class TestMonteCarloAgreement:
         beta = 0.5 * erfc(
             math.sqrt(0.8) * 0.4 / math.sqrt(noisy_variance(3.6, channel))
         )
-        sd = math.sqrt(beta * (1 - beta) / result.modes_total)
-        assert abs(result.flip_rate - beta) < 5 * sd
+        sd = math.sqrt(beta * (1 - beta) / result["modes_total"])
+        assert abs(result["flip_rate"] - beta) < 5 * sd
 
     def test_object_path_with_rescaled_thresholds(self):
         # full state-level pipeline incl. threshold rescaling reproduces the formula
@@ -194,6 +194,6 @@ class TestMonteCarloAgreement:
             params, 2000, np.random.default_rng(43), channel=channel
         )
         beta = noisy_ber(0.4, 3.5, channel)
-        sd = math.sqrt(beta * (1 - beta) / result.modes_total)
-        assert abs(result.flip_rate - beta) < 5 * sd
+        sd = math.sqrt(beta * (1 - beta) / result["modes_total"])
+        assert abs(result["flip_rate"] - beta) < 5 * sd
 

@@ -18,8 +18,14 @@ from cvue.config import FORMATS, RunConfig, config_hash, load_config
 from cvue.bounds import (
     FIGURE_IDS, chernoff_failure, eps_df, exact_failure, figure_data, security_report,
 )
-from cvue.ebprep import game_equivalence_test
-from cvue.reference import load_key
+from cvue.ebprep import eb_rejection_oracle, game_equivalence_test
+from cvue.protocol import run_round_trip
+from cvue.reference import (
+    game_equivalence_states,
+    load_key,
+    run_round_trip_binomial,
+    run_round_trip_states,
+)
 
 
 SHIPPED_DIR = Path(cvue.__file__).resolve().parents[2] / "configs"
@@ -883,24 +889,116 @@ def test_to_dict_is_the_asdict_form(channel, config_file):
     assert json.dumps(config.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
-@pytest.mark.parametrize(
-    "make_record",
-    [
-        lambda params: check_against_bound(
-            run_cloning_game(
-                params, make_strategy("heterodyne_split"), 50, np.random.default_rng(1)
-            ),
-            params,
-        ),
-        security_report,
-        lambda params: game_equivalence_test(params, 20, 10, np.random.default_rng(2))[0],
-    ],
-    ids=["BoundCheck", "SecurityReport", "EquivalenceReport"],
-)
-def test_record_as_dict_is_the_asdict_form(make_record, config_file):
-    record = make_record(load_config(config_file()).protocol)
-    assert record.as_dict() == dataclasses.asdict(record)
-    assert list(record.as_dict()) == list(dataclasses.asdict(record))
+# each command's records taken from the library, drawn from the config's seed
+# as the command draws them
+
+
+def library_attack(config):
+    rng = np.random.default_rng(config.seed)
+    outcome = run_cloning_game(config.protocol, make_strategy(config.strategy), config.trials, rng)
+    return outcome, check_against_bound(outcome, config.protocol)
+
+
+def library_equivalence(config):
+    rng = np.random.default_rng(config.seed)
+    params = config.protocol
+    # cmd_ebcheck draws the rejection oracle's samples first
+    eb_rejection_oracle(params.squeezing, params.alpha, config.rejection_samples, rng)
+    return game_equivalence_test(params, config.trials, config.rejection_samples, rng)[0]
+
+
+def library_round_trip(config):
+    rng = np.random.default_rng(config.seed)
+    return run_round_trip(config.protocol, config.trials, rng, channel=config.channel)
+
+
+NOISY = {"transmittance": 0.9, "excess_noise": 0.01}
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_IDS)
+def test_attack_writes_the_library_records(strategy, config_file, capsys):
+    path = config_file(strategy=strategy)
+    code, out, _ = run(["attack", path], capsys)
+    outcome, check = library_attack(load_config(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "config_hash": config_hash(load_config(path, {"format": "json"})),
+        "outcome": outcome,
+        "bound_check": check,
+    }
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bounds_report_writes_the_library_record(fmt, config_file, capsys):
+    path = config_file(format=fmt)
+    code, out, _ = run(["bounds", path], capsys)
+    report = security_report(load_config(path).protocol)
+    assert code == 0
+    if fmt == "json":
+        assert {k: v for k, v in json.loads(out).items() if k != "config_hash"} == report
+    else:
+        # CSV writes the record's columns in its key order
+        assert out.splitlines()[1:] == [",".join(report), ",".join(map(repr, report.values()))]
+
+
+@pytest.mark.parametrize("channel", [None, NOISY], ids=["identity", "noisy"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_roundtrip_writes_the_library_record(fmt, channel, config_file, capsys):
+    path = config_file(format=fmt, channel=channel)
+    code, out, _ = run(["roundtrip", path], capsys)
+    record = library_round_trip(load_config(path))
+    assert code == 0
+    if fmt == "json":
+        assert {k: json.loads(out)[k] for k in record} == record
+    else:
+        # the Monte-Carlo keys are the record's last columns, in its key order
+        names, values = (line.split(",") for line in out.splitlines()[1:])
+        assert names[-len(record):] == list(record)
+        assert values[-len(record):] == [repr(v) for v in record.values()]
+
+
+def test_ebcheck_writes_the_library_record(config_file, capsys):
+    path = config_file(trials=20, rejection_samples=50)
+    code, out, _ = run(["ebcheck", path], capsys)
+    assert code == 0
+    assert json.loads(out)["equivalence"] == library_equivalence(load_config(path))
+
+
+def each_strategy(config, index):
+    return [library_attack(dataclasses.replace(config, strategy=s))[index] for s in STRATEGY_IDS]
+
+
+# each record maker, returning a list of records
+RECORDS = {
+    "run_cloning_game": lambda c: each_strategy(c, 0),
+    "check_against_bound": lambda c: each_strategy(c, 1),
+    "security_report": lambda c: [security_report(c.protocol)],
+    "run_round_trip": lambda c: [library_round_trip(c)],
+    "game_equivalence_test": lambda c: [library_equivalence(c)],
+    "run_round_trip_states": lambda c: [run_round_trip_states(
+        c.protocol, min(c.trials, 20), np.random.default_rng(c.seed), channel=c.channel
+    )],
+    "run_round_trip_binomial": lambda c: [run_round_trip_binomial(
+        c.protocol, c.trials, np.random.default_rng(c.seed), channel=c.channel
+    )],
+    "game_equivalence_states": lambda c: [game_equivalence_states(
+        c.protocol, 5, np.random.default_rng(c.seed)
+    )],
+}
+# the equivalence tests need a trial; the other records are taken at 0 trials too
+RECORD_CASES = [(name, 500) for name in RECORDS] + [
+    (name, 0) for name in RECORDS if "equivalence" not in name
+]
+
+
+@pytest.mark.parametrize("channel", [None, NOISY], ids=["identity", "noisy"])
+@pytest.mark.parametrize("name, trials", RECORD_CASES)
+def test_records_hold_plain_python_scalars(name, trials, channel, config_file):
+    # CSV writes each value's repr, which is not a number's for a numpy scalar
+    config = load_config(config_file(channel=channel, trials=trials, rejection_samples=50))
+    for record in RECORDS[name](config):
+        assert record
+        assert {k: type(v) for k, v in record.items() if type(v) not in (int, float, bool, str)} == {}
 
 
 def test_load_config_reads_bytes_alike(tmp_path):

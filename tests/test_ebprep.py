@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -218,14 +219,14 @@ class TestGameEquivalence:
         params = ProtocolParams(16, 64, 3, 0.4, 3.4)
         report, _ = game_equivalence_test(params, 200, 2000, np.random.default_rng(10))
         # u = k/tanh(r) +- alpha holds to floating precision
-        assert report.max_candidate_error < 1e-9 * params.alpha
-        assert report.outcome_range_ok
+        assert report["max_candidate_error"] < 1e-9 * params.alpha
+        assert report["outcome_range_ok"]
 
     def test_flip_rates_agree(self):
         report, _ = game_equivalence_test(REFERENCE, 1000, 2000, np.random.default_rng(11))
-        assert abs(report.z_statistic) < 5
-        assert report.modes_per_trial == 1000
-        assert report.trials == 1000
+        assert abs(report["z_statistic"]) < 5
+        assert report["modes_per_trial"] == 1000
+        assert report["trials"] == 1000
 
     def test_needs_trials(self):
         for trials, samples in ((0, 10), (10, 0)):
@@ -240,25 +241,25 @@ class TestGameEquivalence:
     def test_matches_object_loop(self, params):
         fast, _ = game_equivalence_test(params, 4000, 2000, np.random.default_rng(16))
         slow = game_equivalence_states(params, 1000, np.random.default_rng(17))
-        fast_modes = fast.trials * fast.modes_per_trial
-        slow_modes = slow.trials * slow.modes_per_trial
+        fast_modes = fast["trials"] * fast["modes_per_trial"]
+        slow_modes = slow["trials"] * slow["modes_per_trial"]
         for arm in ("flip_rate_direct", "flip_rate_eb"):
-            fast_flips = round(getattr(fast, arm) * fast_modes)
-            slow_flips = round(getattr(slow, arm) * slow_modes)
+            fast_flips = round(fast[arm] * fast_modes)
+            slow_flips = round(slow[arm] * slow_modes)
             z, _ = two_proportion_ztest(fast_flips, fast_modes, slow_flips, slow_modes)
             assert abs(z) < 5, arm
-        assert slow.max_candidate_error < 1e-9 * params.alpha
-        assert slow.outcome_range_ok
+        assert slow["max_candidate_error"] < 1e-9 * params.alpha
+        assert slow["outcome_range_ok"]
 
     @pytest.mark.parametrize("squeezing", [2.0, 3.4])
     def test_arms_match_the_per_mode_noise_count(self, squeezing):
         # the Binomial arms against noise_flips' per-mode count, 1.2e6 modes each
         params = ProtocolParams(892, 1000, 35, 0.4, squeezing)
         report, _ = game_equivalence_test(params, 1200, 10, np.random.default_rng(22))
-        modes = report.trials * report.modes_per_trial
+        modes = report["trials"] * report["modes_per_trial"]
         oracle = noise_flips(params, modes, np.random.default_rng(23))
         for arm in ("flip_rate_direct", "flip_rate_eb"):
-            flips = round(getattr(report, arm) * modes)
+            flips = round(report[arm] * modes)
             z, _ = two_proportion_ztest(flips, modes, oracle, modes)
             assert abs(z) < 5, arm
 
@@ -274,7 +275,7 @@ class TestGameEquivalence:
         monkeypatch.setattr(ebprep, "eb_outcomes", counted)
         report, sided = game_equivalence_test(REFERENCE, trials, 300, np.random.default_rng(24))
         assert shapes == [(300,)] and sided.shape == (300,)
-        assert report.trials == trials and report.modes_per_trial == 1000
+        assert report["trials"] == trials and report["modes_per_trial"] == 1000
 
     def test_sided_outcomes_follow_the_bit_0_law(self, monkeypatch):
         # s u for uniform signs s, checked against the (0, 2 alpha) law that
@@ -314,8 +315,8 @@ class TestGameEquivalence:
 
         params = ProtocolParams(16, 64, 3, 0.4, 3.4)
         report = self.run_with_draw_changed(params, skew, 19)
-        assert report.max_candidate_error > 1e-9
-        assert report.outcome_range_ok
+        assert report["max_candidate_error"] > 1e-9
+        assert report["outcome_range_ok"]
 
     @pytest.mark.parametrize("edge", ["near", "far"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -334,14 +335,18 @@ class TestGameEquivalence:
             offsets[mode] = (outcomes[mode] - sign * alpha) * tanh_r
 
         report = self.run_with_draw_changed(params, move, 20)
-        assert not report.outcome_range_ok
-        assert report.max_candidate_error < 1e-9 * alpha
+        assert not report["outcome_range_ok"]
+        assert report["max_candidate_error"] < 1e-9 * alpha
 
     def test_report_serializes(self):
         params = ProtocolParams(8, 16, 1, 0.4, 3.4)
         report, _ = game_equivalence_test(params, 20, 50, np.random.default_rng(13))
-        d = report.as_dict()
-        assert set(d) >= {"flip_rate_direct", "flip_rate_eb", "p_value"}
+        # the keys of the record, in order; it survives a JSON round trip
+        assert list(report) == [
+            "trials", "modes_per_trial", "flip_rate_direct", "flip_rate_eb",
+            "z_statistic", "p_value", "max_candidate_error", "outcome_range_ok",
+        ]
+        assert json.loads(json.dumps(report)) == report
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,11 @@ def assert_count_fits(count, trials, p):
     assert binom.sf(count - 1, trials, p) > TAIL / 2
 
 
+def mode_flips(record):
+    # the flip total a round-trip record's flip rate was taken from
+    return round(record["flip_rate"] * record["modes_total"])
+
+
 def truncated_sd(alpha, r):
     # closed-form standard deviation of N(0, cosh(r) tanh^2(r)/2) on (-a tanh r, a tanh r)
     sigma = math.sqrt(0.5 * math.cosh(r)) * math.tanh(r)
@@ -421,11 +426,9 @@ class TestRoundTrip:
     def test_fast_path_matches_reference(self):
         fast = run_round_trip(SMALL, 40_000, np.random.default_rng(20))
         slow = run_round_trip_states(SMALL, 4_000, np.random.default_rng(21))
-        z_fail, _ = two_proportion_ztest(
-            fast.failures, fast.trials, slow.failures, slow.trials
-        )
+        z_fail, _ = two_proportion_ztest(fast["failures"], 40_000, slow["failures"], 4_000)
         z_flip, _ = two_proportion_ztest(
-            fast.mode_flips, fast.modes_total, slow.mode_flips, slow.modes_total
+            mode_flips(fast), fast["modes_total"], mode_flips(slow), slow["modes_total"]
         )
         assert abs(z_fail) < 5
         assert abs(z_flip) < 5
@@ -449,16 +452,16 @@ class TestRoundTrip:
         params = ProtocolParams(100, 200, 10, 0.4, 0.0)
         result = run_round_trip(params, 5000, np.random.default_rng(31))
         want = 0.2858038224766658
-        sd = math.sqrt(want * (1 - want) / result.modes_total)
-        assert abs(result.flip_rate - want) < 5 * sd
+        sd = math.sqrt(want * (1 - want) / result["modes_total"])
+        assert abs(result["flip_rate"] - want) < 5 * sd
 
     def test_strong_squeezing_never_flips(self):
         params = ProtocolParams(500, 1000, 35, 0.4, 10.0)
         assert protocol.trial_ber(params) == 0.0
         for trials in (1000, 10**12):
             result = run_round_trip(params, trials, np.random.default_rng(23))
-            assert result.mode_flips == 0
-            assert result.failures == 0
+            assert result["flip_rate"] == 0.0
+            assert result["failures"] == 0
 
     def test_failure_rate_below_chernoff_bound(self):
         # moderate regime where failures actually occur
@@ -466,13 +469,13 @@ class TestRoundTrip:
 
         params = ProtocolParams(32, 64, 8, 0.4, 2.0)
         result = run_round_trip(params, 30_000, np.random.default_rng(24))
-        assert result.failures > 0
-        assert result.failure_rate <= eps_df(64, 8, 0.4, 2.0)
+        assert result["failures"] > 0
+        assert result["failure_rate"] <= eps_df(64, 8, 0.4, 2.0)
 
     def test_failures_match_exact_tail(self):
         params = ProtocolParams(32, 64, 8, 0.4, 2.0)
         result = run_round_trip(params, 30_000, np.random.default_rng(32))
-        assert_count_fits(result.failures, result.trials, exact_failure(64, 8, ber_analytic(0.4, 2.0)))
+        assert_count_fits(result["failures"], 30_000, exact_failure(64, 8, ber_analytic(0.4, 2.0)))
 
     @pytest.mark.parametrize(
         "channel", [None, ChannelParams(0.9, 0.01)], ids=["identity", "lossy"]
@@ -483,7 +486,7 @@ class TestRoundTrip:
         params = ProtocolParams(15, 30, 3, 0.4, 2.2)
         result = run_round_trip_states(params, 2000, np.random.default_rng(33), channel=channel)
         beta = ber_analytic(0.4, 2.2) if channel is None else noisy_ber(0.4, 2.2, channel)
-        assert_count_fits(result.failures, result.trials, exact_failure(30, 3, beta))
+        assert_count_fits(result["failures"], 2000, exact_failure(30, 3, beta))
 
     @pytest.mark.parametrize("total", ["failures", "mode_flips"])
     def test_histogram_matches_per_trial_kernel(self, total):
@@ -491,9 +494,10 @@ class TestRoundTrip:
         # fall in the same bins, cut at the quantiles of the exact law
         params = ProtocolParams(15, 30, 3, 0.4, 2.4)
         trials, seeds = 500, 400
-        fast = [getattr(run_round_trip(params, trials, np.random.default_rng(s)), total)
+        read = mode_flips if total == "mode_flips" else (lambda record: record["failures"])
+        fast = [read(run_round_trip(params, trials, np.random.default_rng(s)))
                 for s in range(seeds)]
-        slow = [getattr(run_round_trip_binomial(params, trials, np.random.default_rng(s)), total)
+        slow = [read(run_round_trip_binomial(params, trials, np.random.default_rng(s)))
                 for s in range(seeds, 2 * seeds)]
         beta = ber_analytic(0.4, 2.4)
         law = (binom(trials, exact_failure(30, 3, beta)) if total == "failures"
@@ -511,15 +515,17 @@ class TestRoundTrip:
         beta = ber_analytic(0.4, 4.5)
         assert exact_failure(1000, 35, beta) < 1e-30
         result = run_round_trip(params, 10**12, np.random.default_rng(35))
-        assert result.failures == 0
-        assert abs(result.flip_rate - beta) < 5 * math.sqrt(beta * (1 - beta) / result.modes_total)
+        assert result["failures"] == 0
+        sd = math.sqrt(beta * (1 - beta) / result["modes_total"])
+        assert abs(result["flip_rate"] - beta) < 5 * sd
 
     def test_tail_cells_keep_their_mass_at_the_largest_trial_count(self):
         # 9.2e15 trials expect 6.8e9 failures, resolved to 1.2e-5 relative: a
         # tail mass lost to rounding in the multinomial would show here
         trials = (2**63 - 1) // 1000
         result = run_round_trip(REFERENCE, trials, np.random.default_rng(36))
-        assert_count_fits(result.failures, trials, exact_failure(1000, 35, ber_analytic(0.4, 3.4)))
+        tail = exact_failure(1000, 35, ber_analytic(0.4, 3.4))
+        assert_count_fits(result["failures"], trials, tail)
         with pytest.raises(ValueError, match="2\\*\\*63"):
             run_round_trip(REFERENCE, trials + 1, np.random.default_rng(36))
 
@@ -554,16 +560,20 @@ class TestRoundTrip:
     def test_generous_error_budget_never_fails(self):
         params = ProtocolParams(8, 32, 15, 0.4, 3.4)
         result = run_round_trip(params, 5000, np.random.default_rng(25))
-        assert result.failures == 0
+        assert result["failures"] == 0
 
     def test_zero_trials(self):
         rng = np.random.default_rng(26)
         state = rng.bit_generator.state
         result = run_round_trip(SMALL, 0, rng)
-        assert result.trials == 0
-        assert result.failure_rate == 0.0
-        assert result.interval == (0.0, 1.0)
-        assert result.mode_flips == result.failures == 0
+        assert result == {
+            "failures": 0,
+            "failure_rate": 0.0,
+            "failure_rate_low": 0.0,
+            "failure_rate_high": 1.0,
+            "flip_rate": 0.0,
+            "modes_total": 0,
+        }
         assert rng.bit_generator.state == state
 
     def test_oracle_and_bch_failure_rates_agree(self):
@@ -574,8 +584,8 @@ class TestRoundTrip:
         concrete = ProtocolParams(15, 30, 3, 0.4, 2.2, codec_scheme="concrete")
         a = run_round_trip_states(oracle, 3000, np.random.default_rng(28))
         b = run_round_trip_states(concrete, 3000, np.random.default_rng(29))
-        assert a.failures > 0  # regime chosen so failures actually happen
-        z, _ = two_proportion_ztest(a.failures, a.trials, b.failures, b.trials)
+        assert a["failures"] > 0  # regime chosen so failures actually happen
+        z, _ = two_proportion_ztest(a["failures"], 3000, b["failures"], 3000)
         assert abs(z) < 5
 
     def test_measurement_path_matches_single_mode_sampler(self):
